@@ -42,7 +42,6 @@ from repro.conformance.invariants import (
 from repro.intent.changeset import ChangeOp, ChangeSet, parse_community
 from repro.netsim.addr import IPv4Prefix, IPv6Prefix
 from repro.toolkit.client import ExperimentClient, build_announcement
-from repro.vbgp.communities import ANNOUNCE_ASN, select_targets
 
 __all__ = [
     "DryRunEvaluator",
@@ -284,10 +283,6 @@ class DryRunEvaluator:
             if pop is None:
                 continue
             node = pop.node
-            candidates = [
-                (n.virtual.global_id, node.pop_id)
-                for n in node.upstreams.values()
-            ]
             live_neighbors = [
                 (name, node.upstreams[name])
                 for name in sorted(node.upstreams)
@@ -303,11 +298,13 @@ class DryRunEvaluator:
                 announced = state[pop_name][exp_name]
                 for key in sorted(announced, key=lambda k: (k[0], repr(k[1]))):
                     route = announced[key]
-                    targets = select_targets(route, candidates)
+                    targets = node._neighbor_targets(route)
+                    entry = None  # built once per route, on first target
                     for name, neighbor in live_neighbors:
                         if neighbor.virtual.global_id not in targets:
                             continue
-                        entry = self._entry(node, route)
+                        if entry is None:
+                            entry = self._entry(node, route)
                         exports[f"{pop_name}/{name}"][entry.prefix] = entry
             # Remote experiment announcements, carried over the backbone.
             for origin_name in sorted(state):
@@ -321,15 +318,13 @@ class DryRunEvaluator:
                     origin_name,
                 )
                 for route in carried:
-                    if not any(
-                        c.asn == ANNOUNCE_ASN for c in route.communities
-                    ):
-                        continue
-                    targets = select_targets(route, candidates)
+                    targets = node._remote_targets(route)
+                    entry = None
                     for name, neighbor in live_neighbors:
                         if neighbor.virtual.global_id not in targets:
                             continue
-                        entry = self._entry(node, route)
+                        if entry is None:
+                            entry = self._entry(node, route)
                         exports[f"{pop_name}/{name}"].setdefault(
                             entry.prefix, entry
                         )

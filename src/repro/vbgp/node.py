@@ -24,7 +24,7 @@ MAC before handing the frame to the experiment's tunnel (§3.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro import perf
@@ -57,7 +57,11 @@ from repro.vbgp.allocator import (
     VirtualNeighbor,
     neighbor_mac_global_id,
 )
-from repro.vbgp.communities import select_targets, strip_control
+from repro.vbgp.communities import (
+    ANNOUNCE_ASN,
+    select_targets,
+    strip_control,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import TelemetryHub
@@ -248,6 +252,8 @@ class VbgpNode:
 
         self.vips = LocalVipAllocator()
         self.upstreams: dict[str, UpstreamNeighbor] = {}
+        # (gid, pop id) of every upstream: ``select_targets`` candidates.
+        self._target_candidates: list[tuple[int, int]] = []
         self.remote_neighbors: dict[int, RemoteNeighbor] = {}
         self.experiments: dict[str, ExperimentAttachment] = {}
         self.backbone_peers: dict[str, BgpSession] = {}
@@ -389,6 +395,7 @@ class VbgpNode:
         self.stack.add_static_arp(peer_address, peer_mac, self.upstream_iface)
         session = self._upstream_session(neighbor, channel)
         self.upstreams[name] = neighbor
+        self._target_candidates.append((global_id, self.pop_id))
         if channel_factory is not None:
             neighbor.supervisor = SessionSupervisor(
                 self.scheduler,
@@ -545,14 +552,16 @@ class VbgpNode:
         neighbor = self.upstreams.get(name)
         if neighbor is None:
             return
-        gid = neighbor.virtual.global_id
+        only = (neighbor,)
         for exp in self.experiments.values():
             for route in exp.announced.values():
-                if gid in self._neighbor_targets(route):
-                    self._export_to_neighbor(neighbor, route)
+                self._export_experiment(
+                    route, self._neighbor_targets(route), neighbors=only
+                )
         for route in self.remote_exp_routes.values():
-            if gid in self._remote_targets(route):
-                self._export_to_neighbor(neighbor, route)
+            self._export_experiment(
+                route, self._remote_targets(route), neighbors=only
+            )
         session = neighbor.session
         if session is not None and session.gr_negotiated:
             # RFC 4724: close the (re-)transmission with End-of-RIB so
@@ -898,9 +907,7 @@ class VbgpNode:
         for route in allowed:
             previous = exp.announced.get((route.prefix, route.path_id))
             exp.announced[(route.prefix, route.path_id)] = route
-            if previous is not None:
-                self._retract_experiment_route(exp, previous, keep_dataplane=True)
-            self._propagate_experiment_route(exp, route)
+            self._propagate_experiment_route(exp, route, previous)
 
     def _enforce_control(self, exp: ExperimentAttachment,
                          routes: list[Route]) -> list[Route]:
@@ -916,8 +923,12 @@ class VbgpNode:
             self.counters["announcements_blocked"] += len(routes)
             return []
 
-    def _propagate_experiment_route(self, exp: ExperimentAttachment,
-                                    route: Route) -> None:
+    def _propagate_experiment_route(
+        self, exp: ExperimentAttachment, route: Route,
+        previous: Optional[Route] = None,
+    ) -> None:
+        """Export an accepted announcement; ``previous`` is the route it
+        replaces under the same ``(prefix, path id)`` key, if any."""
         # Data plane: make the prefix reachable through the tunnel.
         self.stack.add_route(
             KernelRoute(
@@ -928,39 +939,32 @@ class VbgpNode:
         )
         # Control plane: export to selected neighbors, and to the backbone.
         targets = self._neighbor_targets(route)
-        for neighbor in self.upstreams.values():
-            if neighbor.virtual.global_id in targets:
-                self._export_to_neighbor(neighbor, route)
-        self._backbone_export_experiment(exp, route, withdraw=False)
+        if previous is not None:
+            # RFC 4271 implicit replace: neighbors that keep the route get
+            # the announce alone.  The mesh keeps its explicit withdraw:
+            # a receiving PoP's ``_remote_experiment_route`` does not
+            # retract the old exit neighbors on an implicit replace.
+            self._export_experiment(
+                previous, self._neighbor_targets(previous) - targets,
+                withdraw=True,
+            )
+            self._backbone_export_experiment(previous, withdraw=True)
+        self._export_experiment(route, targets)
+        self._backbone_export_experiment(route, withdraw=False)
 
     def _retract_experiment_route(self, exp: ExperimentAttachment,
-                                  route: Route,
-                                  keep_dataplane: bool = False) -> None:
-        if not keep_dataplane:
-            still_announced = any(
-                r.prefix == route.prefix for r in exp.announced.values()
-            )
-            if not still_announced:
-                self.stack.remove_route(route.prefix)
-        targets = self._neighbor_targets(route)
-        for neighbor in self.upstreams.values():
-            if neighbor.virtual.global_id in targets and (
-                neighbor.session is not None and neighbor.session.established
-            ):
-                neighbor.session.send_update(
-                    UpdateMessage.withdraw(
-                        [Route(prefix=route.prefix, attributes=_EMPTY_ATTRS)]
-                    )
-                )
-                self.counters["updates_to_neighbors"] += 1
-        self._backbone_export_experiment(exp, route, withdraw=True)
+                                  route: Route) -> None:
+        still_announced = any(
+            r.prefix == route.prefix for r in exp.announced.values()
+        )
+        if not still_announced:
+            self.stack.remove_route(route.prefix)
+        self._export_experiment(route, self._neighbor_targets(route),
+                                withdraw=True)
+        self._backbone_export_experiment(route, withdraw=True)
 
     def _neighbor_targets(self, route: Route) -> set[int]:
-        candidates = [
-            (n.virtual.global_id, self.pop_id)
-            for n in self.upstreams.values()
-        ]
-        return select_targets(route, candidates)
+        return select_targets(route, self._target_candidates)
 
     def export_transform(self, route: Route) -> Route:
         """The §3.2.1 export rewrite for an experiment announcement.
@@ -973,21 +977,53 @@ class VbgpNode:
         function, so a predicted export diff cannot drift from what the
         wire would carry.
         """
-        export = strip_control(route)
-        export = export.prepended(self.platform_asn)
-        export = export.with_next_hop(self._upstream_address())
-        export = export.with_path_id(None)
-        return export.with_attributes(local_pref=None)
+        attrs = route.attributes
+        return Route(
+            prefix=route.prefix,
+            attributes=replace(
+                attrs,
+                communities=strip_control(route).communities,
+                as_path=attrs.as_path.prepended(self.platform_asn),
+                next_hop=self._upstream_address(),
+                local_pref=None,
+            ),
+        )
 
-    def _export_to_neighbor(self, neighbor: UpstreamNeighbor,
-                            route: Route) -> None:
-        if neighbor.session is None or not neighbor.session.established:
+    def _export_experiment(
+        self, route: Route, targets: set[int], withdraw: bool = False,
+        neighbors: Optional[Iterable[UpstreamNeighbor]] = None,
+    ) -> None:
+        """The one experiment-export step (§3.2.1 "export compile").
+
+        ``export_transform`` reads no per-neighbor state, so the route is
+        transformed once and one :class:`UpdateMessage` is handed to
+        every established session in ``targets``; the message's wire memo
+        makes that one encode.  Built on the first live target, so a
+        route nobody receives costs nothing.
+        """
+        if not targets:
             return
-        export = self.export_transform(route)
-        neighbor.session.send_update(UpdateMessage.announce([export]))
-        self.counters["updates_to_neighbors"] += 1
-        if self._m_updates_by_neighbor is not None:
-            self._m_updates_by_neighbor.labels(self.name, neighbor.name).inc()
+        update = None
+        metric = None if withdraw else self._m_updates_by_neighbor
+        for neighbor in neighbors or self.upstreams.values():
+            session = neighbor.session
+            if (
+                neighbor.virtual.global_id not in targets
+                or session is None or not session.established
+            ):
+                continue
+            if update is None and withdraw:
+                update = UpdateMessage.withdraw(
+                    [Route(prefix=route.prefix, attributes=_EMPTY_ATTRS)]
+                )
+            elif update is None:
+                update = UpdateMessage.announce(
+                    [self.export_transform(route)]
+                )
+            session.send_update(update)
+            self.counters["updates_to_neighbors"] += 1
+            if metric is not None:
+                metric.labels(self.name, neighbor.name).inc()
 
     def _upstream_address(self) -> IPv4Address:
         iface = self.stack.interfaces.get(self.upstream_iface)
@@ -1089,52 +1125,52 @@ class VbgpNode:
         )
         if neighbor is None:
             return
-        batch = perf.FLAGS.fanout_batch
-        for session in self.backbone_peers.values():
-            if not session.established:
-                continue
-            if batch:
-                fakes = []
-                for prefix, source_id in removed:
-                    fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
-                    fakes.append(fake.with_path_id(
-                        gid * _GID_PATH_ID_BASE + _stable_id(fake)
-                    ))
-                for chunk in _chunk_routes(fakes, _MAX_WITHDRAW_PER_UPDATE):
-                    ex.send(session, UpdateMessage.withdraw(chunk),
-                            "updates_to_backbone")
-                for group in _group_by_attributes(announced).values():
-                    carried = self._backbone_batch(neighbor.virtual, group)
-                    limit = _max_nlri_per_update(carried[0].attributes)
-                    for chunk in _chunk_routes(carried, limit):
-                        ex.send(session, UpdateMessage.announce(chunk),
-                                "updates_to_backbone")
-                continue
-            for prefix, source_id in removed:
-                fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
-                ex.send(session, UpdateMessage.withdraw([
-                    fake.with_path_id(
-                        gid * _GID_PATH_ID_BASE + _stable_id(fake)
-                    )
-                ]), "updates_to_backbone")
-            for route in announced:
-                ex.send(session, UpdateMessage.announce([
-                    self._backbone_route(neighbor.virtual, route)
-                ]), "updates_to_backbone")
+        sessions = [
+            s for s in self.backbone_peers.values() if s.established
+        ]
+        if not sessions:
+            return
+        # The messages read no per-peer state: build them once.
+        base = gid * _GID_PATH_ID_BASE
+        fakes = []
+        for prefix, _source_id in removed:
+            fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
+            fakes.append(fake.with_path_id(base + _stable_id(fake)))
+        if perf.FLAGS.fanout_batch:
+            updates = [
+                UpdateMessage.withdraw(chunk)
+                for chunk in _chunk_routes(fakes, _MAX_WITHDRAW_PER_UPDATE)
+            ]
+            for group in _group_by_attributes(announced).values():
+                carried = self._backbone_batch(neighbor.virtual, group)
+                limit = _max_nlri_per_update(carried[0].attributes)
+                updates.extend(
+                    UpdateMessage.announce(chunk)
+                    for chunk in _chunk_routes(carried, limit)
+                )
+        else:
+            updates = [UpdateMessage.withdraw([fake]) for fake in fakes]
+            updates.extend(
+                UpdateMessage.announce(
+                    [self._backbone_route(neighbor.virtual, route)]
+                )
+                for route in announced
+            )
+        for session in sessions:
+            for update in updates:
+                ex.send(session, update, "updates_to_backbone")
 
-    def _backbone_export_experiment(self, exp: ExperimentAttachment,
-                                    route: Route, withdraw: bool) -> None:
+    def _backbone_export_experiment(self, route: Route,
+                                    withdraw: bool) -> None:
         if not self.backbone_peers or self.backbone_address is None:
             return
-        carried = self._backbone_experiment_route(route)
+        carried = [self._backbone_experiment_route(route)]
+        update = (UpdateMessage.withdraw(carried) if withdraw
+                  else UpdateMessage.announce(carried))
         for session in self.backbone_peers.values():
-            if not session.established:
-                continue
-            if withdraw:
-                session.send_update(UpdateMessage.withdraw([carried]))
-            else:
-                session.send_update(UpdateMessage.announce([carried]))
-            self.counters["updates_to_backbone"] += 1
+            if session.established:
+                session.send_update(update)
+                self.counters["updates_to_backbone"] += 1
 
     def _backbone_update(self, node_name: str, update: UpdateMessage) -> None:
         """Process mesh routes: remote-neighbor or remote-experiment."""
@@ -1207,15 +1243,11 @@ class VbgpNode:
         # experiments "direct announcements … across the backbone to BGP
         # neighbors at any of the PoPs"); a plain announcement stays at
         # the PoP where it was made.
-        for neighbor in self.upstreams.values():
-            if neighbor.virtual.global_id in self._remote_targets(route):
-                self._export_to_neighbor(neighbor, route)
+        self._export_experiment(route, self._remote_targets(route))
 
     def _remote_targets(self, route: Route) -> set[int]:
         """Local neighbors a backbone-learned experiment route may exit
         through: only those its whitelist communities name."""
-        from repro.vbgp.communities import ANNOUNCE_ASN
-
         if not any(c.asn == ANNOUNCE_ASN for c in route.communities):
             return set()
         return self._neighbor_targets(route)
@@ -1230,17 +1262,8 @@ class VbgpNode:
             marker.pop("__remote__", None)
             if not marker:
                 self.exp_prefixes.remove(prefix)
-        targets = self._remote_targets(route)
-        for neighbor in self.upstreams.values():
-            if neighbor.virtual.global_id in targets and (
-                neighbor.session is not None and neighbor.session.established
-            ):
-                neighbor.session.send_update(
-                    UpdateMessage.withdraw(
-                        [Route(prefix=prefix, attributes=_EMPTY_ATTRS)]
-                    )
-                )
-                self.counters["updates_to_neighbors"] += 1
+        self._export_experiment(route, self._remote_targets(route),
+                                withdraw=True)
 
     # ==================================================================
     # Data plane interposition
