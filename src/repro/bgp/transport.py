@@ -56,10 +56,7 @@ class Channel:
         if self.closed or self.peer is None or not data:
             return
         self.tx_bytes += len(data)
-        peer = self.peer
-        self.scheduler.call_later(
-            self.latency, lambda: peer._deliver(data)
-        )
+        self.scheduler.call_later(self.latency, self.peer._deliver, data)
 
     def _deliver(self, data: bytes) -> None:
         if self.closed:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from repro import perf
@@ -57,6 +58,7 @@ class ArpPacket:
     target_ip: IPv4Address
 
     WIRE_SIZE = 28
+    size = WIRE_SIZE
 
     def encode(self) -> bytes:
         header = struct.pack("!HHBBH", 1, EtherType.IPV4, 6, 4, self.op)
@@ -294,16 +296,14 @@ class EthernetFrame:
             return self.payload
         return self.payload.encode()
 
-    @property
+    @cached_property
     def size(self) -> int:
-        tag = 4 if self.vlan is not None else 0
-        if perf.FLAGS.encode_memo:
-            cached = self.__dict__.get("_size")
-            if cached is None:
-                cached = 14 + tag + len(self.payload_bytes)
-                object.__setattr__(self, "_size", cached)
-            return cached
-        return 14 + tag + len(self.payload_bytes)
+        """Frame length in bytes, from the headers' fixed sizes: ports read
+        it on every hop, so it must not serialise the payload."""
+        payload = self.payload
+        return (14 if self.vlan is None else 18) + (
+            len(payload) if isinstance(payload, bytes) else payload.size
+        )
 
     def encode(self) -> bytes:
         header = self.dst.value.to_bytes(6, "big") + self.src.value.to_bytes(6, "big")

@@ -9,6 +9,7 @@ a :class:`Switch` is a VLAN-aware learning L2 switch used to model IXP LANs
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, Optional
 
 from repro.netsim.frames import EthernetFrame
@@ -88,10 +89,10 @@ class Link:
         self._busy_until = {id(a): 0.0, id(b): 0.0}
         self._queued = {id(a): 0, id(b): 0}
         self.drops = 0
-        a._send = lambda frame: self._forward(frame, a, b)
-        b._send = lambda frame: self._forward(frame, b, a)
+        a._send = partial(self._forward, a, b)
+        b._send = partial(self._forward, b, a)
 
-    def _forward(self, frame: EthernetFrame, src: Port, dst: Port) -> None:
+    def _forward(self, src: Port, dst: Port, frame: EthernetFrame) -> None:
         if self.loss and self._rng.random() < self.loss:
             self.drops += 1
             return
@@ -107,7 +108,10 @@ class Link:
             arrival = start + serialization + self.latency
         else:
             arrival = now + self.latency
-        self.scheduler.call_at(arrival, lambda: dst.deliver(frame))
+        # Always a scheduled event, even at zero latency: a stack sends its
+        # ARP request before it queues the packet that waits for the reply,
+        # so delivering inline would answer before the waiter holds it.
+        self.scheduler.call_at(arrival, dst.deliver, frame)
 
 
 class Switch:
@@ -136,7 +140,7 @@ class Switch:
         transmitted back over the link.
         """
         port = Port(name or f"{self.name}-p{len(self._ports)}")
-        port.attach(lambda frame, ingress: self._switch(frame, ingress))
+        port.attach(self._switch)
         self._ports.append(port)
         return port
 
@@ -157,13 +161,18 @@ class Switch:
             return
         if out is ingress:
             return
-        self.scheduler.call_later(self.latency, lambda: out.transmit(frame))
+        self._emit(out, frame)
 
     def _flood(self, frame: EthernetFrame, ingress: Port) -> None:
         self.flooded += 1
         for port in self._ports:
-            if port is ingress:
-                continue
-            self.scheduler.call_later(
-                self.latency, lambda p=port: p.transmit(frame)
-            )
+            if port is not ingress:
+                self._emit(port, frame)
+
+    def _emit(self, out: Port, frame: EthernetFrame) -> None:
+        """A hop that takes no time costs no event: the egress port's
+        ``Link`` schedules the delivery, so this never re-enters a device."""
+        if self.latency:
+            self.scheduler.call_later(self.latency, out.transmit, frame)
+        else:
+            out.transmit(frame)

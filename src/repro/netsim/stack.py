@@ -70,12 +70,13 @@ class KernelRoute:
         return self.next_hop is None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingRule:
     """A policy-routing rule selecting a table when its matches hold.
 
     ``match_dmac`` matching the destination MAC of the ingress frame is the
-    vBGP table-demultiplexing mechanism (§3.2.2).
+    vBGP table-demultiplexing mechanism (§3.2.2). Frozen: the stack indexes
+    rules by ``match_dmac``, so a rule is replaced, never edited.
     """
 
     priority: int
@@ -190,6 +191,7 @@ class NetworkStack:
         self.rules: list[RoutingRule] = [
             RoutingRule(priority=RULE_PRIORITY_DEFAULT, table=MAIN_TABLE)
         ]
+        self._index_rules()
         self.forwarding = True
         # ip -> (mac, iface name); the neighbor cache.
         self.arp_table: dict[IPv4Address, tuple[MacAddress, str]] = {}
@@ -294,9 +296,29 @@ class NetworkStack:
     def add_rule(self, rule: RoutingRule) -> None:
         self.rules.append(rule)
         self.rules.sort(key=lambda r: r.priority)
+        self._index_rules()
 
     def remove_rule(self, rule: RoutingRule) -> None:
         self.rules.remove(rule)
+        self._index_rules()
+
+    def _index_rules(self) -> None:
+        """Per destination MAC, the rules a frame to it can match — those
+        naming that MAC or none — in ``rules`` order; ``_rules_any_dmac``
+        serves every other frame. A frame to neighbor N's virtual MAC so
+        reaches table N in one dict step (§3.2.2). Derived from the public,
+        priority-sorted ``rules``: change that through add/remove_rule."""
+        any_dmac: list[RoutingRule] = []
+        by_dmac: dict[MacAddress, list[RoutingRule]] = {}
+        for rule in self.rules:
+            if rule.match_dmac is None:
+                any_dmac.append(rule)
+                for rules in by_dmac.values():
+                    rules.append(rule)
+            else:
+                by_dmac.setdefault(rule.match_dmac, any_dmac[:]).append(rule)
+        self._rules_any_dmac = any_dmac
+        self._rules_by_dmac = by_dmac
 
     def add_proxy_arp(self, iface_name: str, ip: IPv4Address,
                       mac: MacAddress) -> None:
@@ -515,7 +537,7 @@ class NetworkStack:
         dmac: Optional[MacAddress] = None,
     ) -> Optional[KernelRoute]:
         """Apply policy rules in priority order, then LPM in the table."""
-        for rule in self.rules:
+        for rule in self._rules_by_dmac.get(dmac, self._rules_any_dmac):
             if not rule.matches(packet, in_iface, dmac):
                 continue
             table = self.tables.get(rule.table)
@@ -539,9 +561,7 @@ class NetworkStack:
     def send_ip(self, packet: IPv4Packet) -> None:
         """Send a locally generated packet."""
         if packet.dst in self.local_ips():
-            self.scheduler.call_soon(
-                lambda: self._deliver_local(packet, None)
-            )
+            self.scheduler.call_soon(self._deliver_local, packet, None)
             return
         route = self.lookup_route(packet)
         if route is None:
@@ -578,9 +598,7 @@ class NetworkStack:
             waiter = _ArpWaiter()
             self._arp_waiters[target] = waiter
             self._send_arp_request(target, iface)
-            self.scheduler.call_later(
-                ARP_TIMEOUT, lambda: self._arp_timeout(target)
-            )
+            self.scheduler.call_later(ARP_TIMEOUT, self._arp_timeout, target)
         if len(waiter.packets) < ARP_QUEUE_LIMIT:
             waiter.packets.append((packet, route))
 

@@ -17,7 +17,8 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback and the positional arguments it is called with
+    (so per-frame callers schedule a bound method, not a closure per event).
 
     The heap itself stores ``(time, seq, event)`` tuples so ordering is
     resolved by C-level tuple comparison (the dataclass-generated ``__lt__``
@@ -26,13 +27,14 @@ class Event:
     events stay in the heap but are skipped when popped.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
     def __init__(self, time: float, seq: int,
-                 callback: Callable[[], None]) -> None:
+                 callback: Callable[..., None], args: tuple) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
+        self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -62,29 +64,38 @@ class Scheduler:
         """Current virtual time in seconds."""
         return self._now
 
-    def call_at(self, when: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run at absolute time ``when``."""
+    def call_at(self, when: float, callback: Callable[..., None],
+                *args) -> Event:
+        """Schedule ``callback(*args)`` to run at absolute time ``when``."""
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule event in the past: {when} < {self._now}"
             )
         seq = next(self._seq)
-        event = Event(when, seq, callback)
+        event = Event(when, seq, callback, args)
         heapq.heappush(self._queue, (when, seq, event))
         return event
 
-    def call_later(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    def call_later(self, delay: float, callback: Callable[..., None],
+                   *args) -> Event:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, callback)
+        # Pushed here, not via call_at: re-spreading ``*args`` through a
+        # second call costs more than the closure this form replaces.
+        when = self._now + delay
+        seq = next(self._seq)
+        event = Event(when, seq, callback, args)
+        heapq.heappush(self._queue, (when, seq, event))
+        return event
 
-    def call_soon(self, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at the current time (after pending events)."""
-        return self.call_at(self._now, callback)
+    def call_soon(self, callback: Callable[..., None], *args) -> Event:
+        """Schedule ``callback(*args)`` at the current time (after pending
+        events)."""
+        return self.call_at(self._now, callback, *args)
 
     def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of queued events that have not been cancelled."""
         return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     def step(self) -> bool:
@@ -94,7 +105,7 @@ class Scheduler:
             if event.cancelled:
                 continue
             self._now = event.time
-            event.callback()
+            event.callback(*event.args)
             return True
         return False
 

@@ -4,6 +4,7 @@ round-trip properties."""
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import perf
 from repro.netsim.addr import IPv4Address, MacAddress
 from repro.netsim.frames import (
     ArpOp,
@@ -187,3 +188,65 @@ def test_checksum_verification_property(data):
     checksum = _inet_checksum(data)
     combined = data + checksum.to_bytes(2, "big")
     assert _inet_checksum(combined) == 0
+
+
+def _sized_frames():
+    arp = ArpPacket(op=ArpOp.REQUEST, sender_mac=MAC_A, sender_ip=IP_A,
+                    target_mac=MacAddress(0), target_ip=IP_B)
+    payloads = {
+        "udp": (EtherType.IPV4, IPv4Packet(
+            src=IP_A, dst=IP_B, proto=IpProto.UDP,
+            payload=UdpDatagram(4000, 53, b"query" * 7))),
+        "icmp": (EtherType.IPV4, IPv4Packet(
+            src=IP_A, dst=IP_B, proto=IpProto.ICMP,
+            payload=IcmpMessage(icmp_type=IcmpType.TIME_EXCEEDED,
+                                payload=b"q" * 28))),
+        "ip-raw": (EtherType.IPV4, IPv4Packet(
+            src=IP_A, dst=IP_B, proto=IpProto.TCP, payload=b"segment" * 9)),
+        "ip-empty": (EtherType.IPV4, IPv4Packet(
+            src=IP_A, dst=IP_B, proto=IpProto.TCP)),
+        "arp": (EtherType.ARP, arp),
+        "bytes": (EtherType.IPV6, b"\x60" + b"\x00" * 39),
+        "empty": (EtherType.IPV4, b""),
+    }
+    return [
+        pytest.param(ethertype, payload, vlan, id=f"{name}-vlan{vlan}")
+        for name, (ethertype, payload) in payloads.items()
+        for vlan in (None, 100)
+    ]
+
+
+@pytest.mark.parametrize("encode_memo", [True, False])
+@pytest.mark.parametrize("ethertype,payload,vlan", _sized_frames())
+def test_size_is_encoded_length(ethertype, payload, vlan, encode_memo):
+    with perf.flags(encode_memo=encode_memo):
+        frame = EthernetFrame(src=MAC_A, dst=MAC_B, ethertype=ethertype,
+                              payload=payload, vlan=vlan)
+        assert frame.size == len(frame.encode())
+        assert frame.size == len(frame.encode())    # and stays so, memoised
+        if isinstance(payload, IPv4Packet):
+            # The forwarding path's copy keeps its size.
+            hop = EthernetFrame(src=MAC_B, dst=MAC_A, ethertype=ethertype,
+                                payload=payload.decrement_ttl(), vlan=vlan)
+            assert hop.size == frame.size == len(hop.encode())
+
+
+@pytest.mark.parametrize("encode_memo", [True, False])
+def test_size_never_encodes_the_ip_packet(monkeypatch, encode_memo):
+    """Ports read ``size`` on every hop; it is header arithmetic."""
+    calls = []
+    real = IPv4Packet.encode
+    monkeypatch.setattr(
+        IPv4Packet, "encode",
+        lambda self: calls.append(self) or real(self),
+    )
+    with perf.flags(encode_memo=encode_memo):
+        for _ethertype, payload, vlan in (p.values for p in _sized_frames()):
+            if isinstance(payload, IPv4Packet):
+                frame = EthernetFrame(src=MAC_A, dst=MAC_B,
+                                      ethertype=EtherType.IPV4,
+                                      payload=payload, vlan=vlan)
+                assert frame.size == frame.size > 14
+    assert calls == []
+    frame.encode()
+    assert calls == [frame.payload]

@@ -82,9 +82,9 @@ def test_unplugged_port_drops_silently():
     assert port.tx_frames == 0
 
 
-def _switched_hosts(sched, count=3):
+def _switched_hosts(sched, count=3, latency=0.0):
     """count hosts on one switch, each behind a Link."""
-    switch = Switch(sched)
+    switch = Switch(sched, latency=latency)
     hosts = []
     for index in range(count):
         host_port = Port(f"h{index}")
@@ -139,3 +139,48 @@ def test_switch_vlan_isolation():
     sched.run()
     assert len(hosts[1][1]) == 1 and len(hosts[2][1]) == 1
     assert switch.flooded >= 1
+
+
+def test_zero_latency_switch_hop_costs_no_event():
+    """host link → switch → host link: two link deliveries, and the
+    switch's own hop is an event only when it takes time."""
+    fired = {}
+    for latency in (0.0, 0.25):
+        sched = Scheduler()
+        switch, hosts = _switched_hosts(sched, latency=latency)
+        hosts[1][0].transmit(frame(2, 99))      # learn MAC 2
+        sched.run()
+        hosts[1][1].clear()
+        hosts[2][1].clear()
+        start = sched.now
+        hosts[0][0].transmit(frame(1, 2))
+        fired[latency] = sched.run()
+        assert len(hosts[1][1]) == 1 and hosts[2][1] == []
+        assert sched.now == start + latency
+    assert fired == {0.0: 2, 0.25: 3}
+
+
+def test_switch_with_latency_still_schedules():
+    sched = Scheduler()
+    switch, hosts = _switched_hosts(sched, latency=0.5)
+    hosts[0][0].transmit(frame(1, MacAddress.BROADCAST_VALUE))
+    sched.run_until(0.4)
+    assert hosts[1][1] == [] and hosts[2][1] == []
+    assert sched.pending() == 2         # one per flooded port
+    sched.run()
+    assert len(hosts[1][1]) == 1 and len(hosts[2][1]) == 1
+    assert switch.flooded == 1
+
+
+def test_zero_latency_switch_keeps_per_port_frame_order():
+    """A flooded frame and the unicast frame behind it leave a port in
+    the order they entered the switch."""
+    sched = Scheduler()
+    switch, hosts = _switched_hosts(sched)
+    hosts[1][0].transmit(frame(2, 99))
+    sched.run()
+    hosts[1][1].clear()
+    hosts[0][0].transmit(frame(1, MacAddress.BROADCAST_VALUE, b"first"))
+    hosts[0][0].transmit(frame(1, 2, b"second"))
+    sched.run()
+    assert [f.payload for f in hosts[1][1]] == [b"first", b"second"]

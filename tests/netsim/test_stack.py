@@ -304,3 +304,23 @@ def test_rule_priority_order(scheduler):
     route = b.lookup_route(packet)
     assert route is not None
     assert str(route.next_hop) == "10.0.0.1"
+
+
+def test_cold_arp_over_zero_latency_link_delivers_queued_packet(scheduler):
+    """``Link`` delivery is an event even when it takes no time: the
+    stack broadcasts its ARP request *before* it queues the packet behind
+    it, so a reply arriving inside that call would find no waiter and
+    the packet would sit until the ARP timeout dropped it."""
+    a, b = build_pair(scheduler, latency=0.0)
+    received = []
+    b.bind_udp(5000, lambda packet, dgram: received.append(dgram.payload))
+    dst = IPv4Address.parse("10.0.0.2")
+    assert dst not in a.arp_table
+    a.send_ip(IPv4Packet(src=IPv4Address.parse("10.0.0.1"), dst=dst,
+                         proto=IpProto.UDP,
+                         payload=UdpDatagram(1234, 5000, b"queued")))
+    assert received == [] and scheduler.pending() > 0
+    scheduler.run_for(2)
+    assert received == [b"queued"]
+    assert dst in a.arp_table
+    assert a.counters["arp_timeouts"] == 0

@@ -129,3 +129,37 @@ def test_run_returns_fired_count():
     for _ in range(5):
         sched.call_later(1.0, lambda: None)
     assert sched.run() == 5
+
+
+def test_arguments_are_delivered_by_every_form():
+    sched = Scheduler()
+    seen = []
+
+    def record(*args):
+        seen.append((sched.now, args))
+
+    sched.call_at(3.0, record, "at", 1)
+    sched.call_later(2.0, record, "later", [2])
+    sched.call_soon(record, "soon")
+    sched.call_soon(record)
+    sched.run()
+    assert seen == [
+        (0.0, ("soon",)), (0.0, ()), (2.0, ("later", [2])), (3.0, ("at", 1)),
+    ]
+
+
+def test_ties_and_cancel_unchanged_with_arguments():
+    """Same-time events fire in insertion order whatever their arguments
+    (never compared), mixed with the closure form; a cancelled one is
+    skipped and no longer pending."""
+    sched = Scheduler()
+    order = []
+    first = sched.call_later(1.0, order.append, {"unorderable": 1})
+    sched.call_later(1.0, lambda: order.append("closure"))
+    doomed = sched.call_later(1.0, order.append, "cancelled")
+    sched.call_later(1.0, order.append, {"unorderable": 0})
+    assert first.args == ({"unorderable": 1},)
+    doomed.cancel()
+    assert sched.pending() == 3
+    assert sched.run_until(1.0) == 3
+    assert order == [{"unorderable": 1}, "closure", {"unorderable": 0}]
