@@ -450,9 +450,10 @@ class UpdateMessage:
     def encode(self, addpath: bool = False) -> bytes:
         """Encode to wire bytes; memoized per (message, addpath).
 
-        ADD-PATH fan-out sends the *same* UpdateMessage object to E
-        experiment sessions; with the ``encode_memo`` perf flag on, the
-        bytes are computed once.  The cache lives in the (frozen)
+        The vBGP fan-out (``VbgpNode._fanout``) and the experiment export
+        (``_export_experiment``) hand the *same* UpdateMessage object to
+        every session that should get it; with the ``encode_memo`` perf
+        flag on, the bytes are computed once.  The cache lives in the (frozen)
         instance's ``__dict__`` so it is garbage-collected with the
         message and invisible to ``__eq__``/``__hash__``.
         """

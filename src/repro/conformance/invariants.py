@@ -22,7 +22,9 @@ Catalog (keys of :data:`CATALOG`):
 ``addpath_completeness``
     Every route in every Adj-RIB-In has an allocated ADD-PATH id toward
     every attached experiment with an established session — i.e. full
-    visibility, the §3.2.1 promise.
+    visibility, the §3.2.1 promise.  The ids are node-wide: every id an
+    experiment was told is the node's id for that path, and no two live
+    paths at a node share one.
 ``community_propagation``
     For every experiment announcement, each external neighbor speaker
     holds the route iff the §3.2.1 whitelist/blacklist communities
@@ -194,6 +196,18 @@ def check_addpath_completeness(ctx: ConformanceContext) -> InvariantReport:
     report = InvariantReport("addpath_completeness")
     for pop_name, pop in ctx.pops.items():
         node = pop.node
+        node_ids = node._path_ids
+        # Fan-out ids are node-wide: one id names one live path.
+        owners: Dict[int, object] = {}
+        for key, path_id in node_ids.items():
+            report.checked += 1
+            other = owners.setdefault(path_id, key)
+            if other is not key:
+                report.fail(
+                    f"{pop_name}: ADD-PATH id {path_id} names both "
+                    f"{other[1]} (gid {other[0]}) and {key[1]} "
+                    f"(gid {key[0]})"
+                )
         for exp_name, exp in node.experiments.items():
             session = exp.session
             if session is None or not session.established:
@@ -208,6 +222,14 @@ def check_addpath_completeness(ctx: ConformanceContext) -> InvariantReport:
                             f" from {label} has no ADD-PATH id toward "
                             f"experiment {exp_name}"
                         )
+            for key, path_id in exp.path_ids.items():
+                report.checked += 1
+                if node_ids.get(key) != path_id:
+                    report.fail(
+                        f"{pop_name}: experiment {exp_name} was told id "
+                        f"{path_id} for {key[1]} (gid {key[0]}) but the "
+                        f"node's id is {node_ids.get(key)}"
+                    )
     return report
 
 

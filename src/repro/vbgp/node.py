@@ -190,25 +190,11 @@ class ExperimentAttachment:
     announced: dict[tuple[Prefix, Optional[int]], Route] = field(
         default_factory=dict
     )
-    # Fan-out path-id allocation: (gid, prefix, source path id) -> path id.
+    # What this experiment has been told: (gid, prefix, source path id)
+    # -> the node-wide fan-out path id (``VbgpNode._path_ids``) it heard.
     path_ids: dict[tuple[int, Prefix, Optional[int]], int] = field(
         default_factory=dict
     )
-    next_path_id: int = 1
-
-    def path_id_for(self, gid: int, prefix: Prefix,
-                    source_id: Optional[int]) -> int:
-        path_id = self.path_ids.get((gid, prefix, source_id))
-        if path_id is None:
-            path_id = self.path_ids[(gid, prefix, source_id)] = (
-                self.next_path_id
-            )
-            self.next_path_id += 1
-        return path_id
-
-    def release_path_id(self, gid: int, prefix: Prefix,
-                        source_id: Optional[int]) -> Optional[int]:
-        return self.path_ids.pop((gid, prefix, source_id), None)
 
 
 ControlEnforcer = Callable[..., object]
@@ -256,6 +242,11 @@ class VbgpNode:
         self._target_candidates: list[tuple[int, int]] = []
         self.remote_neighbors: dict[int, RemoteNeighbor] = {}
         self.experiments: dict[str, ExperimentAttachment] = {}
+        # Fan-out ADD-PATH ids, one per path for the whole node (paper
+        # §4.2): (gid, prefix, source path id) -> id.  Allocated on the
+        # first fan-out, released when the path leaves its neighbor's rib.
+        self._path_ids: dict[tuple[int, Prefix, Optional[int]], int] = {}
+        self._next_path_id = 1
         self.backbone_peers: dict[str, BgpSession] = {}
         # Experiment prefixes (local and remote) for data-plane intercept.
         self.exp_prefixes: LpmTable[dict] = LpmTable()
@@ -506,7 +497,6 @@ class VbgpNode:
         (the ``shards=1`` reference), a shard emitter buffers the ops
         for the merge layer.
         """
-        gid = neighbor.virtual.global_id
         removed: list[tuple[Prefix, Optional[int]]] = []
         for prefix, path_id in update.withdrawn:
             if neighbor.rib.pop((prefix, path_id), None) is not None:
@@ -534,18 +524,10 @@ class VbgpNode:
                 table_id=neighbor.virtual.table_id,
             )
         # Fan out to experiments with the local virtual IP as next hop.
-        # The attribute grouping depends only on the announced routes, so
-        # compute it once here instead of once per experiment.
-        groups = (
-            _group_by_attributes(announced)
-            if announced and perf.FLAGS.fanout_batch and self.experiments
-            else None
-        )
-        for exp in self.experiments.values():
-            self._fanout(exp, gid, neighbor.virtual.local_ip, announced,
-                         removed, ex=ex, groups=groups)
+        self._fanout(self.experiments.values(), neighbor.virtual.global_id,
+                     neighbor.virtual.local_ip, announced, removed, ex=ex)
         # Propagate over the backbone with the neighbor's global IP.
-        self._backbone_export(gid, announced, removed, ex=ex)
+        self._backbone_export(neighbor, announced, removed, ex=ex)
 
     def _upstream_established(self, name: str) -> None:
         """A (re-)established upstream: re-export experiment state to it."""
@@ -651,10 +633,9 @@ class VbgpNode:
             if self.stack.remove_route(prefix,
                                        table_id=neighbor.virtual.table_id):
                 self.counters["routes_removed"] += 1
-        gid = neighbor.virtual.global_id
-        for exp in self.experiments.values():
-            self._fanout(exp, gid, neighbor.virtual.local_ip, [], keys)
-        self._backbone_export(gid, [], keys)
+        self._fanout(self.experiments.values(), neighbor.virtual.global_id,
+                     neighbor.virtual.local_ip, [], keys)
+        self._backbone_export(neighbor, [], keys)
 
     def _resilience_event(self, peer: str, event: str, detail: str) -> None:
         tele = self.telemetry
@@ -765,19 +746,13 @@ class VbgpNode:
         exp = self.experiments.get(name)
         if exp is None:
             return
-        for neighbor in self.upstreams.values():
+        for neighbor in (*self.upstreams.values(),
+                         *self.remote_neighbors.values()):
             routes = list(neighbor.rib.values())
             if routes:
                 self._fanout(
-                    exp, neighbor.virtual.global_id,
+                    (exp,), neighbor.virtual.global_id,
                     neighbor.virtual.local_ip, routes, [],
-                )
-        for remote in self.remote_neighbors.values():
-            routes = list(remote.rib.values())
-            if routes:
-                self._fanout(
-                    exp, remote.global_id, remote.virtual.local_ip,
-                    routes, [],
                 )
 
     def _experiment_closed(self, name: str, _reason: str) -> None:
@@ -797,67 +772,87 @@ class VbgpNode:
 
     def _fanout(
         self,
-        exp: ExperimentAttachment,
+        experiments: Iterable[ExperimentAttachment],
         gid: int,
         local_vip: IPv4Address,
         announced: list[Route],
         removed: list[tuple[Prefix, Optional[int]]],
         ex=None,
-        groups=None,
     ) -> None:
-        """Send neighbor-route changes to one experiment (Figure 2a).
+        """Send neighbor-route changes to ``experiments`` (Figure 2a).
+
+        The "fan-out compile": a path's ADD-PATH id belongs to the node,
+        not to the listener, so nothing in the messages depends on who
+        receives them.  They are built once and the same
+        :class:`UpdateMessage` objects go to every established session;
+        the message's wire memo makes that one encode.
 
         With the ``fanout_batch`` perf flag on, announced routes sharing
         one attribute set are coalesced into multi-NLRI UPDATEs (one
-        attribute encode + one message per batch instead of per route).
-        Withdrawals carry no attributes and are always chunked to respect
-        the 4096-byte message ceiling.  ``ex`` is the effect executor
-        (direct by default; a shard emitter when the fan-out is sharded).
-        ``groups`` lets a caller fanning out to many experiments pass the
-        attribute grouping of ``announced`` computed once.
+        message per batch instead of per route).  Withdrawals carry no
+        attributes and are always chunked to respect the 4096-byte
+        message ceiling.  ``ex`` is the effect executor (direct by
+        default; a shard emitter when the fan-out is sharded).
         """
         if ex is None:
             ex = self._direct_exec
-        if exp.session is None or not exp.session.established:
-            return
-        withdrawals = []
+        node_ids = self._path_ids
+        # ``removed`` paths have left the neighbor's rib: their ids go
+        # back whether or not anyone is listening.
+        released = []
         for prefix, source_id in removed:
-            path_id = exp.release_path_id(gid, prefix, source_id)
+            key = (gid, prefix, source_id)
+            path_id = node_ids.pop(key, None)
             if path_id is not None:
-                withdrawals.append(
-                    Route(prefix=prefix, attributes=_EMPTY_ATTRS,
-                          path_id=path_id)
-                )
-        for chunk in _chunk_routes(withdrawals, _MAX_WITHDRAW_PER_UPDATE):
-            ex.send(exp.session, UpdateMessage.withdraw(chunk),
-                    "updates_to_experiments")
-        if not announced:
+                released.append((key, path_id))
+        live = [
+            exp for exp in experiments
+            if exp.session is not None and exp.session.established
+        ]
+        if not live:
             return
+        withdraws = _withdraw_updates(released)
+        # key -> id of everything announced here: what each listener is
+        # told.  A new path's key tuple and id are shared with the node map.
+        told: dict[tuple[int, Prefix, Optional[int]], int] = {}
+        announces: list[UpdateMessage] = []
         if perf.FLAGS.fanout_batch:
-            if groups is None:
-                groups = _group_by_attributes(announced)
-            for attrs, group in groups.items():
-                rewritten_attrs = attrs.with_next_hop(local_vip)
-                batch = [
-                    Route(
-                        prefix=route.prefix,
-                        attributes=rewritten_attrs,
-                        path_id=exp.path_id_for(gid, route.prefix,
-                                                route.path_id),
-                    )
-                    for route in group
-                ]
-                limit = _max_nlri_per_update(rewritten_attrs)
-                for chunk in _chunk_routes(batch, limit):
-                    ex.send(exp.session, UpdateMessage.announce(chunk),
-                            "updates_to_experiments")
+            grouped = _group_by_attributes(announced).items()
         else:
-            for route in announced:
-                rewritten = route.with_next_hop(local_vip).with_path_id(
-                    exp.path_id_for(gid, route.prefix, route.path_id)
-                )
-                ex.send(exp.session, UpdateMessage.announce([rewritten]),
-                        "updates_to_experiments")
+            grouped = ((route.attributes, (route,)) for route in announced)
+        for attrs, group in grouped:
+            rewritten_attrs = attrs.with_next_hop(local_vip)
+            nlri = []
+            for route in group:
+                key = (gid, route.prefix, route.path_id)
+                path_id = node_ids.get(key)
+                if path_id is None:
+                    path_id = node_ids[key] = self._next_path_id
+                    self._next_path_id += 1
+                told[key] = path_id
+                nlri.append((route.prefix, path_id))
+            limit = _max_nlri_per_update(rewritten_attrs)
+            announces.extend(
+                UpdateMessage(attributes=rewritten_attrs, nlri=tuple(chunk))
+                for chunk in _chunk_routes(nlri, limit)
+            )
+        for exp in live:
+            session = exp.session
+            heard = exp.path_ids
+            if released:
+                # Never withdraw what this experiment was not told.
+                known = [
+                    pair for pair in released
+                    if heard.pop(pair[0], None) is not None
+                ]
+                for update in (
+                    withdraws if len(known) == len(released)
+                    else _withdraw_updates(known)
+                ):
+                    ex.send(session, update, "updates_to_experiments")
+            heard.update(told)
+            for update in announces:
+                ex.send(session, update, "updates_to_experiments")
 
     # -- announcements from experiments ---------------------------------
 
@@ -1112,18 +1107,13 @@ class VbgpNode:
             _stable_id(route)
         )
 
-    def _backbone_export(self, gid: int, announced: list[Route],
+    def _backbone_export(self, neighbor: UpstreamNeighbor,
+                         announced: list[Route],
                          removed: list[tuple[Prefix, Optional[int]]],
                          ex=None) -> None:
         if ex is None:
             ex = self._direct_exec
         if not self.backbone_peers:
-            return
-        neighbor = next(
-            (n for n in self.upstreams.values()
-             if n.virtual.global_id == gid), None,
-        )
-        if neighbor is None:
             return
         sessions = [
             s for s in self.backbone_peers.values() if s.established
@@ -1131,7 +1121,7 @@ class VbgpNode:
         if not sessions:
             return
         # The messages read no per-peer state: build them once.
-        base = gid * _GID_PATH_ID_BASE
+        base = neighbor.virtual.global_id * _GID_PATH_ID_BASE
         fakes = []
         for prefix, _source_id in removed:
             fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
@@ -1180,13 +1170,14 @@ class VbgpNode:
                 remote = self.remote_neighbors.get(gid)
                 if remote is None:
                     continue
-                remote.rib.pop((prefix, path_id), None)
+                if remote.rib.pop((prefix, path_id), None) is None:
+                    continue
                 if not remote.rib.has_prefix(prefix):
                     self.stack.remove_route(prefix,
                                             table_id=remote.virtual.table_id)
-                for exp in self.experiments.values():
-                    self._fanout(exp, gid, remote.virtual.local_ip, [],
-                                 [(prefix, path_id)])
+                self._fanout(self.experiments.values(), gid,
+                             remote.virtual.local_ip, [],
+                             [(prefix, path_id)])
             else:
                 self._remote_experiment_withdraw(prefix)
         for route in update.routes():
@@ -1220,8 +1211,8 @@ class VbgpNode:
             table_id=remote.virtual.table_id,
         )
         self.counters["routes_installed"] += 1
-        for exp in self.experiments.values():
-            self._fanout(exp, gid, remote.virtual.local_ip, [route], [])
+        self._fanout(self.experiments.values(), gid,
+                     remote.virtual.local_ip, [route], [])
 
     def _remote_experiment_route(self, route: Route) -> None:
         """A remote experiment's prefix: route it across the backbone."""
@@ -1501,9 +1492,19 @@ def _max_nlri_per_update(attributes: PathAttributes) -> int:
     return max(1, budget // _NLRI_MAX_BYTES)
 
 
-def _chunk_routes(routes: list[Route], size: int) -> Iterator[list[Route]]:
+def _chunk_routes(routes: list, size: int) -> Iterator[list]:
     for start in range(0, len(routes), size):
         yield routes[start:start + size]
+
+
+def _withdraw_updates(released) -> list[UpdateMessage]:
+    """Withdrawal UPDATEs for ``((gid, prefix, source id), path id)``
+    pairs, chunked under the message-size ceiling."""
+    withdrawn = [(key[1], path_id) for key, path_id in released]
+    return [
+        UpdateMessage(withdrawn=tuple(chunk))
+        for chunk in _chunk_routes(withdrawn, _MAX_WITHDRAW_PER_UPDATE)
+    ]
 
 
 def _group_by_attributes(

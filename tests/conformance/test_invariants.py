@@ -165,6 +165,26 @@ def test_addpath_completeness_catches_missing_path_id(world):
     assert "no ADD-PATH id" in report.violations[0]
 
 
+def test_addpath_completeness_catches_id_the_node_did_not_give(world):
+    # an experiment told a different number than the node holds for the path
+    exp = world.pop.node.experiments["x"]
+    key = next(iter(exp.path_ids))
+    exp.path_ids[key] += 100_000
+    report = CATALOG["addpath_completeness"](_context(world))
+    assert not report.ok
+    assert "but the node's id is" in report.violations[0]
+
+
+def test_addpath_completeness_catches_shared_id(world):
+    # two live paths at one node numbered alike
+    node = world.pop.node
+    first, second = list(node._path_ids)[:2]
+    node._path_ids[second] = node._path_ids[first]
+    report = CATALOG["addpath_completeness"](_context(world))
+    assert not report.ok
+    assert "names both" in report.violations[0]
+
+
 def test_community_propagation_catches_missing_export(world):
     # a neighbor speaker that never received the whitelisted route
     empty = SimpleNamespace(best_route=lambda prefix: None)

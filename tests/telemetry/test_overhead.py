@@ -1,17 +1,18 @@
 """Telemetry overhead guard: the disabled path must stay on the fast path.
 
 Replays the §6 AMS-IX churn harness (the ``bench_update_load`` pipeline)
-through a telemetry-less PoP and checks throughput against the recorded
-``BENCH_update_load.json`` baseline.  The bound is deliberately loose —
-CI machines differ from the machine that recorded the baseline — but it
-catches the failure mode that matters: accidentally making the
-hot path pay for instrumentation when no hub is attached.
+through a telemetry-less PoP and checks the failure mode that matters —
+the hot path paying for instrumentation when no hub is attached — by
+what it is, not by a clock: no function of ``repro.telemetry`` may be
+entered while the updates flow.  The only timing left is the paper's
+"thousands of updates per second" floor.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
+import importlib
+import inspect
+import pkgutil
 
 from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.transport import connect_pair
@@ -21,16 +22,36 @@ from repro.netsim.addr import IPv4Address, IPv4Prefix, MacAddress
 from repro.platform.pop import PointOfPresence, PopConfig
 from repro.security.state import EnforcerState
 from repro.sim import Scheduler
+import repro.telemetry
 from repro.telemetry import TelemetryHub
 from repro.vbgp.allocator import GlobalNeighborRegistry
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / "BENCH_update_load.json"
-
-# Loose machine-to-machine tolerance; the benchmark suite owns the tight
-# (<5%) comparison on pinned hardware.
-RELATIVE_FLOOR = 0.5
 ABSOLUTE_FLOOR = 1000.0  # "thousands of updates per second" (§6)
+
+
+def trap_telemetry(monkeypatch) -> list[str]:
+    """Make every function and method defined in ``repro.telemetry``
+    record its name when entered (then run as usual)."""
+    entered: list[str] = []
+
+    def trap(owner, name, function):
+        def trapped(*args, **kwargs):
+            entered.append(f"{owner.__name__}.{name}")
+            return function(*args, **kwargs)
+        monkeypatch.setattr(owner, name, trapped)
+
+    for info in pkgutil.iter_modules(repro.telemetry.__path__):
+        module = importlib.import_module(f"repro.telemetry.{info.name}")
+        for name, member in list(vars(module).items()):
+            if getattr(member, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(member):
+                trap(module, name, member)
+            elif inspect.isclass(member):
+                for attr, function in list(vars(member).items()):
+                    if inspect.isfunction(function):
+                        trap(member, attr, function)
+    return entered
 
 
 def build_pop(with_telemetry: bool = False):
@@ -81,16 +102,20 @@ def measure_rate(with_telemetry: bool = False, n_updates: int = 1500):
     return rate, hub
 
 
-def test_disabled_telemetry_keeps_fast_path_throughput():
+def test_disabled_telemetry_keeps_fast_path_throughput(monkeypatch):
+    entered = trap_telemetry(monkeypatch)
     rate, _hub = measure_rate(with_telemetry=False)
+    assert entered == []
     assert rate > ABSOLUTE_FLOOR
-    if BASELINE.exists():
-        recorded = json.loads(BASELINE.read_text())
-        baseline = recorded["metrics"]["max_sustainable_updates_per_s"]
-        assert rate >= RELATIVE_FLOOR * baseline, (
-            f"telemetry-disabled pipeline at {rate:,.0f}/s fell below "
-            f"{RELATIVE_FLOOR:.0%} of the recorded {baseline:,.0f}/s"
-        )
+
+
+def test_the_trap_sees_an_attached_hub(monkeypatch):
+    """The guard above is not vacuous: with a hub the same flow enters
+    the tracer and the registry."""
+    entered = trap_telemetry(monkeypatch)
+    measure_rate(with_telemetry=True, n_updates=50)
+    assert "Tracer.begin" in entered
+    assert "MetricsRegistry.counter" in entered
 
 
 def test_enabled_telemetry_overhead_is_bounded():
