@@ -980,10 +980,13 @@ class MessageDecoder:
 
     def __init__(self) -> None:
         self._buffer = b""
+        self._offset = 0  # read position; feed() drops what is consumed
         self.addpath = False
 
     def feed(self, data: bytes) -> None:
-        self._buffer += data
+        rest = self._buffer[self._offset:]
+        self._buffer = rest + data if rest else data
+        self._offset = 0
 
     def __iter__(self) -> Iterator[BgpMessage]:
         return self
@@ -995,24 +998,24 @@ class MessageDecoder:
         return message
 
     def next_message(self) -> Optional[BgpMessage]:
-        if len(self._buffer) < HEADER_SIZE:
+        buffer, offset = self._buffer, self._offset
+        if len(buffer) - offset < HEADER_SIZE:
             return None
-        marker = self._buffer[:16]
-        if marker != MARKER:
+        if not buffer.startswith(MARKER, offset):
             raise NotificationError(
                 ErrorCode.MESSAGE_HEADER,
                 HeaderSubcode.CONNECTION_NOT_SYNCHRONIZED,
             )
-        length, msg_type = struct.unpack_from("!HB", self._buffer, 16)
+        length, msg_type = struct.unpack_from("!HB", buffer, offset + 16)
         if not HEADER_SIZE <= length <= MAX_MESSAGE_SIZE:
             raise NotificationError(
                 ErrorCode.MESSAGE_HEADER, HeaderSubcode.BAD_MESSAGE_LENGTH,
                 data=struct.pack("!H", length),
             )
-        if len(self._buffer) < length:
+        if len(buffer) - offset < length:
             return None
-        body = self._buffer[HEADER_SIZE:length]
-        self._buffer = self._buffer[length:]
+        body = buffer[offset + HEADER_SIZE:offset + length]
+        self._offset = offset + length
         if msg_type == MSG_OPEN:
             return OpenMessage.decode(body)
         if msg_type == MSG_UPDATE:

@@ -210,7 +210,7 @@ class BgpSession:
         self._arm_hold_timer()
 
     def send_update(self, update: UpdateMessage) -> None:
-        if not self.established:
+        if self.state != SessionState.ESTABLISHED:
             raise NotificationError(
                 ErrorCode.FSM_ERROR, message="session not established"
             )
@@ -227,7 +227,7 @@ class BgpSession:
         already encoded (DESIGN.md §6j).  The caller is responsible for
         having captured ``addpath_active`` at encode time.
         """
-        if not self.established:
+        if self.state != SessionState.ESTABLISHED:
             raise NotificationError(
                 ErrorCode.FSM_ERROR, message="session not established"
             )

@@ -8,6 +8,13 @@ the data-plane throughput experiments, where congestion behaviour matters;
 control-plane fidelity lives in the BGP codec itself, which sees real bytes
 either way.)
 
+A mux fans out, so sends come in *bursts*: consecutive ``Channel.send``
+calls due at the same simulated instant (one frame to each of many
+channels) with no other scheduler event pushed in between.  A burst is one
+scheduler event (``Scheduler.append_later``) that delivers its frames one
+by one, unjoined, in send order — to every ``on_data``, timer and
+``close()`` exactly what one event per send was (DESIGN.md §6b).
+
 The fleet runtime (§6k) adds a *real* transport behind the same seam:
 :class:`SocketChannel` speaks the identical ``send``/``on_data``/``on_close``
 protocol over a nonblocking TCP socket on loopback, driven by a
@@ -30,7 +37,6 @@ import atexit
 import errno
 import selectors
 import socket
-import struct
 import weakref
 from typing import Callable, List, Optional
 
@@ -56,7 +62,8 @@ class Channel:
         if self.closed or self.peer is None or not data:
             return
         self.tx_bytes += len(data)
-        self.scheduler.call_later(self.latency, self.peer._deliver, data)
+        self.scheduler.append_later(
+            self.latency, Channel._deliver, self.peer, data)
 
     def _deliver(self, data: bytes) -> None:
         if self.closed:
@@ -110,25 +117,38 @@ class FrameReassembler:
     """
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        self._buffer = b""
 
     def pending(self) -> int:
         """Bytes buffered but not yet forming a complete frame."""
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[bytes]:
-        self._buffer += data
+        buffer = self._buffer + data if self._buffer else data
+        end, offset = len(buffer), 0
+        if (HEADER_SIZE <= end <= MAX_MESSAGE_SIZE
+                and buffer.startswith(MARKER)
+                and buffer[16] << 8 | buffer[17] == end):
+            self._buffer = b""
+            return [buffer]     # exactly one frame (a fan-out's): no copy
+        # Walked by offset: one copy per frame and only an incomplete tail
+        # buffered; a framing error leaves the stream buffered from the
+        # bad header on, so the next call fails the same way.
         frames: List[bytes] = []
-        while len(self._buffer) >= HEADER_SIZE:
-            if self._buffer[:16] != MARKER:
-                raise FramingError("connection not synchronized: bad marker")
-            (length,) = struct.unpack_from("!H", self._buffer, 16)
-            if not HEADER_SIZE <= length <= MAX_MESSAGE_SIZE:
-                raise FramingError(f"bad message length {length}")
-            if len(self._buffer) < length:
-                break
-            frames.append(bytes(self._buffer[:length]))
-            del self._buffer[:length]
+        try:
+            while end - offset >= HEADER_SIZE:
+                if not buffer.startswith(MARKER, offset):
+                    raise FramingError(
+                        "connection not synchronized: bad marker")
+                length = buffer[offset + 16] << 8 | buffer[offset + 17]
+                if not HEADER_SIZE <= length <= MAX_MESSAGE_SIZE:
+                    raise FramingError(f"bad message length {length}")
+                if end - offset < length:
+                    break
+                frames.append(buffer[offset:offset + length])
+                offset += length
+        finally:
+            self._buffer = buffer[offset:]
         return frames
 
 
@@ -231,6 +251,7 @@ class SocketChannel:
         if connecting:
             events |= selectors.EVENT_WRITE
         poller.register(sock, events, self._handle_events)
+        self._events = events  # the registered mask; modify() on change only
         _LIVE_SOCKETS.add(self)
 
     @classmethod
@@ -269,7 +290,10 @@ class SocketChannel:
     def _flush(self) -> None:
         while self._tx_pending:
             try:
-                sent = self.sock.send(bytes(self._tx_pending))
+                # A view (released before the resize below), not a copy
+                # of the whole backlog per attempt.
+                with memoryview(self._tx_pending) as view:
+                    sent = self.sock.send(view)
             except BlockingIOError:
                 break
             except OSError:
@@ -286,7 +310,9 @@ class SocketChannel:
         events = selectors.EVENT_READ
         if self._tx_pending or self._connecting:
             events |= selectors.EVENT_WRITE
-        self.poller.modify(self.sock, events, self._handle_events)
+        if events != self._events:
+            self._events = events
+            self.poller.modify(self.sock, events, self._handle_events)
 
     def _handle_events(self, mask: int) -> None:
         if self.closed:

@@ -58,6 +58,8 @@ class Scheduler:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
+        # The event pushed last, while it is an open append_later burst.
+        self._tail: Optional[Event] = None
 
     @property
     def now(self) -> float:
@@ -74,6 +76,7 @@ class Scheduler:
         seq = next(self._seq)
         event = Event(when, seq, callback, args)
         heapq.heappush(self._queue, (when, seq, event))
+        self._tail = None
         return event
 
     def call_later(self, delay: float, callback: Callable[..., None],
@@ -87,7 +90,40 @@ class Scheduler:
         seq = next(self._seq)
         event = Event(when, seq, callback, args)
         heapq.heappush(self._queue, (when, seq, event))
+        self._tail = None
         return event
+
+    def append_later(self, delay: float, callback: Callable[..., None],
+                     *args) -> None:
+        """:meth:`call_later` without an :class:`Event` back, at one event
+        per *burst* of calls instead of one per call.
+
+        If the event pushed last is an un-fired burst of an equal
+        ``callback`` due at the same time, ``args`` joins it; else it
+        starts a new burst.  ``call_later`` would have queued this call at
+        ``(same time, seq + 1)``, directly behind the burst's last call
+        with nothing able to sort between them, so firing order is exactly
+        ``call_later``'s.  Any other push (cancelled afterwards or not)
+        and any burst starting to fire end it; a call that raises takes
+        the rest of its burst with it.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        when = self._now + delay
+        tail = self._tail
+        if (tail is not None and tail.time == when
+                and tail.args[0] == callback):
+            tail.args[1].append(args)
+            return
+        seq = next(self._seq)
+        tail = self._tail = Event(
+            when, seq, self._fire_burst, (callback, [args]))
+        heapq.heappush(self._queue, (when, seq, tail))
+
+    def _fire_burst(self, callback: Callable[..., None], burst: list) -> None:
+        self._tail = None
+        for args in burst:
+            callback(*args)
 
     def call_soon(self, callback: Callable[..., None], *args) -> Event:
         """Schedule ``callback(*args)`` at the current time (after pending
@@ -95,7 +131,8 @@ class Scheduler:
         return self.call_at(self._now, callback, *args)
 
     def pending(self) -> int:
-        """Number of queued events that have not been cancelled."""
+        """Number of queued events that have not been cancelled (a burst
+        is one event however many calls ride it)."""
         return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     def step(self) -> bool:

@@ -999,6 +999,7 @@ class VbgpNode:
         if not targets:
             return
         update = None
+        sent = 0
         metric = None if withdraw else self._m_updates_by_neighbor
         for neighbor in neighbors or self.upstreams.values():
             session = neighbor.session
@@ -1016,9 +1017,10 @@ class VbgpNode:
                     [self.export_transform(route)]
                 )
             session.send_update(update)
-            self.counters["updates_to_neighbors"] += 1
+            sent += 1
             if metric is not None:
                 metric.labels(self.name, neighbor.name).inc()
+        self.counters["updates_to_neighbors"] += sent
 
     def _upstream_address(self) -> IPv4Address:
         iface = self.stack.interfaces.get(self.upstream_iface)

@@ -12,14 +12,19 @@ with short *blocking* pumps instead of assuming a zero-timeout pump
 sees everything (the same discipline the fleet settle barrier uses).
 """
 
+import selectors
+import socket
+import struct
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bgp.errors import ErrorCode, HeaderSubcode, NotificationError
 from repro.bgp.messages import (
     HEADER_SIZE,
+    MAX_MESSAGE_SIZE,
     KeepaliveMessage,
     MessageDecoder,
     UpdateMessage,
@@ -92,6 +97,132 @@ def test_reassembler_rejects_bad_length():
     frame[16:18] = (HEADER_SIZE - 1).to_bytes(2, "big")
     with pytest.raises(FramingError):
         FrameReassembler().feed(bytes(frame))
+
+
+def test_reassembler_one_frame_chunk_is_returned_without_a_copy():
+    frame = _update_frame(1)
+    reassembler = FrameReassembler()
+    assert reassembler.feed(frame)[0] is frame
+    assert reassembler.pending() == 0
+
+
+def test_reassembler_bad_marker_at_chunk_start_stays_buffered():
+    reassembler = FrameReassembler()
+    bad = b"\x00" * HEADER_SIZE
+    with pytest.raises(FramingError, match="bad marker"):
+        reassembler.feed(bad)
+    assert reassembler.pending() == HEADER_SIZE
+    # The stream is desynchronized for good: every later call fails the
+    # same way, whatever arrives.
+    with pytest.raises(FramingError, match="bad marker"):
+        reassembler.feed(b"")
+    with pytest.raises(FramingError, match="bad marker"):
+        reassembler.feed(KeepaliveMessage().encode())
+
+
+def test_reassembler_bad_marker_after_a_good_frame_in_the_same_chunk():
+    good, bad = _update_frame(1), b"\x00" * (HEADER_SIZE + 3)
+    reassembler = FrameReassembler()
+    with pytest.raises(FramingError, match="bad marker"):
+        reassembler.feed(good + bad)
+    # The good frame was consumed (and lost with the exception); the
+    # buffer starts at the bad header.
+    assert reassembler.pending() == len(bad)
+    with pytest.raises(FramingError, match="bad marker"):
+        reassembler.feed(b"")
+
+
+@pytest.mark.parametrize("length", [0, HEADER_SIZE - 1, MAX_MESSAGE_SIZE + 1])
+def test_reassembler_bad_length_names_it_and_stays_buffered(length):
+    frame = bytearray(KeepaliveMessage().encode())
+    frame[16:18] = length.to_bytes(2, "big")
+    good = _update_frame(2)
+    reassembler = FrameReassembler()
+    with pytest.raises(FramingError, match=f"bad message length {length}"):
+        reassembler.feed(good + bytes(frame))
+    assert reassembler.pending() == len(frame)
+    with pytest.raises(FramingError, match=f"bad message length {length}"):
+        reassembler.feed(b"")
+
+
+def test_reassembler_header_split_across_chunks():
+    frame = _update_frame(3)
+    reassembler = FrameReassembler()
+    assert reassembler.feed(frame[:10]) == []
+    assert reassembler.pending() == 10
+    assert reassembler.feed(frame[10:17]) == []     # length field cut in two
+    assert reassembler.pending() == 17
+    assert reassembler.feed(frame[17:] + frame[:5]) == [frame]
+    assert reassembler.pending() == 5
+    # A header is only judged once all 19 bytes are in.
+    garbage = FrameReassembler()
+    assert garbage.feed(b"\x00" * (HEADER_SIZE - 1)) == []
+    with pytest.raises(FramingError, match="bad marker"):
+        garbage.feed(b"\x00")
+
+
+def _header_error(decoder):
+    with pytest.raises(NotificationError) as caught:
+        decoder.next_message()
+    assert caught.value.code == ErrorCode.MESSAGE_HEADER
+    return caught.value
+
+
+def test_decoder_bad_marker_at_chunk_start_and_after_a_good_frame():
+    bad = b"\x00" * HEADER_SIZE
+    decoder = MessageDecoder()
+    decoder.feed(bad)
+    for _ in range(2):          # not consumed: the next call fails again
+        error = _header_error(decoder)
+        assert error.subcode == HeaderSubcode.CONNECTION_NOT_SYNCHRONIZED
+    decoder = MessageDecoder()
+    decoder.feed(KeepaliveMessage().encode() + bad)
+    assert decoder.next_message() == KeepaliveMessage()
+    decoder.feed(KeepaliveMessage().encode())       # more bytes do not help
+    for _ in range(2):
+        error = _header_error(decoder)
+        assert error.subcode == HeaderSubcode.CONNECTION_NOT_SYNCHRONIZED
+
+
+@pytest.mark.parametrize("length", [0, HEADER_SIZE - 1, MAX_MESSAGE_SIZE + 1])
+def test_decoder_bad_length_carries_the_length(length):
+    frame = bytearray(KeepaliveMessage().encode())
+    frame[16:18] = length.to_bytes(2, "big")
+    decoder = MessageDecoder()
+    decoder.feed(_update_frame(2) + bytes(frame))
+    assert isinstance(decoder.next_message(), UpdateMessage)
+    for _ in range(2):
+        error = _header_error(decoder)
+        assert error.subcode == HeaderSubcode.BAD_MESSAGE_LENGTH
+        assert error.data == struct.pack("!H", length)
+
+
+def test_decoder_header_split_across_chunks():
+    frame = _update_frame(3)
+    decoder = MessageDecoder()
+    decoder.feed(frame[:10])
+    assert decoder.next_message() is None
+    decoder.feed(frame[10:17])
+    assert decoder.next_message() is None
+    decoder.feed(frame[17:] + frame[:5])
+    assert decoder.next_message() == UpdateMessage.decode(frame[HEADER_SIZE:])
+    assert decoder.next_message() is None
+    decoder.feed(frame[5:])
+    assert decoder.next_message() == UpdateMessage.decode(frame[HEADER_SIZE:])
+    assert decoder.next_message() is None
+
+
+def test_decoder_a_malformed_body_is_consumed_and_the_stream_goes_on():
+    """Framing is intact, so the decoder moves past the bad message: the
+    session's NOTIFICATION decision is not the framer's."""
+    bad_body = bytearray(KeepaliveMessage().encode() + b"\x00")
+    bad_body[16:18] = (HEADER_SIZE + 1).to_bytes(2, "big")
+    decoder = MessageDecoder()
+    decoder.feed(bytes(bad_body) + KeepaliveMessage().encode())
+    error = _header_error(decoder)
+    assert error.subcode == HeaderSubcode.BAD_MESSAGE_LENGTH
+    assert decoder.next_message() == KeepaliveMessage()
+    assert decoder.next_message() is None
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +305,74 @@ def test_socket_echo_roundtrip():
         client.close()
         server.close()
         listener.close()
+    finally:
+        poller.close()
+
+
+class CountingPoller(SocketPoller):
+    """Records the interest mask of every ``modify`` (one ``epoll_ctl``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.modified = []
+
+    def modify(self, sock, events, handler):
+        self.modified.append((sock, events))
+        super().modify(sock, events, handler)
+
+
+def _connected_pair(poller):
+    accepted = []
+    listener = SocketListener(poller, on_accept=accepted.append)
+    client = SocketChannel.connect(poller, "127.0.0.1", listener.port)
+    _pump_until(poller, lambda: accepted and not client._connecting)
+    listener.close()
+    return client, accepted[0]
+
+
+def test_sends_that_never_block_never_touch_the_interest_mask():
+    poller = CountingPoller()
+    try:
+        client, server = _connected_pair(poller)
+        received = bytearray()
+        server.on_data = received.extend
+        del poller.modified[:]      # the connect's own arm/disarm
+        frame = _update_frame(1)
+        for _ in range(1000):
+            client.send(frame)
+            poller.pump(0)
+        _pump_until(poller, lambda: len(received) == 1000 * len(frame))
+        assert poller.modified == []
+        client.close()
+        server.close()
+    finally:
+        poller.close()
+
+
+def test_blocked_backlog_drains_byte_identical_through_partial_writes():
+    """A table dump to a slow consumer: the backlog is sent from a view
+    (no whole-backlog copy per attempt), in order, and ``EVENT_WRITE`` is
+    armed once when the write blocks and disarmed once when it drains."""
+    poller = CountingPoller()
+    try:
+        client, server = _connected_pair(poller)
+        client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+        received = bytearray()
+        server.on_data = received.extend
+        del poller.modified[:]
+        payload = bytes(range(256)) * (8 * 4096)        # 8 MiB
+        client.send(payload[:3_000_000])
+        client.send(payload[3_000_000:])    # appended behind the backlog
+        assert len(received) == 0
+        _pump_until(poller, lambda: len(received) == len(payload), 30.0)
+        assert bytes(received) == payload
+        assert client.tx_bytes == server.rx_bytes == len(payload)
+        write = selectors.EVENT_READ | selectors.EVENT_WRITE
+        assert poller.modified == [
+            (client.sock, write), (client.sock, selectors.EVENT_READ),
+        ]
+        client.close()
+        server.close()
     finally:
         poller.close()
 
