@@ -219,23 +219,6 @@ class BgpSession:
             self._m_updates_out.inc()
         self.channel.send(update.encode(addpath=self.addpath_active))
 
-    def send_wire(self, frame: bytes) -> None:
-        """Transmit a pre-encoded UPDATE frame (real shard backends).
-
-        Semantically identical to :meth:`send_update` — same liveness
-        check, stats, and metric — for frames a parallel backend worker
-        already encoded (DESIGN.md §6j).  The caller is responsible for
-        having captured ``addpath_active`` at encode time.
-        """
-        if self.state != SessionState.ESTABLISHED:
-            raise NotificationError(
-                ErrorCode.FSM_ERROR, message="session not established"
-            )
-        self.stats.updates_sent += 1
-        if self._m_updates_out is not None:
-            self._m_updates_out.inc()
-        self.channel.send(frame)
-
     def send_route_refresh(self) -> None:
         """Ask the peer to resend its full Adj-RIB-Out (RFC 2918)."""
         if not self.established:

@@ -10,11 +10,9 @@ sessions and RIB primitives but with its own per-neighbor fan-out logic
 from __future__ import annotations
 
 import itertools
-import time as _time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro import perf
 from repro.bgp.attributes import Route
 from repro.bgp.decision import PeerContext, best_path
 from repro.bgp.errors import CeaseSubcode, ErrorCode, NotificationError
@@ -25,7 +23,6 @@ from repro.bgp.session import BgpSession, SessionConfig, SessionState
 from repro.bgp.supervisor import SessionSupervisor, SupervisorConfig
 from repro.bgp.transport import Channel
 from repro.netsim.addr import IPv4Address, Prefix
-from repro.shard.engine import ShardCostModel
 from repro.sim.scheduler import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,10 +129,6 @@ class BgpSpeaker:
         self.on_route_received: list[RouteCallback] = []
         self.updates_processed = 0
         self.allow_own_asn_in = False  # loop-check override (poisoning tests)
-        # Shard-attributed export cost (repro.shard): with shards>1 each
-        # neighbor's flush wall-clock is charged to the shard that would
-        # own that neighbor — modeling only, no emitted byte changes.
-        self._shard_costs: Optional[ShardCostModel] = None
         # Optional overload governor (repro.overload, §6i): when set via
         # enable_overload(), every neighbor session routes its received
         # UPDATEs through a bounded per-neighbor ingress queue.
@@ -643,38 +636,8 @@ class BgpSpeaker:
         neighbor.mrai_event = None
         self._flush(neighbor)
 
-    def _shard_cost_model(self) -> Optional[ShardCostModel]:
-        """The per-shard export cost model, or ``None`` when ``shards=1``."""
-        flags = perf.FLAGS
-        if flags.shards <= 1:
-            return None
-        model = self._shard_costs
-        if (
-            model is None
-            or model.shard_count != flags.shards
-            or model.seed != flags.shard_seed
-        ):
-            model = ShardCostModel(flags.shards, seed=flags.shard_seed)
-            self._shard_costs = model
-        return model
-
     def _flush(self, neighbor: Neighbor) -> None:
-        """Emit the minimal announce/withdraw set for a neighbor.
-
-        With ``perf.FLAGS.shards > 1`` the flush's wall-clock is charged
-        to the shard owning this neighbor (deterministic name keying) —
-        the bytes on the wire are untouched, only the scale-out model
-        learns which shard did the work.
-        """
-        costs = self._shard_cost_model()
-        if costs is None:
-            self._flush_impl(neighbor)
-            return
-        started = _time.perf_counter()
-        self._flush_impl(neighbor)
-        costs.charge(neighbor.config.name, _time.perf_counter() - started)
-
-    def _flush_impl(self, neighbor: Neighbor) -> None:
+        """Emit the minimal announce/withdraw set for a neighbor."""
         if not neighbor.established or neighbor.session is None:
             return
         withdrawals = []

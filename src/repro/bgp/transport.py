@@ -27,8 +27,8 @@ that want frames rather than a parsed message stream.
 
 Every live socket object registers in a module-level weak set;
 :func:`open_socket_count` / :func:`close_all_sockets` back the test-suite
-FD leak guard and an ``atexit`` sweep, mirroring the worker-process
-discipline in :mod:`repro.parallel.backends`.
+FD leak guard and an ``atexit`` sweep, so no test or interpreter exit
+leaves a descriptor behind.
 """
 
 from __future__ import annotations

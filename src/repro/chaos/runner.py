@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro import perf
 from repro.bgp.attributes import local_route
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
 from repro.bgp.supervisor import SupervisorConfig
@@ -224,7 +223,6 @@ class ChaosRunner:
         "flap",
         "tunnel-bounce",
         "enforcer-overload",
-        "shard-kill",
         "intent-revert-under-fault",
         "ingress-flood",
         "slow-consumer",
@@ -392,73 +390,6 @@ class ChaosRunner:
                             invariants,
                             {"violations_cleared": float(cleared)},
                             heal_time)
-
-    def _scenario_shard_kill(self) -> ScenarioResult:
-        """Kill one fan-out shard worker mid-churn (§6f crash recovery).
-
-        The west PoP's fan-out runs sharded (``shards=4``) for the
-        scenario.  The worker owning transit-west is killed; a churn
-        burst (announce then withdraw) arrives while it is down and
-        backlogs on the dead worker's inbox — none of it touches RIBs,
-        kernel tables, or experiment sessions.  Resurrecting the worker
-        replays the backlog in ingress (``seq``) order through the
-        merge layer, after which the platform must hold the exact
-        pre-fault prefix state under the **full** five-invariant
-        conformance catalog.
-        """
-        handle = self.world.neighbors["transit-west"]
-        node = self.platform.pops[handle.pop].node
-        burst = [
-            IPv4Prefix.parse(f"10.10.{200 + index}.0/24")
-            for index in range(24)
-        ]
-        saved = perf.FLAGS
-        backlog = 0
-        replayed = 0
-        victim = -1
-        try:
-            perf.set_flags(shards=4)
-            engine = node._shard_engine_if_enabled()
-            assert engine is not None
-            gid = node.upstreams[handle.name].virtual.global_id
-            victim = engine.shard_for_neighbor(gid)
-            engine.kill(victim)
-            self._event(handle.name, "fault-inject",
-                        f"shard-kill: fan-out worker {victim}/4 down")
-            for prefix in burst:
-                handle.speaker.originate(
-                    local_route(prefix, next_hop=handle.port.address)
-                )
-            self.scheduler.run_for(5.0)
-            for prefix in burst:
-                handle.speaker.withdraw(prefix)
-            self.scheduler.run_for(5.0)
-            backlog = engine.pending
-            replayed = engine.resurrect(victim)
-            self.scheduler.run_for(1.0)
-            self._event(
-                handle.name, "fault-heal",
-                f"shard-kill: worker {victim} resurrected, "
-                f"{replayed} backlog items replayed",
-            )
-        finally:
-            perf.FLAGS = saved
-            perf.clear_caches()
-        heal_time = self.scheduler.now
-        converged, elapsed = self._converge()
-        invariants = self._full_invariants(converged)
-        invariants["backlog_accumulated"] = backlog > 0
-        invariants["backlog_replayed"] = replayed == backlog
-        return self._result(
-            "shard-kill", converged, elapsed, invariants,
-            {
-                "victim_shard": float(victim),
-                "backlog": float(backlog),
-                "replayed": float(replayed),
-                "burst": float(len(burst)),
-            },
-            heal_time,
-        )
 
     def _scenario_intent_revert_under_fault(self) -> ScenarioResult:
         """A link fault lands mid-apply; the intent layer must revert.
@@ -854,8 +785,6 @@ class ChaosRunner:
             governor = getattr(pop, "overload", None)
             if governor is not None and governor.pending():
                 return False  # bounded ingress queues still draining
-            if pop.node.shard_pending():
-                return False  # fan-out work still queued on a shard
             for neighbor in pop.node.upstreams.values():
                 supervisor = neighbor.supervisor
                 if supervisor is not None and supervisor.pending:
@@ -911,8 +840,8 @@ class ChaosRunner:
         }
 
     def _full_invariants(self, converged: bool) -> Dict[str, bool]:
-        """All five catalog invariants (the shard-kill bar: nothing may
-        be transiently excused — recovery must be *complete*)."""
+        """The whole invariant catalog: nothing may be transiently
+        excused — recovery must be *complete*."""
         from repro.conformance.invariants import (
             ConformanceContext,
             run_invariants,

@@ -51,10 +51,8 @@ from repro.vbgp.allocator import GlobalNeighborRegistry
 from repro.vbgp.communities import announce_to_neighbor, block_neighbor
 
 __all__ = [
-    "BACKENDS",
     "DifferentialHarness",
     "DifferentialReport",
-    "SHARD_COUNTS",
     "all_flag_combinations",
     "attr_fingerprint",
     "loc_rib_snapshot",
@@ -75,15 +73,6 @@ TOGGLES: Tuple[str, ...] = (
     "incremental_bestpath",
     "encode_zero_copy",
 )
-
-#: The shard counts the scale-out sweep proves equivalent (ISSUE 5 /
-#: DESIGN.md §6f); ``1`` is the unsharded direct-path reference.
-SHARD_COUNTS: Tuple[int, ...] = (1, 2, 4, 8)
-
-#: The real execution backends the backend sweep proves byte-identical
-#: to the sync reference (ISSUE 9 / DESIGN.md §6j).  ``"model"`` is the
-#: PR 5 in-process reference.
-BACKENDS: Tuple[str, ...] = ("model", "async", "mp")
 
 PLATFORM_ASN = 47065
 UPSTREAM_ASN = 65010
@@ -275,7 +264,6 @@ class DifferentialReport:
 
     combinations: int = 0
     updates: int = 0
-    mode: str = "flag"  # "flag" | "shard" | "backend"
     workload: str = "churn"  # "churn" | "fulltable"
     mismatches: List[str] = field(default_factory=list)
 
@@ -286,7 +274,7 @@ class DifferentialReport:
     def format(self) -> str:
         verdict = "ok" if self.ok else "DIVERGED"
         line = (
-            f"differential: {verdict} ({self.combinations} {self.mode} "
+            f"differential: {verdict} ({self.combinations} flag "
             f"combinations x {self.updates} updates)"
         )
         if self.workload != "churn":
@@ -444,9 +432,6 @@ class DifferentialHarness:
         )
         to_exp = _changes_from_frames(client_tap.frames, addpath=True)
         to_up = _changes_from_frames(upstream_tap.frames, addpath=False)
-        # Release backend resources (mp worker processes, event loops)
-        # before the next combination builds a fresh platform.
-        node.close_shard_engine()
         return _RunResult(
             structural=repr(structural).encode(),
             changes_to_experiment=repr(sorted(to_exp)).encode(),
@@ -518,126 +503,4 @@ class DifferentialHarness:
                             f"{label}: {what} diverged from "
                             f"{anchor_label} (same fanout_batch)"
                         )
-        return report
-
-    def run_shards(
-        self,
-        counts: Tuple[int, ...] = SHARD_COUNTS,
-        partition: str = "neighbor",
-        progress=None,
-    ) -> DifferentialReport:
-        """Prove shard-count invariance (ISSUE 5 acceptance criterion).
-
-        Replays the same workload at every shard count in ``counts``
-        (all other perf flags at their defaults) and compares each run
-        against the first — ``counts`` should start at ``1`` so the
-        reference is the unsharded direct path.  With the default
-        ``"neighbor"`` partition the announced **wire bytes** must also
-        be byte-identical: one inbound UPDATE is never split, so
-        multi-NLRI packing survives sharding.  The ``"prefix"``
-        partition may legitimately split updates (like ``fanout_batch``
-        changes packing), so it is held to the structural + decoded
-        change-stream contract only.
-        """
-        report = DifferentialReport(
-            combinations=len(counts), updates=self.update_count,
-            mode="shard", workload=self.workload,
-        )
-        reference: Optional[_RunResult] = None
-        reference_label = ""
-        for count in counts:
-            label = f"shards={count}"
-            if partition != "neighbor":
-                label += f"/{partition}"
-            if progress is not None:
-                progress(label)
-            with perf.flags(shards=count, shard_partition=partition):
-                result = self._run_scenario()
-            if reference is None:
-                reference = result
-                reference_label = label
-                continue
-            checks = [
-                ("structural", "Loc-RIB/kernel/counter state"),
-                ("changes_to_experiment",
-                 "decoded route changes toward the experiment"),
-                ("changes_to_upstream",
-                 "decoded route changes toward the upstream"),
-            ]
-            if partition == "neighbor":
-                checks += [
-                    ("wire_to_experiment", "experiment-bound wire bytes"),
-                    ("wire_to_upstream", "upstream-bound wire bytes"),
-                ]
-            for attribute, what in checks:
-                if getattr(result, attribute) != getattr(
-                    reference, attribute
-                ):
-                    report.mismatches.append(
-                        f"{label}: {what} diverged from {reference_label}"
-                    )
-        return report
-
-    def run_backends(
-        self,
-        backends: Tuple[str, ...] = ("async", "mp"),
-        counts: Tuple[int, ...] = SHARD_COUNTS,
-        partition: str = "neighbor",
-        progress=None,
-    ) -> DifferentialReport:
-        """Prove real-backend invariance (ISSUE 9 acceptance criterion).
-
-        Replays the same workload once on the sync reference
-        (``model`` backend, ``shards=1`` — the direct, unsharded path)
-        and then under every ``backend × shard-count`` combination,
-        comparing each run byte-for-byte against the reference.  With
-        the default ``"neighbor"`` partition the announced **wire
-        bytes** must be identical: the control phase runs in global
-        ingress order in the parent (so ADD-PATH path-id allocation is
-        untouched) and backend workers only encode, so neither the
-        event-loop nor the worker-pool backend may change a single
-        emitted byte.
-        """
-        combos: List[Tuple[str, int]] = [("model", 1)]
-        combos.extend(
-            (backend, count) for backend in backends for count in counts
-        )
-        report = DifferentialReport(
-            combinations=len(combos), updates=self.update_count,
-            mode="backend", workload=self.workload,
-        )
-        reference: Optional[_RunResult] = None
-        reference_label = ""
-        for backend, count in combos:
-            label = f"backend={backend}/shards={count}"
-            if partition != "neighbor":
-                label += f"/{partition}"
-            if progress is not None:
-                progress(label)
-            with perf.flags(shards=count, shard_partition=partition,
-                            shard_backend=backend):
-                result = self._run_scenario()
-            if reference is None:
-                reference = result
-                reference_label = label
-                continue
-            checks = [
-                ("structural", "Loc-RIB/kernel/counter state"),
-                ("changes_to_experiment",
-                 "decoded route changes toward the experiment"),
-                ("changes_to_upstream",
-                 "decoded route changes toward the upstream"),
-            ]
-            if partition == "neighbor":
-                checks += [
-                    ("wire_to_experiment", "experiment-bound wire bytes"),
-                    ("wire_to_upstream", "upstream-bound wire bytes"),
-                ]
-            for attribute, what in checks:
-                if getattr(result, attribute) != getattr(
-                    reference, attribute
-                ):
-                    report.mismatches.append(
-                        f"{label}: {what} diverged from {reference_label}"
-                    )
         return report

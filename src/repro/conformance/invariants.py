@@ -40,9 +40,8 @@ Catalog (keys of :data:`CATALOG`):
 ``no_withdrawal_loss_under_shed``
     Overload shedding (DESIGN.md §6i) never drops a withdrawal or a
     control-class update: every ingress queue's shed accounting shows
-    zero withdrawal/control sheds, an idle queue's withdrawal intake
-    balances its deliveries, and the shard engine's bounded inboxes
-    shed announcements only.  Vacuously satisfied (checked=0) when a
+    zero withdrawal/control sheds and an idle queue's withdrawal intake
+    balances its deliveries.  Vacuously satisfied (checked=0) when a
     PoP has no overload governor installed.
 """
 
@@ -404,15 +403,6 @@ def check_no_withdrawal_loss_under_shed(
                         f" admitted but only {accounted} accounted for "
                         "(delivered + dropped-on-close)"
                     )
-        engine = pop.node.shard_engine
-        if engine is not None:
-            report.checked += 1
-            if engine.stats.withdrawals_shed > 0:
-                report.fail(
-                    f"{pop_name}: shard engine shed "
-                    f"{engine.stats.withdrawals_shed} withdrawals at a "
-                    "bounded inbox"
-                )
     return report
 
 

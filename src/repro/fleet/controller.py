@@ -5,10 +5,10 @@ runtime layer: it spawns one ``python -m repro.fleet.runpop`` OS process
 per compiled artifact, speaks the newline-JSON control protocol to each
 (:class:`ControlClient`), accepts every PoP's federation uplink into one
 central :class:`~repro.telemetry.station.MonitoringStation` (peers named
-``<pop>/<peer>``), and tears the processes down with the same reaper
-discipline as :mod:`repro.parallel.backends` — a ``weakref.finalize``
-per controller plus a module-level live-process registry swept at
-``atexit``, so an aborted test can never strand a PoP process.
+``<pop>/<peer>``), and tears the processes down with a two-layer
+reaper — a ``weakref.finalize`` per controller plus a module-level
+live-process registry swept at ``atexit`` — so an aborted test can
+never strand a PoP process.
 
 State for the stateless CLI (``peering fleet up`` in one invocation,
 ``status``/``down`` in later ones) lives in ``state.json`` next to the

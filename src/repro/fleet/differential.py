@@ -381,8 +381,7 @@ class InProcessFleetLeg(_DriverLeg):
         raise ValueError(what)
 
     def close(self) -> None:
-        for fleet_pop in self.pops.values():
-            fleet_pop.close()
+        """Nothing to release: this leg owns no socket or process."""
 
 
 class SocketFleetLeg(_DriverLeg):

@@ -379,7 +379,6 @@ class PopProcess:
         self.close()
 
     def close(self) -> None:
-        self.fleet_pop.close()
         for listener in self.listeners:
             listener.close()
         for channel in self._control_channels:

@@ -254,9 +254,6 @@ class FleetPop:
             "counters": dict(node.counters),
         }
 
-    def close(self) -> None:
-        self.node.close_shard_engine()
-
 
 def build_fleet_pop(scheduler: Scheduler, artifact: dict,
                     telemetry=None) -> FleetPop:

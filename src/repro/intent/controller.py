@@ -538,13 +538,6 @@ class IntentController:
 
     def _settle(self) -> None:
         self.scheduler.run_for(self.settle_time)
-        for _ in range(32):
-            if not any(
-                pop.node.shard_pending()
-                for pop in self.platform.pops.values()
-            ):
-                break
-            self.scheduler.run_for(1.0)
 
     def _resolve(self, plan) -> IntentPlan:
         if isinstance(plan, IntentPlan):

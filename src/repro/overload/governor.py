@@ -10,9 +10,6 @@ It wires the pieces together:
 * a breaker transition is published to the telemetry station as a
   ``ResilienceEvent`` and, on OPEN, forwarded to ``on_breaker_open``
   (the vBGP node quarantines that neighbor's supervisor with it);
-* ``backpressure`` (set by the node to "shard inboxes saturated")
-  makes every queue hold delivery, pushing congestion to the shed
-  point at the edge;
 * scrape-time gauges for depth, sheds, and breaker state are
   registered per source.
 
@@ -52,9 +49,6 @@ class OverloadPolicy:
     queue: QueuePolicy = field(default_factory=QueuePolicy)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
-    # Bound on each shard worker's inbox; beyond it announcement-only
-    # work items are shed (None = unbounded, the pre-§6i behavior).
-    shard_inbox_limit: Optional[int] = 512
     shed_rate_window: float = 10.0  # seconds for the shed-rate estimate
 
 
@@ -74,13 +68,8 @@ class OverloadGovernor:
         self.telemetry = telemetry
         self.queues: Dict[str, IngressQueue] = {}
         self.breakers: Dict[str, CircuitBreaker] = {}
-        # Set by the owner: () -> bool, True while downstream (the shard
-        # executor) is congested and queues should hold delivery.
-        self.backpressure: Optional[Callable[[], bool]] = None
         # Set by the owner: (peer_key, open_time) -> None on breaker trip.
         self.on_breaker_open: Optional[Callable[[str, float], None]] = None
-        # Routes shed at the shard-inbox seam (engine reports them here).
-        self.shard_sheds = 0
         self._shed_times: deque = deque()
         self._window_sheds = 0
         self._g_depth = None
@@ -137,7 +126,6 @@ class OverloadGovernor:
                 policy=self.policy.queue,
                 breaker=self.breaker_for(peer_key),
                 on_shed=self._note_shed,
-                backpressure=self._downstream_congested,
             )
             self.queues[peer_key] = queue
             if self._g_depth is not None:
@@ -157,20 +145,11 @@ class OverloadGovernor:
 
     # -- internal wiring ---------------------------------------------------
 
-    def _downstream_congested(self) -> bool:
-        fn = self.backpressure
-        return bool(fn()) if fn is not None else False
-
     def _note_shed(self, peer_key: str, routes: int) -> None:
         now = self.scheduler.now
         self._shed_times.append((now, routes))
         self._window_sheds += routes
         self._prune(now)
-
-    def record_shard_shed(self, routes: int) -> None:
-        """The shard engine shed ``routes`` at a worker inbox."""
-        self.shard_sheds += routes
-        self._note_shed("shard", routes)
 
     def record_violations(self, peer_key: str, count: int) -> None:
         """Enforcer violations attributed to one source feed its breaker."""
@@ -230,8 +209,8 @@ class OverloadGovernor:
         )
 
     def totals(self) -> Dict[str, int]:
-        """Aggregate shed accounting across every queue plus the shard
-        seam — what scenarios and the bench assert against."""
+        """Aggregate shed accounting across every queue — what
+        scenarios and the bench assert against."""
         totals = {
             "admitted": 0,
             "delivered": 0,
@@ -254,7 +233,6 @@ class OverloadGovernor:
                     totals[key] = max(totals[key], getattr(stats, key))
                 else:
                     totals[key] += getattr(stats, key)
-        totals["shard_routes_shed"] = self.shard_sheds
         return totals
 
     def shed_digest(self) -> str:

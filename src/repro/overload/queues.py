@@ -104,11 +104,6 @@ class IngressQueue:
     class counts against ``capacity``; withdraw/control entries are
     always admitted (the queue may transiently exceed capacity by the
     withdraw backlog — the price of never losing a withdrawal).
-
-    ``backpressure`` is consulted before each drain tick: while it
-    returns True (e.g. the shard executor's inboxes are saturated) the
-    queue holds delivery, propagating congestion upstream to the shed
-    point at the edge instead of into the fan-out.
     """
 
     def __init__(
@@ -118,14 +113,12 @@ class IngressQueue:
         policy: Optional[QueuePolicy] = None,
         breaker: Optional["CircuitBreaker"] = None,
         on_shed: Optional[Callable[[str, int], None]] = None,
-        backpressure: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.scheduler = scheduler
         self.peer_key = peer_key
         self.policy = policy if policy is not None else QueuePolicy()
         self.breaker = breaker
         self.on_shed = on_shed
-        self.backpressure = backpressure
         self.capacity = self.policy.depth
         self._base_capacity = self.policy.depth
         self._slow_factor = 1.0
@@ -232,9 +225,6 @@ class IngressQueue:
 
     def _drain(self) -> None:
         self._drain_event = None
-        if self.backpressure is not None and self.backpressure():
-            self._arm()  # downstream congested: hold, retry next tick
-            return
         budget = max(1, self.policy.drain_batch)
         while budget > 0 and self._entries:
             session, update, shed_class = self._entries.popleft()

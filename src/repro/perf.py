@@ -33,26 +33,6 @@ make a ~900k-prefix Loc-RIB tractable:
 * ``encode_zero_copy``     — UPDATE encoding writes NLRI runs into one
   reusable ``bytearray`` instead of joining per-prefix ``bytes`` objects.
 
-Scale-out knobs (see :mod:`repro.shard` and DESIGN.md §6f) ride the
-same flag surface so the differential harness can sweep them exactly
-like the fast-path toggles:
-
-* ``shards``          — number of fan-out worker shards
-  (1 = the unsharded reference pipeline),
-* ``shard_partition`` — partition strategy, ``"neighbor"`` (default;
-  byte-identical output for any shard count) or ``"prefix"``
-  (may split one UPDATE across shards, like ``fanout_batch`` changes
-  packing),
-* ``shard_seed``      — seed mixed into the deterministic partition
-  hash (``repro.shard.partition.stable_mix64``),
-* ``shard_backend``   — how shard workers execute (DESIGN.md §6j):
-  ``"model"`` (serial execution with wall-clock *attributed* to
-  shards — the PR 5 reference), ``"async"`` (one asyncio task per
-  shard worker on a private event loop), or ``"mp"`` (a
-  ``multiprocessing`` worker pool; one OS process per shard encodes
-  its UPDATE batches in real parallel).  Every backend is proven
-  byte-identical to the sync reference by the differential harness.
-
 Flags are read at call time (and, for the LPM backend choice, at table
 construction time).  Toggling flags clears all registered caches so
 on/off comparisons are honest.
@@ -82,11 +62,6 @@ class PerfFlags:
     rib_columnar: bool = True
     incremental_bestpath: bool = True
     encode_zero_copy: bool = True
-    # Scale-out knobs (repro.shard; DESIGN.md §6f/§6j).
-    shards: int = 1
-    shard_partition: str = "neighbor"
-    shard_seed: int = 0
-    shard_backend: str = "model"
 
 
 FLAGS = PerfFlags()

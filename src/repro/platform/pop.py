@@ -41,10 +41,6 @@ class PopConfig:
     lan_latency: float = 0.0005
     tunnel_latency: float = 0.010
     bandwidth_limit_bps: Optional[float] = None  # §4.7: two sites have caps
-    # Sharded fan-out overrides (None ⇒ follow the global perf.FLAGS
-    # knobs; see repro.shard and DESIGN.md §6f).
-    shards: Optional[int] = None
-    shard_partition: Optional[str] = None
     # Overload-resilience policy (None ⇒ unbounded ingress, the
     # pre-§6i behavior).  An ``repro.overload.OverloadPolicy`` here
     # builds the governor + watchdog at construction time.
@@ -146,8 +142,6 @@ class PointOfPresence:
             control_enforcer=self.control_enforcer,
             data_enforcer=self.data_enforcer,
             telemetry=telemetry,
-            shards=config.shards,
-            shard_partition=config.shard_partition,
         )
         self.neighbor_ports: dict[str, NeighborPort] = {}
         # Overload resilience (repro.overload, §6i): opt-in via
@@ -164,8 +158,8 @@ class PointOfPresence:
 
         Builds an :class:`~repro.overload.OverloadGovernor` scoped to
         this PoP, wires it through the vBGP node (bounded ingress
-        queues, breaker-quarantine coupling, shard backpressure), and
-        starts the health watchdog.  Returns the governor.
+        queues, breaker-quarantine coupling), and starts the health
+        watchdog.  Returns the governor.
         """
         if self.overload is not None:
             return self.overload
@@ -287,10 +281,6 @@ class PointOfPresence:
         )
         self.node.enable_backbone("bb0", address)
         return address
-
-    def shard_status(self) -> list[dict]:
-        """Per-shard fan-out status rows (empty when unsharded)."""
-        return self.node.shard_status()
 
     @property
     def name(self) -> str:

@@ -94,9 +94,6 @@ class ToolkitCli:
             "       peering verify invariants [name...]\n"
             "       peering verify codec [--frames n] [--seed n]\n"
             "       peering verify differential [--updates n]\n"
-            "                                   [--shards n[,n...]]\n"
-            "                                   [--backend async|mp[,...]]\n"
-            "                                   [--partition neighbor|prefix]\n"
             "                                   [--workload churn|fulltable]\n"
             "                                   [--prefixes n]\n"
             "                                   [--subsample n] (0 = full\n"
@@ -670,33 +667,13 @@ class ToolkitCli:
             prefix_count=prefixes,
             workload=options["workload"],
         )
-        if options["backend"] is not None:
-            # Real-backend sweep (DESIGN.md §6j): prove every requested
-            # execution backend byte-identical to the sync reference,
-            # composed with the requested shard counts.
-            from repro.conformance.differential import SHARD_COUNTS
-
-            result = harness.run_backends(
-                backends=options["backend"],
-                counts=options["shards"] or SHARD_COUNTS,
-                partition=options["partition"],
-            )
-        elif options["shards"] is not None:
-            # Shard-count sweep (DESIGN.md §6f): prove the fan-out is
-            # byte-identical at every requested shard count instead of
-            # sweeping the perf-flag lattice.
-            result = harness.run_shards(
-                counts=options["shards"],
-                partition=options["partition"],
-            )
-        else:
-            # With eight toggles the full lattice is 256 runs; the CLI
-            # defaults to the curated 16-combination subsample.
-            # ``--subsample 0`` requests the full lattice.
-            subsample = options["subsample"]
-            result = harness.run(
-                subsample=None if subsample == 0 else subsample
-            )
+        # With eight toggles the full lattice is 256 runs; the CLI
+        # defaults to the curated 16-combination subsample.
+        # ``--subsample 0`` requests the full lattice.
+        subsample = options["subsample"]
+        result = harness.run(
+            subsample=None if subsample == 0 else subsample
+        )
         if not result.ok:
             self.exit_code = 1
         return result.format()
@@ -707,16 +684,12 @@ class ToolkitCli:
             "frames": 2000,
             "updates": 300,
             "seed": 0,
-            "shards": None,
-            "backend": None,
-            "partition": "neighbor",
             "workload": "churn",
             "prefixes": None,
             "subsample": 16,
         }
         takes_value = ("--frames", "--updates", "--seed", "--prefixes",
-                       "--subsample", "--shards", "--backend",
-                       "--partition", "--workload")
+                       "--subsample", "--workload")
         rest: list[str] = []
         index = 0
         while index < len(args):
@@ -727,23 +700,6 @@ class ToolkitCli:
                          "--subsample"):
                 index += 1
                 options[token.lstrip("-")] = int(args[index])
-            elif token == "--shards":
-                index += 1
-                options["shards"] = tuple(
-                    int(part)
-                    for part in args[index].split(",")
-                    if part.strip()
-                )
-            elif token == "--backend":
-                index += 1
-                options["backend"] = tuple(
-                    part.strip()
-                    for part in args[index].split(",")
-                    if part.strip()
-                )
-            elif token == "--partition":
-                index += 1
-                options["partition"] = args[index]
             elif token == "--workload":
                 index += 1
                 options["workload"] = args[index]

@@ -47,8 +47,6 @@ from repro.netsim.stack import (
     NetworkStack,
     RoutingRule,
 )
-from repro.shard.engine import DirectExecutor, ShardedFanout
-from repro.shard.partition import make_partition
 from repro.sim.scheduler import Scheduler
 from repro.vbgp.allocator import (
     GLOBAL_POOL,
@@ -219,8 +217,6 @@ class VbgpNode:
         control_enforcer: Optional[object] = None,
         data_enforcer: Optional[object] = None,
         telemetry: Optional["TelemetryHub"] = None,
-        shards: Optional[int] = None,
-        shard_partition: Optional[str] = None,
     ) -> None:
         self.scheduler = scheduler
         self.name = name
@@ -270,13 +266,6 @@ class VbgpNode:
             "gr_routes_flushed": 0,
         }
         self.telemetry = telemetry
-        # Sharded fan-out (repro.shard): node-level overrides win over
-        # the global ``perf.FLAGS.shards`` knob; the engine itself is
-        # built lazily on the first sharded update.
-        self._shards_override = shards
-        self._shard_partition_override = shard_partition
-        self._direct_exec = DirectExecutor(self)
-        self._shard_engine: Optional[ShardedFanout] = None
         # Overload governor (repro.overload, §6i).  ``None`` (the
         # default) keeps the pre-§6i unbounded ingress path.
         self.overload = None
@@ -474,36 +463,21 @@ class VbgpNode:
 
     def _apply_upstream_update(self, name: str,
                                update: UpdateMessage) -> None:
+        """One upstream UPDATE: Adj-RIB-In, kernel table, fan-out —
+        every effect applied directly, in ingress order."""
         neighbor = self.upstreams.get(name)
         if neighbor is None:
             return
         self.counters["updates_from_upstream"] += 1
-        engine = self._shard_engine_if_enabled()
-        if engine is not None:
-            engine.submit(neighbor, update)
-        else:
-            self._process_upstream_changes(neighbor, update,
-                                           self._direct_exec)
-
-    def _process_upstream_changes(self, neighbor: UpstreamNeighbor,
-                                  update, ex) -> None:
-        """The fan-out pipeline body, unsharded and sharded alike.
-
-        ``update`` is either a full :class:`UpdateMessage` or a
-        prefix-partitioned slice of one (anything with ``withdrawn`` and
-        ``routes()``).  Every stateful effect — kernel mutation, session
-        send, counter bump — flows through the executor ``ex``:
-        :class:`~repro.shard.engine.DirectExecutor` applies immediately
-        (the ``shards=1`` reference), a shard emitter buffers the ops
-        for the merge layer.
-        """
+        table_id = neighbor.virtual.table_id
         removed: list[tuple[Prefix, Optional[int]]] = []
         for prefix, path_id in update.withdrawn:
             if neighbor.rib.pop((prefix, path_id), None) is not None:
                 removed.append((prefix, path_id))
-                if not neighbor.rib.has_prefix(prefix):
-                    ex.remove_route(prefix,
-                                    table_id=neighbor.virtual.table_id)
+                if (not neighbor.rib.has_prefix(prefix)
+                        and self.stack.remove_route(prefix,
+                                                    table_id=table_id)):
+                    self.counters["routes_removed"] += 1
         announced = update.routes()
         for route in announced:
             neighbor.rib[(route.prefix, route.path_id)] = route
@@ -515,19 +489,20 @@ class VbgpNode:
             next_hop = neighbor.peer_address
             if neighbor.kind == "route-server" and route.next_hop is not None:
                 next_hop = route.next_hop
-            ex.add_route(
+            self.stack.add_route(
                 KernelRoute(
                     prefix=route.prefix,
                     out_iface=self.upstream_iface,
                     next_hop=next_hop,
                 ),
-                table_id=neighbor.virtual.table_id,
+                table_id=table_id,
             )
+            self.counters["routes_installed"] += 1
         # Fan out to experiments with the local virtual IP as next hop.
         self._fanout(self.experiments.values(), neighbor.virtual.global_id,
-                     neighbor.virtual.local_ip, announced, removed, ex=ex)
+                     neighbor.virtual.local_ip, announced, removed)
         # Propagate over the backbone with the neighbor's global IP.
-        self._backbone_export(neighbor, announced, removed, ex=ex)
+        self._backbone_export(neighbor, announced, removed)
 
     def _upstream_established(self, name: str) -> None:
         """A (re-)established upstream: re-export experiment state to it."""
@@ -653,38 +628,22 @@ class VbgpNode:
     def enable_overload(self, governor) -> None:
         """Install the overload governor on this node (opt-in).
 
-        Existing upstream sessions get bounded ingress queues, the
-        shard engine (if any) gets bounded inboxes, breaker trips
-        quarantine the offending neighbor's supervisor, and shard-inbox
-        saturation becomes backpressure that holds queue delivery at
-        the edge.
+        Existing upstream sessions get bounded ingress queues and
+        breaker trips quarantine the offending neighbor's supervisor.
         """
         self.overload = governor
-        limit = governor.policy.shard_inbox_limit
-        if limit is not None:
-            governor.backpressure = (
-                lambda: self.shard_pending() > limit
-            )
         governor.on_breaker_open = self._overload_quarantine
         for neighbor in self.upstreams.values():
             if neighbor.session is not None:
                 neighbor.session.set_ingress_queue(
                     governor.queue_for(neighbor.name)
                 )
-        if self._shard_engine is not None:
-            self._configure_engine_overload(self._shard_engine)
 
     def _overload_quarantine(self, peer_key: str, open_time: float) -> None:
         """A breaker opened: keep that neighbor down for its open window."""
         neighbor = self.upstreams.get(peer_key)
         if neighbor is not None and neighbor.supervisor is not None:
             neighbor.supervisor.quarantine(open_time)
-
-    def _configure_engine_overload(self, engine: ShardedFanout) -> None:
-        governor = self.overload
-        if governor is not None:
-            engine.inbox_limit = governor.policy.shard_inbox_limit
-            engine.on_shed = governor.record_shard_shed
 
     # ==================================================================
     # Experiments
@@ -777,7 +736,6 @@ class VbgpNode:
         local_vip: IPv4Address,
         announced: list[Route],
         removed: list[tuple[Prefix, Optional[int]]],
-        ex=None,
     ) -> None:
         """Send neighbor-route changes to ``experiments`` (Figure 2a).
 
@@ -791,11 +749,8 @@ class VbgpNode:
         one attribute set are coalesced into multi-NLRI UPDATEs (one
         message per batch instead of per route).  Withdrawals carry no
         attributes and are always chunked to respect the 4096-byte
-        message ceiling.  ``ex`` is the effect executor (direct by
-        default; a shard emitter when the fan-out is sharded).
+        message ceiling.
         """
-        if ex is None:
-            ex = self._direct_exec
         node_ids = self._path_ids
         # ``removed`` paths have left the neighbor's rib: their ids go
         # back whether or not anyone is listening.
@@ -849,10 +804,12 @@ class VbgpNode:
                     withdraws if len(known) == len(released)
                     else _withdraw_updates(known)
                 ):
-                    ex.send(session, update, "updates_to_experiments")
+                    session.send_update(update)
+                    self.counters["updates_to_experiments"] += 1
             heard.update(told)
             for update in announces:
-                ex.send(session, update, "updates_to_experiments")
+                session.send_update(update)
+                self.counters["updates_to_experiments"] += 1
 
     # -- announcements from experiments ---------------------------------
 
@@ -1111,10 +1068,8 @@ class VbgpNode:
 
     def _backbone_export(self, neighbor: UpstreamNeighbor,
                          announced: list[Route],
-                         removed: list[tuple[Prefix, Optional[int]]],
-                         ex=None) -> None:
-        if ex is None:
-            ex = self._direct_exec
+                         removed: list[tuple[Prefix, Optional[int]]]
+                         ) -> None:
         if not self.backbone_peers:
             return
         sessions = [
@@ -1150,7 +1105,8 @@ class VbgpNode:
             )
         for session in sessions:
             for update in updates:
-                ex.send(session, update, "updates_to_backbone")
+                session.send_update(update)
+                self.counters["updates_to_backbone"] += 1
 
     def _backbone_export_experiment(self, route: Route,
                                     withdraw: bool) -> None:
@@ -1369,87 +1325,6 @@ class VbgpNode:
         )
 
     # ==================================================================
-    # Sharded fan-out (repro.shard, DESIGN.md §6f)
-    # ==================================================================
-
-    def _shard_config(self) -> tuple[int, str, int, str]:
-        """Effective (count, strategy, seed, backend): node overrides
-        win over the global ``perf.FLAGS`` knobs."""
-        flags = perf.FLAGS
-        count = (self._shards_override if self._shards_override is not None
-                 else flags.shards)
-        strategy = (self._shard_partition_override
-                    if self._shard_partition_override is not None
-                    else flags.shard_partition)
-        return count, strategy, flags.shard_seed, flags.shard_backend
-
-    def _shard_engine_if_enabled(self) -> Optional[ShardedFanout]:
-        """The live shard engine, or ``None`` for the direct path.
-
-        An engine holding queued backlog (a killed shard) is *never*
-        abandoned on a flag flip — its items would be lost; it keeps
-        receiving work until the backlog drains.  The engine engages
-        when ``shards > 1`` *or* a real backend is selected; the
-        ``model`` backend at ``shards=1`` stays the direct (sync
-        reference) path.  A replaced engine is closed so a real
-        backend's workers are reaped.
-        """
-        engine = self._shard_engine
-        if engine is not None and engine.pending:
-            return engine
-        count, strategy, seed, backend = self._shard_config()
-        if count <= 1 and backend == "model":
-            if engine is not None:
-                engine.close()
-                self._shard_engine = None
-            return None
-        if (
-            engine is not None
-            and engine.shard_count == count
-            and engine.partition.strategy == strategy
-            and engine.partition.seed == seed
-            and engine.backend_name == backend
-        ):
-            return engine
-        if engine is not None:
-            engine.close()
-        engine = ShardedFanout(
-            self,
-            count,
-            make_partition(strategy, count, seed=seed),
-            telemetry=self.telemetry,
-            backend=backend,
-        )
-        self._configure_engine_overload(engine)
-        self._shard_engine = engine
-        return engine
-
-    @property
-    def shard_engine(self) -> Optional[ShardedFanout]:
-        return self._shard_engine
-
-    def shard_pending(self) -> int:
-        """Work items queued on shard inboxes (0 when unsharded)."""
-        engine = self._shard_engine
-        return engine.pending if engine is not None else 0
-
-    def shard_status(self) -> list[dict]:
-        """Per-shard status rows (``[]`` when the fan-out is unsharded)."""
-        engine = self._shard_engine
-        return engine.status() if engine is not None else []
-
-    def close_shard_engine(self) -> None:
-        """Release the shard engine's backend resources, if any.
-
-        Safe to call repeatedly; harness/teardown hook so real-backend
-        worker processes never outlive the platform that spawned them.
-        """
-        engine = self._shard_engine
-        if engine is not None:
-            engine.close()
-            self._shard_engine = None
-
-    # ==================================================================
     # Introspection (used by benches and the CLI)
     # ==================================================================
 
@@ -1473,8 +1348,8 @@ _EMPTY_ATTRS = PathAttributes()
 # integer.  ``_stable_id`` is 20 bits (1..0xFFFFF), so the base must be
 # 2**20: the previous base of 1_000_000 (< 2**20) let large stable ids
 # bleed into the next gid's range, making the receiving node decode a
-# phantom neighbor with the wrong gid — caught by the chaos shard-kill
-# scenario's full-catalog vmac_bijectivity check.
+# phantom neighbor with the wrong gid — caught by the full-catalog
+# vmac_bijectivity check.
 _GID_PATH_ID_BASE = 1 << 20
 
 # An ADD-PATH IPv4 NLRI is at most 4 (path id) + 1 (length) + 4 (prefix)

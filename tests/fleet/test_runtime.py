@@ -24,26 +24,23 @@ def _settle(scheduler):
 def test_build_pins_gids_and_addresses(fleet):
     scheduler = Scheduler()
     pop = build_fleet_pop(scheduler, fleet.artifacts["pop1"])
-    try:
-        artifact = fleet.artifacts["pop1"]
-        info = artifact["upstreams"]["up1"]
-        ours, theirs = connect_pair(scheduler, rtt=0.0)
-        pop.attach_upstream_channel("up1", ours)
-        speaker = BgpSpeaker(scheduler, SpeakerConfig(
-            asn=info["asn"],
-            router_id=IPv4Address.parse(info["address"]), hold_time=0))
-        speaker.attach_neighbor(NeighborConfig(
-            name="pop1/up1", peer_asn=None,
-            local_address=IPv4Address.parse(info["address"])), theirs)
-        _settle(scheduler)
-        assert speaker.neighbors["pop1/up1"].established
-        assert pop.summary()["upstreams"]["up1"] is True
-        # The gid pin is the whole point: the in-process registry must
-        # have allocated exactly what the compiler promised.
-        neighbor = pop.node.upstreams["up1"]
-        assert neighbor.virtual.global_id == info["gid"]
-    finally:
-        pop.close()
+    artifact = fleet.artifacts["pop1"]
+    info = artifact["upstreams"]["up1"]
+    ours, theirs = connect_pair(scheduler, rtt=0.0)
+    pop.attach_upstream_channel("up1", ours)
+    speaker = BgpSpeaker(scheduler, SpeakerConfig(
+        asn=info["asn"],
+        router_id=IPv4Address.parse(info["address"]), hold_time=0))
+    speaker.attach_neighbor(NeighborConfig(
+        name="pop1/up1", peer_asn=None,
+        local_address=IPv4Address.parse(info["address"])), theirs)
+    _settle(scheduler)
+    assert speaker.neighbors["pop1/up1"].established
+    assert pop.summary()["upstreams"]["up1"] is True
+    # The gid pin is the whole point: the in-process registry must
+    # have allocated exactly what the compiler promised.
+    neighbor = pop.node.upstreams["up1"]
+    assert neighbor.virtual.global_id == info["gid"]
 
 
 def test_gid_pin_conflict_is_rejected(fleet):
@@ -63,18 +60,12 @@ def test_gid_pin_conflict_is_rejected(fleet):
 def test_local_invariants_clean_on_idle_pop(fleet):
     scheduler = Scheduler()
     pop = build_fleet_pop(scheduler, fleet.artifacts["pop0"])
-    try:
-        reports = pop.local_invariants()
-        assert set(reports) == set(LOCAL_INVARIANTS)
-        assert all(report["ok"] for report in reports.values())
-    finally:
-        pop.close()
+    reports = pop.local_invariants()
+    assert set(reports) == set(LOCAL_INVARIANTS)
+    assert all(report["ok"] for report in reports.values())
 
 
 def test_structural_snapshot_is_stable_when_idle(fleet):
     scheduler = Scheduler()
     pop = build_fleet_pop(scheduler, fleet.artifacts["pop2"])
-    try:
-        assert pop.structural_snapshot() == pop.structural_snapshot()
-    finally:
-        pop.close()
+    assert pop.structural_snapshot() == pop.structural_snapshot()

@@ -195,9 +195,9 @@ def test_withdraw_roundtrip_commits(intent_world):
 
 
 def test_snapshot_correctness_under_perf_flags():
-    """Snapshot/revert must hold with the sharded fan-out engine and the
-    columnar RIB enabled (the state lives in different structures)."""
-    with perf.flags(shards=2, rib_columnar=True):
+    """Snapshot/revert must hold with the columnar RIB enabled (the
+    state lives in different structures)."""
+    with perf.flags(rib_columnar=True):
         world = build_intent_world()
         before = world.controller._fingerprint()
         record = world.controller.apply(

@@ -141,19 +141,6 @@ def test_shed_digest_is_deterministic():
     assert run() != run_other()
 
 
-def test_backpressure_holds_delivery():
-    congested = [True]
-    scheduler, queue = make_queue(backpressure=lambda: congested[0])
-    session = StubSession()
-    queue.offer(session, announce(0))
-    scheduler.run_for(1)
-    assert session.delivered == []  # held, not dropped
-    assert queue.pending == 1
-    congested[0] = False
-    scheduler.run_for(1)
-    assert [u.seq for u in session.delivered] == [0]
-
-
 def test_flush_session_accounts_drops():
     scheduler, queue = make_queue(depth=8)
     dead, alive = StubSession(), StubSession()

@@ -11,7 +11,6 @@ shrinks its capacity mid-churn without tripping the breaker.
 
 import pytest
 
-from repro import perf
 from repro.chaos import ChaosRunner, build_chaos_world
 
 SOAK_SEEDS = (0, 1, 2, 3, 4)
@@ -89,20 +88,6 @@ def test_flood_is_seed_deterministic():
     # shed exactly the same updates in exactly the same order.
     assert digest_a == digest_b
     assert result_a.details == result_b.details
-
-
-def test_flood_under_sharded_columnar_pipeline():
-    """ISSUE 8 satellite: the overload layer composes with the §6f/§6g
-    perf surface — bounded ingress + shedding on top of a two-shard
-    fan-out over columnar RIB storage."""
-    with perf.flags(shards=2, rib_columnar=True):
-        world, result = _run("ingress-flood", 0)
-        assert result.ok, result.format()
-        assert result.details["announcements_shed"] >= 1
-        engine = world.platform.pops["west"].node._shard_engine
-        if engine is not None:
-            assert engine.stats.withdrawals_shed == 0
-    assert perf.FLAGS.shards == 1  # flags restored
 
 
 def test_overload_scenarios_in_catalog():

@@ -38,15 +38,16 @@ class ReferenceFanout:
             self.next_path_id[exp.name] = path_id + 1
         return path_id
 
-    def __call__(self, experiments, gid, local_vip, announced, removed,
-                 ex=None) -> None:
+    def __call__(self, experiments, gid, local_vip, announced,
+                 removed) -> None:
         for exp in experiments:
-            self.fanout_one(exp, gid, local_vip, announced, removed, ex)
+            self.fanout_one(exp, gid, local_vip, announced, removed)
 
-    def fanout_one(self, exp, gid, local_vip, announced, removed,
-                   ex=None) -> None:
-        if ex is None:
-            ex = self.node._direct_exec
+    def send(self, session, message) -> None:
+        session.send_update(message)
+        self.node.counters["updates_to_experiments"] += 1
+
+    def fanout_one(self, exp, gid, local_vip, announced, removed) -> None:
         if exp.session is None or not exp.session.established:
             return
         withdrawals = []
@@ -58,8 +59,7 @@ class ReferenceFanout:
                           path_id=path_id)
                 )
         for chunk in _chunk_routes(withdrawals, _MAX_WITHDRAW_PER_UPDATE):
-            ex.send(exp.session, UpdateMessage.withdraw(chunk),
-                    "updates_to_experiments")
+            self.send(exp.session, UpdateMessage.withdraw(chunk))
         if not announced:
             return
         if perf.FLAGS.fanout_batch:
@@ -76,15 +76,14 @@ class ReferenceFanout:
                 ]
                 limit = _max_nlri_per_update(rewritten_attrs)
                 for chunk in _chunk_routes(batch, limit):
-                    ex.send(exp.session, UpdateMessage.announce(chunk),
-                            "updates_to_experiments")
+                    self.send(exp.session, UpdateMessage.announce(chunk))
         else:
             for route in announced:
                 rewritten = route.with_next_hop(local_vip).with_path_id(
                     self.path_id_for(exp, gid, route.prefix, route.path_id)
                 )
-                ex.send(exp.session, UpdateMessage.announce([rewritten]),
-                        "updates_to_experiments")
+                self.send(exp.session,
+                          UpdateMessage.announce([rewritten]))
 
 
 def install(node) -> ReferenceFanout:

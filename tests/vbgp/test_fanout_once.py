@@ -16,7 +16,6 @@ from repro.bgp.transport import connect_pair
 from repro.netsim.addr import IPv4Address, IPv4Prefix, MacAddress
 from repro.platform.pop import PointOfPresence, PopConfig
 from repro.security.state import EnforcerState
-from repro.shard.engine import DirectExecutor
 from repro.sim import Scheduler
 from repro.vbgp.allocator import GlobalNeighborRegistry
 from repro.vbgp.node import _MAX_WITHDRAW_PER_UPDATE
@@ -162,16 +161,17 @@ def churn(world):
     world.settle()
 
 
-def capture_sends(monkeypatch):
-    """Every ``(session, message)`` the node's direct executor sends."""
+def capture_sends(monkeypatch, node):
+    """Every ``(session, message)`` ``node`` sends to its experiments."""
     sends = []
-    original = DirectExecutor.send
+    original = BgpSession.send_update
 
-    def send(self, session, message, counter):
-        sends.append((session, message))
-        original(self, session, message, counter)
+    def send_update(self, update):
+        if any(exp.session is self for exp in node.experiments.values()):
+            sends.append((self, update))
+        original(self, update)
 
-    monkeypatch.setattr(DirectExecutor, "send", send)
+    monkeypatch.setattr(BgpSession, "send_update", send_update)
     return sends
 
 
@@ -180,7 +180,7 @@ def capture_sends(monkeypatch):
 
 def test_one_message_one_encode_for_8_experiments(monkeypatch):
     world, reference = World(), World(reference=True)
-    sends = capture_sends(monkeypatch)
+    sends = capture_sends(monkeypatch, world.node)
     encodes = count_calls(monkeypatch, UpdateMessage, "_encode_into_buffer")
     world.feeders[0].announce(PREFIXES[:3])
     world.settle()
@@ -246,7 +246,7 @@ def test_late_joiner_gets_shared_ids_and_the_shared_message(monkeypatch):
     assert late.table == early.table
     assert late.attachment.path_ids == early.attachment.path_ids
     assert max(late.table) == 1050      # sparse: not the old 1..N
-    sends = capture_sends(monkeypatch)
+    sends = capture_sends(monkeypatch, world.node)
     world.clear()
     feeder.announce(PREFIXES[1000:1001])
     world.settle()
