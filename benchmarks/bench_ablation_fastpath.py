@@ -6,7 +6,6 @@ they can be ablated independently:
 * ``stride_lpm``   — 8-bit stride trie vs. the binary-trie reference,
 * ``lpm_cache``    — bounded LRU lookup cache on :class:`LpmTable`,
 * ``encode_memo``  — attribute/NLRI/message wire-encoding memoization,
-* ``intern_attrs`` — interning pools for decoded attributes,
 * ``fanout_batch`` — multi-NLRI UPDATE coalescing in the vBGP fan-out.
 
 For each configuration this benchmark runs two workloads **and checks the
@@ -60,11 +59,9 @@ CONFIGS = [
     ("no_stride_lpm", {"stride_lpm": False}),
     ("no_lpm_cache", {"lpm_cache": False}),
     ("no_encode_memo", {"encode_memo": False}),
-    ("no_intern_attrs", {"intern_attrs": False}),
     ("no_fanout_batch", {"fanout_batch": False}),
     ("all_off", {"stride_lpm": False, "lpm_cache": False,
-                 "encode_memo": False, "intern_attrs": False,
-                 "fanout_batch": False}),
+                 "encode_memo": False, "fanout_batch": False}),
 ]
 
 

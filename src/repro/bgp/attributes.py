@@ -61,9 +61,8 @@ class AsPath:
     segments: tuple[AsPathSegment, ...] = ()
 
     def __hash__(self) -> int:
-        # Cached: paths are hashed repeatedly (interning pools, attribute
-        # hashing, wire-encode memo keys) and segment-tuple hashing chains
-        # through every ASN.
+        # Cached: paths are hashed repeatedly (every attribute-set hash)
+        # and segment-tuple hashing chains through every ASN.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash(self.segments)
@@ -227,8 +226,8 @@ class PathAttributes:
 
     def __hash__(self) -> int:
         # Cached: attribute sets key every hot dict on the control plane
-        # (interning pool, wire-encode memo, fan-out batching groups), and
-        # the generated hash walks the whole attribute tree each call.
+        # (Loc-RIB attribute handles, fan-out batching groups), and the
+        # generated hash walks the whole attribute tree each call.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((
@@ -254,9 +253,9 @@ class PathAttributes:
         Builds the copy via the constructor directly: ``dataclasses.replace``
         pays for generic kwargs plumbing on every fan-out.  With the
         ``encode_memo`` flag on, the rewrite is memoized per target next
-        hop on this (frozen) instance, so repeated fan-outs of a pooled
-        attribute set return the same object — which in turn keeps its
-        cached hash and wire encoding warm downstream.
+        hop on this (frozen) instance, so repeated fan-outs of a shared
+        decoded attribute set return the same object — which in turn
+        keeps its cached hash and wire encoding warm downstream.
         """
         if perf.FLAGS.encode_memo:
             memo = self.__dict__.get("_nh_memo")
@@ -285,51 +284,6 @@ class PathAttributes:
             large_communities=self.large_communities,
             unknown=self.unknown,
         )
-
-
-# ---------------------------------------------------------------------------
-# Interning pools (Fig. 6a memory): RIBs holding equal attribute sets share
-# one object.  Real-world churn concentrates on a small set of attribute
-# combinations (Krenc et al.), so the pools stay small and hot.
-# ---------------------------------------------------------------------------
-
-_INTERN_POOL_CAP = 16384
-_AS_PATH_POOL: dict[AsPath, AsPath] = {}
-_ATTRIBUTES_POOL: dict[PathAttributes, PathAttributes] = {}
-
-
-def intern_as_path(path: AsPath) -> AsPath:
-    """Return the canonical shared instance for an equal ``AsPath``."""
-    if not perf.FLAGS.intern_attrs:
-        return path
-    pooled = _AS_PATH_POOL.get(path)
-    if pooled is not None:
-        return pooled
-    if len(_AS_PATH_POOL) >= _INTERN_POOL_CAP:
-        _AS_PATH_POOL.clear()
-    _AS_PATH_POOL[path] = path
-    return path
-
-
-def intern_attributes(attributes: PathAttributes) -> PathAttributes:
-    """Return the canonical shared instance for equal ``PathAttributes``."""
-    if not perf.FLAGS.intern_attrs:
-        return attributes
-    pooled = _ATTRIBUTES_POOL.get(attributes)
-    if pooled is not None:
-        return pooled
-    if len(_ATTRIBUTES_POOL) >= _INTERN_POOL_CAP:
-        _ATTRIBUTES_POOL.clear()
-    _ATTRIBUTES_POOL[attributes] = attributes
-    return attributes
-
-
-def _clear_intern_pools() -> None:
-    _AS_PATH_POOL.clear()
-    _ATTRIBUTES_POOL.clear()
-
-
-perf.register_cache_clearer(_clear_intern_pools)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ codec is on the hot path of every benchmark.
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
@@ -34,8 +35,6 @@ from repro.bgp.attributes import (
     Route,
     SegmentType,
     UnknownAttribute,
-    intern_as_path,
-    intern_attributes,
 )
 from repro.bgp.errors import (
     ErrorCode,
@@ -407,7 +406,8 @@ class UpdateMessage:
             raise ValueError("announce() needs at least one route")
         attrs = routes[0].attributes
         # Identity-first comparison: batched fan-out passes routes that
-        # share one interned attribute object, so the common case skips the
+        # share one attribute object (decoded once per wire block, see
+        # ``_decode_attributes``), so the common case skips the
         # field-by-field dataclass equality entirely.
         if any(
             route.attributes is not attrs and route.attributes != attrs
@@ -579,6 +579,7 @@ BgpMessage = Union[OpenMessage, UpdateMessage, NotificationMessage,
 # same prefixes churn over and over (flaps), and the encoding is pure.
 _NLRI_WIRE_CACHE: dict[IPv4Prefix, bytes] = {}
 _NLRI_WIRE_CACHE_CAP = 65536
+perf.register_cache_clearer(_NLRI_WIRE_CACHE.clear)
 
 
 def _prefix_wire(prefix: IPv4Prefix) -> bytes:
@@ -695,35 +696,23 @@ def _attr(flags: int, type_code: int, value: bytes) -> bytes:
     return struct.pack("!BBB", flags, type_code, len(value)) + value
 
 
-# Memoized attribute encodings, keyed by the (frozen, hashable)
-# PathAttributes value.  Real churn concentrates on a small set of
-# attribute combinations, so the hit rate is high; fan-out to E
-# experiments encodes each set once instead of E times.
-_ATTR_WIRE_CACHE: dict[PathAttributes, bytes] = {}
-_ATTR_WIRE_CACHE_CAP = 8192
-
-
-def _clear_wire_caches() -> None:
-    _ATTR_WIRE_CACHE.clear()
-    _NLRI_WIRE_CACHE.clear()
-
-
-perf.register_cache_clearer(_clear_wire_caches)
-
-
 def _encode_attributes(attributes: Optional[PathAttributes]) -> bytes:
+    """Canonical attribute-block bytes.
+
+    With ``encode_memo`` on, the bytes are memoized on the (frozen) value
+    itself, beside its cached hash and next-hop rewrites: fan-out to E
+    experiments shares one rewritten object per next hop, so each set is
+    encoded once instead of E times, and the memo dies with the value.
+    """
     if attributes is None:
         return b""
-    if perf.FLAGS.encode_memo:
-        cached = _ATTR_WIRE_CACHE.get(attributes)
-        if cached is not None:
-            return cached
-    out = _encode_attributes_uncached(attributes)
-    if perf.FLAGS.encode_memo:
-        if len(_ATTR_WIRE_CACHE) >= _ATTR_WIRE_CACHE_CAP:
-            _ATTR_WIRE_CACHE.clear()
-        _ATTR_WIRE_CACHE[attributes] = out
-    return out
+    if not perf.FLAGS.encode_memo:
+        return _encode_attributes_uncached(attributes)
+    wire = attributes.__dict__.get("_wire")
+    if wire is None:
+        wire = _encode_attributes_uncached(attributes)
+        object.__setattr__(attributes, "_wire", wire)
+    return wire
 
 
 def attributes_wire_length(attributes: Optional[PathAttributes]) -> int:
@@ -794,7 +783,30 @@ def _encode_attributes_uncached(attributes: PathAttributes) -> bytes:
     return b"".join(parts)
 
 
+# The attribute flyweight: every decoded value keyed by the exact block
+# it was parsed from, held weakly.  Churn re-announces attribute sets a
+# live route already carries (Krenc et al.), so most blocks are parsed
+# once; every RIB and message built from the same bytes shares one
+# object (Fig. 6a memory) and its cached hash, next-hop rewrites and
+# wire encoding.  An entry lives exactly as long as something holds the
+# value — no cap, no eviction, nothing to clear.  Byte-different blocks
+# of equal value stay distinct entries; equality never decides a hit.
+_ATTRS_BY_WIRE: "weakref.WeakValueDictionary[bytes, PathAttributes]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 def _decode_attributes(data: bytes) -> PathAttributes:
+    attributes = _ATTRS_BY_WIRE.get(data)
+    if attributes is None:
+        # Stored only after a successful parse: malformed blocks raise on
+        # every arrival and never enter the table.
+        attributes = _decode_attributes_uncached(data)
+        _ATTRS_BY_WIRE[data] = attributes
+    return attributes
+
+
+def _decode_attributes_uncached(data: bytes) -> PathAttributes:
     origin = Origin.IGP
     as_path = AsPath()
     next_hop: Optional[IPv4Address] = None
@@ -844,7 +856,14 @@ def _decode_attributes(data: bytes) -> PathAttributes:
             )
         seen.add(type_code)
         if type_code == ATTR_ORIGIN:
-            if length != 1 or value[0] > 2:
+            # RFC 4271 §6.3: a wrong length is a length error, checked
+            # before the value is judged.
+            if length != 1:
+                raise NotificationError(
+                    ErrorCode.UPDATE_MESSAGE,
+                    UpdateSubcode.ATTRIBUTE_LENGTH_ERROR,
+                )
+            if value[0] > 2:
                 raise NotificationError(
                     ErrorCode.UPDATE_MESSAGE, UpdateSubcode.INVALID_ORIGIN
                 )
@@ -872,6 +891,11 @@ def _decode_attributes(data: bytes) -> PathAttributes:
                 )
             (local_pref,) = struct.unpack("!I", value)
         elif type_code == ATTR_ATOMIC_AGGREGATE:
+            if length != 0:
+                raise NotificationError(
+                    ErrorCode.UPDATE_MESSAGE,
+                    UpdateSubcode.ATTRIBUTE_LENGTH_ERROR,
+                )
             atomic = True
         elif type_code == ATTR_AGGREGATOR:
             if length != 8:
@@ -909,12 +933,9 @@ def _decode_attributes(data: bytes) -> PathAttributes:
             unknown.append(
                 UnknownAttribute(type_code=type_code, flags=flags, value=value)
             )
-    # Interning (perf flag ``intern_attrs``): every RIB holding this
-    # attribute set shares one object (Fig. 6a memory), and downstream
-    # encode memoization hits on the pooled instance's hash.
-    return intern_attributes(PathAttributes(
+    return PathAttributes(
         origin=origin,
-        as_path=intern_as_path(as_path),
+        as_path=as_path,
         next_hop=next_hop,
         med=med,
         local_pref=local_pref,
@@ -923,7 +944,7 @@ def _decode_attributes(data: bytes) -> PathAttributes:
         communities=frozenset(communities),
         large_communities=frozenset(large_communities),
         unknown=tuple(unknown),
-    ))
+    )
 
 
 def _decode_as_path(value: bytes) -> AsPath:

@@ -96,29 +96,6 @@ class LocRibStats:
     removals: int = 0
 
 
-# Flyweight pool for Loc-RIB attribute values (DESIGN.md §6g).  Unlike the
-# decode-side intern pools in :mod:`repro.bgp.attributes` (gated on
-# ``intern_attrs``), this one backs the columnar storage layout itself: the
-# per-RIB handle tables key by attribute *equality*, so the pool only decides
-# which equal object is retained, never which handle a value maps to.  That
-# makes clearing it safe at any time — required for perf.clear_caches().
-_RIB_ATTR_POOL: dict[PathAttributes, PathAttributes] = {}
-_RIB_ATTR_POOL_CAP = 65536
-
-
-def _canonical_attributes(attrs: PathAttributes) -> PathAttributes:
-    pooled = _RIB_ATTR_POOL.get(attrs)
-    if pooled is None:
-        if len(_RIB_ATTR_POOL) >= _RIB_ATTR_POOL_CAP:
-            _RIB_ATTR_POOL.clear()
-        _RIB_ATTR_POOL[attrs] = attrs
-        pooled = attrs
-    return pooled
-
-
-perf.register_cache_clearer(_RIB_ATTR_POOL.clear)
-
-
 class _LocRibBase:
     """Shared Loc-RIB logic over two storage backends (DESIGN.md §6g).
 
@@ -438,7 +415,6 @@ class ColumnarLocRib(_LocRibBase):
     def _attr_handle(self, attrs: PathAttributes) -> int:
         handle = self._attr_handles.get(attrs)
         if handle is None:
-            attrs = _canonical_attributes(attrs)
             handle = len(self._attr_values)
             self._attr_handles[attrs] = handle
             self._attr_values.append(attrs)

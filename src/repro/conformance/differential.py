@@ -67,7 +67,6 @@ TOGGLES: Tuple[str, ...] = (
     "stride_lpm",
     "lpm_cache",
     "encode_memo",
-    "intern_attrs",
     "fanout_batch",
     "rib_columnar",
     "incremental_bestpath",
@@ -94,7 +93,7 @@ def subsampled_flag_combinations(
 ) -> List[Dict[str, bool]]:
     """A curated subset of the flag lattice (reference always first).
 
-    With eight toggles the full lattice is 256 combinations — too many
+    With seven toggles the full lattice is 128 combinations — too many
     to replay a large workload through each.  The subsample keeps the
     high-signal corners deterministically: the all-off reference, every
     single-flag-on combination (isolating each fast path), all-on (the

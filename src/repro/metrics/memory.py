@@ -93,8 +93,8 @@ def resident_bytes(obj: object) -> int:
     Used by ``bench_fulltable_memory`` to compare Loc-RIB storage
     backends (§6g): unlike RSS or tracemalloc snapshots this is
     deterministic for a given object graph and interpreter version, so
-    the ±25% bench gate holds across machines.  Shared objects (interned
-    attributes, flyweight handles) are charged once — exactly the
+    the ±25% bench gate holds across machines.  Shared objects (decoded
+    attribute values, flyweight handles) are charged once — exactly the
     sharing the columnar layout exists to create.
 
     Callables, modules, and classes are skipped: a Loc-RIB holds a

@@ -1,24 +1,28 @@
 """Central fast-path feature flags (the ablation control surface).
 
-The vBGP pipeline has four independent optimizations, each gated behind a
-module-level toggle so ``benchmarks/bench_ablation_fastpath.py`` can
-measure them on/off without code changes:
+The vBGP pipeline gates four independent optimizations (plus one tuning
+knob) behind module-level toggles so
+``benchmarks/bench_ablation_fastpath.py`` can measure them on/off without
+code changes:
 
 * ``stride_lpm``   — multi-bit (8-bit stride) trie walk in
   :class:`repro.netsim.lpm.LpmTable` instead of the 1-bit-per-level
   binary trie reference,
 * ``lpm_cache``    — bounded per-table LRU lookup cache keyed by
   destination address, invalidated on insert/remove of any covering
-  prefix (negative results are cached too),
-* ``encode_memo``  — memoized ``_encode_attributes`` on the frozen
-  ``PathAttributes`` value plus per-``UpdateMessage`` wire caching, so
-  ADD-PATH fan-out to E experiments encodes each attribute set once,
-* ``intern_attrs`` — interning pool for decoded ``PathAttributes`` /
-  ``AsPath`` so RIBs holding equal attributes share one object
-  (Fig. 6a memory),
+  prefix (negative results are cached too); ``lpm_cache_size`` is its
+  capacity, a tuning knob rather than a behaviour switch,
+* ``encode_memo``  — attribute-block bytes and next-hop rewrites
+  memoized on the frozen ``PathAttributes`` value, per-prefix NLRI bytes,
+  plus per-``UpdateMessage`` wire caching, so ADD-PATH fan-out to E
+  experiments encodes each attribute set once,
 * ``fanout_batch`` — coalesce routes sharing identical post-rewrite
   attributes into single multi-NLRI UPDATEs in the vBGP fan-out and
   backbone export paths.
+
+Decoded attribute values are shared without a toggle: the decoder's
+wire-keyed weak flyweight (``repro.bgp.messages._decode_attributes``)
+parses each distinct attribute block once while something holds it.
 
 The full-table RIB engine (DESIGN.md §6g) adds three more toggles that
 make a ~900k-prefix Loc-RIB tractable:
@@ -56,7 +60,6 @@ class PerfFlags:
     lpm_cache: bool = True
     lpm_cache_size: int = 1024
     encode_memo: bool = True
-    intern_attrs: bool = True
     fanout_batch: bool = True
     # Full-table RIB engine (DESIGN.md §6g).
     rib_columnar: bool = True

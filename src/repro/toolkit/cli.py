@@ -667,7 +667,7 @@ class ToolkitCli:
             prefix_count=prefixes,
             workload=options["workload"],
         )
-        # With eight toggles the full lattice is 256 runs; the CLI
+        # With seven toggles the full lattice is 128 runs; the CLI
         # defaults to the curated 16-combination subsample.
         # ``--subsample 0`` requests the full lattice.
         subsample = options["subsample"]

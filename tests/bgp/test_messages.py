@@ -1,5 +1,7 @@
 """Wire-codec tests for BGP messages, with hypothesis round trips."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from repro.bgp.attributes import (
     Route,
     UnknownAttribute,
 )
-from repro.bgp.errors import NotificationError
+from repro.bgp.errors import ErrorCode, NotificationError, UpdateSubcode
 from repro.bgp.messages import (
     AddPathCapability,
     FourOctetAsCapability,
@@ -188,6 +190,43 @@ class TestUpdate:
         corrupted[index + 3] = 9  # invalid segment type
         with pytest.raises(NotificationError):
             decode_one(bytes(corrupted))
+
+    @staticmethod
+    def announce_with(attribute: bytes) -> bytes:
+        """An UPDATE for 10.0.0.0/8 whose attribute block is ``attribute``
+        followed by a valid AS_PATH and NEXT_HOP."""
+        block = (attribute
+                 + bytes([0x40, 2, 6, 2, 1]) + struct.pack("!I", 65001)
+                 + bytes([0x40, 3, 4, 192, 0, 2, 1]))
+        body = struct.pack("!HH", 0, len(block)) + block + bytes([8, 10])
+        return b"\xff" * 16 + struct.pack("!HB", 19 + len(body), 2) + body
+
+    @pytest.mark.parametrize("attribute", [
+        bytes([0x40, 1, 2, 0, 0]),    # ORIGIN, 2 bytes (value IGP)
+        bytes([0x40, 1, 0]),          # ORIGIN, empty
+        bytes([0x40, 6, 2, 0, 0]),    # ATOMIC_AGGREGATE, 2 bytes
+        bytes([0x40, 6, 1, 0]),       # ATOMIC_AGGREGATE, 1 byte
+    ], ids=["origin-2", "origin-0", "atomic-2", "atomic-1"])
+    def test_fixed_length_attribute_length_error(self, attribute):
+        """RFC 4271 §6.3: a wrong length on ORIGIN or ATOMIC_AGGREGATE is
+        an Attribute Length Error, not a value error, and never
+        silently accepted."""
+        with pytest.raises(NotificationError) as info:
+            decode_one(self.announce_with(attribute))
+        assert info.value.code == ErrorCode.UPDATE_MESSAGE
+        assert info.value.subcode == UpdateSubcode.ATTRIBUTE_LENGTH_ERROR
+
+    def test_origin_value_error_after_length_check(self):
+        with pytest.raises(NotificationError) as info:
+            decode_one(self.announce_with(bytes([0x40, 1, 1, 3])))
+        assert info.value.subcode == UpdateSubcode.INVALID_ORIGIN
+
+    def test_well_formed_fixed_length_attributes_accepted(self):
+        decoded = decode_one(self.announce_with(
+            bytes([0x40, 1, 1, 1, 0x40, 6, 0])))
+        assert decoded.attributes.origin == Origin.EGP
+        assert decoded.attributes.atomic_aggregate
+        assert decoded.attributes.as_path == AsPath.from_asns(65001)
 
 
 class TestFraming:

@@ -19,7 +19,6 @@ from repro.bgp.decision import best_path
 from repro.bgp.rib import (
     ColumnarLocRib,
     LocRib,
-    _RIB_ATTR_POOL,
     make_loc_rib,
 )
 from repro.netsim.addr import IPv4Address, IPv4Prefix
@@ -179,17 +178,26 @@ def test_make_loc_rib_dispatches_on_flag():
         assert not isinstance(rib, ColumnarLocRib)
 
 
-def test_attr_pool_registered_with_cache_clearers():
+def test_equal_attributes_share_one_handle_across_peers():
+    """Equal attributes from different peers share one handle in a RIB,
+    and clearing every flag-gated cache leaves handles and decisions
+    alone: the handle table is RIB state, not a cache."""
+    copy = PathAttributes(
+        origin=ATTRS[0].origin, as_path=ATTRS[0].as_path,
+        next_hop=ATTRS[0].next_hop, med=ATTRS[0].med,
+    )
     rib = ColumnarLocRib(select=best_path)
-    rib.replace("pa", Route(prefix=PREFIXES[0], attributes=ATTRS[0]))
-    assert len(_RIB_ATTR_POOL) > 0
+    reference = LocRib(select=best_path)
+    for target in (rib, reference):
+        target.replace("pa", Route(prefix=PREFIXES[0], attributes=ATTRS[0]))
+        target.replace("pb", Route(prefix=PREFIXES[1], attributes=copy))
+    assert len(rib._attr_values) == 1
+    assert rib.best(PREFIXES[1]).route.attributes is ATTRS[0]
     perf.clear_caches()
-    assert len(_RIB_ATTR_POOL) == 0
-    # The pool is a pure lookaside: clearing it mid-life must not affect
-    # the RIB's own handle tables or decisions.
-    assert rib.best(PREFIXES[0]).route.attributes == ATTRS[0]
-    rib.replace("pb", Route(prefix=PREFIXES[0], attributes=ATTRS[1]))
-    assert len(rib.candidates(PREFIXES[0])) == 2
+    for target in (rib, reference):
+        target.replace("pb", Route(prefix=PREFIXES[0], attributes=ATTRS[2]))
+    assert len(rib._attr_values) == 2
+    assert _state(rib) == _state(reference)
 
 
 def test_best_routes_iterates_all_prefixes():

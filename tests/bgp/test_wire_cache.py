@@ -1,9 +1,11 @@
-"""Encode memoization and attribute interning (perf fast path).
+"""Encode memoization and the decode-side attribute flyweight.
 
 The optimizations must be *invisible*: cached encodes are byte-identical
-to uncached ones, and interning only changes object identity, never
-values.
+to uncached ones, and sharing decoded values only changes object
+identity, never values.
 """
+
+import dataclasses
 
 from repro import perf
 from repro.bgp.attributes import (
@@ -11,8 +13,6 @@ from repro.bgp.attributes import (
     Community,
     PathAttributes,
     Route,
-    intern_as_path,
-    intern_attributes,
 )
 from repro.bgp.messages import MessageDecoder, UpdateMessage
 from repro.netsim.addr import IPv4Address, IPv4Prefix
@@ -82,58 +82,84 @@ class TestEncodeMemoization:
 
 
 class TestInterning:
+    """Decode-side sharing is the wire-keyed attribute flyweight: the
+    same attribute bytes decode to one object while anything holds it."""
+
+    @staticmethod
+    def _decode(wire: bytes) -> UpdateMessage:
+        decoder = MessageDecoder()
+        decoder.addpath = True
+        decoder.feed(wire)
+        return decoder.next_message()
+
     def test_intern_attributes_identity(self):
-        with perf.flags(intern_attrs=True):
-            first = intern_attributes(_sample_attributes(7))
-            second = intern_attributes(_sample_attributes(7))
-            assert first is second
+        wire = _sample_update(seed=7).encode(addpath=True)
+        first = self._decode(wire)
+        second = self._decode(wire)
+        assert first.attributes is second.attributes
 
     def test_intern_as_path_identity(self):
-        with perf.flags(intern_attrs=True):
-            first = intern_as_path(AsPath.from_asns(1, 2, 3))
-            second = intern_as_path(AsPath.from_asns(1, 2, 3))
-            assert first is second
+        """AS_PATH sharing follows from attribute-set sharing."""
+        wire = _sample_update(seed=8).encode(addpath=True)
+        first = self._decode(wire)
+        second = self._decode(wire)
+        assert first.attributes.as_path is second.attributes.as_path
+        assert first.attributes.as_path == AsPath.from_asns(65008, 64512, 3356)
 
     def test_intern_disabled_returns_argument(self):
-        with perf.flags(intern_attrs=False):
-            attrs = _sample_attributes(9)
-            assert intern_attributes(attrs) is attrs
-            path = AsPath.from_asns(4, 5)
-            assert intern_as_path(path) is path
+        """No perf flag turns the flyweight off: with every boolean flag
+        cleared, the same bytes still decode to the one held object."""
+        all_off = {
+            field.name: False
+            for field in dataclasses.fields(perf.PerfFlags)
+            if field.type in (bool, "bool")
+        }
+        wire = _sample_update(seed=9).encode(addpath=True)
+        held = self._decode(wire).attributes
+        with perf.flags(**all_off):
+            assert all_off and not any(getattr(perf.FLAGS, k) for k in all_off)
+            again = self._decode(wire).attributes
+        assert again is held
+        assert again == _sample_attributes(9)
 
     def test_decode_pools_equal_attribute_sets(self):
-        wire = _sample_update(seed=5).encode(addpath=True)
-        with perf.flags(intern_attrs=True):
-            decoded = []
-            for _ in range(2):
-                decoder = MessageDecoder()
-                decoder.addpath = True
-                decoder.feed(wire)
-                decoded.append(decoder.next_message())
-            assert decoded[0].attributes is decoded[1].attributes
+        """Messages differing only in NLRI share the attribute object,
+        whatever the perf flags say."""
+        for memo in (True, False):
+            with perf.flags(encode_memo=memo):
+                one = self._decode(_sample_update(seed=5).encode(addpath=True))
+                other = UpdateMessage(
+                    attributes=_sample_attributes(5),
+                    nlri=((IPv4Prefix.parse("192.0.2.0/24"), 9),),
+                )
+                two = self._decode(other.encode(addpath=True))
+                assert one.attributes is two.attributes
 
     def test_interning_never_changes_value(self):
-        with perf.flags(intern_attrs=True):
-            attrs = _sample_attributes(11)
-            assert intern_attributes(attrs) == attrs
+        wire = _sample_update(seed=11).encode(addpath=True)
+        for _ in range(2):
+            assert self._decode(wire).attributes == _sample_attributes(11)
 
 
 class TestFlagHygiene:
     def test_flags_context_restores(self):
         before = perf.FLAGS
-        with perf.flags(encode_memo=False, intern_attrs=False):
+        with perf.flags(encode_memo=False, fanout_batch=False):
             assert not perf.FLAGS.encode_memo
-            assert not perf.FLAGS.intern_attrs
+            assert not perf.FLAGS.fanout_batch
         assert perf.FLAGS == before
 
     def test_cache_cleared_on_flag_change(self):
-        with perf.flags(encode_memo=True):
-            update = _sample_update(seed=13)
-            update.encode(addpath=True)
-            from repro.bgp import messages
-
-            assert messages._ATTR_WIRE_CACHE
-        # Leaving the context clears the module-level caches.
         from repro.bgp import messages
 
-        assert not messages._ATTR_WIRE_CACHE
+        with perf.flags(encode_memo=True):
+            update = _sample_update(seed=13)
+            wire = update.encode(addpath=True)
+            held = TestInterning._decode(wire).attributes
+            assert messages._NLRI_WIRE_CACHE
+            assert len(messages._ATTRS_BY_WIRE) > 0
+        # Leaving the context clears the flag-gated NLRI memo.  The
+        # flyweight is not flag-gated and has no clear-all: an entry
+        # something still holds survives any flag change.
+        assert not messages._NLRI_WIRE_CACHE
+        assert TestInterning._decode(wire).attributes is held

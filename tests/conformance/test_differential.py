@@ -1,6 +1,6 @@
 """Differential tests: perf-toggle combinations, identical output.
 
-With eight toggles the full lattice is 256 combinations, so the quick
+With seven toggles the full lattice is 128 combinations, so the quick
 tests sweep curated subsamples (reference + every single-flag-on +
 all-on + seeded interior points) on a small workload; the slow
 acceptance tests run the CI-gate workload (≥5k updates) and the
@@ -23,9 +23,9 @@ from repro.conformance.differential import (
 
 def test_all_flag_combinations_shape():
     combos = all_flag_combinations()
-    assert len(combos) == 2 ** len(TOGGLES) == 256
+    assert len(combos) == 2 ** len(TOGGLES) == 128
     assert combos[0] == {name: False for name in TOGGLES}  # reference
-    assert len({tuple(sorted(c.items())) for c in combos}) == 256
+    assert len({tuple(sorted(c.items())) for c in combos}) == 128
 
 
 def test_subsampled_combinations_curated_corners():
@@ -77,11 +77,11 @@ def test_differential_sweep_acceptance():
 
 @pytest.mark.slow
 def test_differential_full_lattice():
-    """All 256 combinations on a small workload (nightly-sized)."""
+    """All 128 combinations on a small workload (nightly-sized)."""
     harness = DifferentialHarness(update_count=120, prefix_count=300)
     report = harness.run()
     assert report.ok, report.format()
-    assert report.combinations == 256
+    assert report.combinations == 128
 
 
 @pytest.mark.slow

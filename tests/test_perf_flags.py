@@ -13,7 +13,6 @@ SURVIVING_FLAGS = {
     "lpm_cache",
     "lpm_cache_size",
     "encode_memo",
-    "intern_attrs",
     "fanout_batch",
     "rib_columnar",
     "incremental_bestpath",
@@ -26,4 +25,8 @@ def test_flag_census():
     before = perf.FLAGS
     with pytest.raises(TypeError):
         perf.set_flags(shards=2)
+    # Deleted with the intern pools: the decoder's attribute flyweight
+    # shares decoded values unconditionally.
+    with pytest.raises(TypeError):
+        perf.set_flags(intern_attrs=False)
     assert perf.FLAGS is before
