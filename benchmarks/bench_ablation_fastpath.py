@@ -1,12 +1,13 @@
-"""Fast-path ablation — every perf toggle measured on/off, results equal.
+"""Fast-path ablation — each LPM toggle measured on/off, results equal.
 
-The PR's optimizations are all gated behind :mod:`repro.perf` flags so
+The two LPM accelerations are gated behind :mod:`repro.perf` flags so
 they can be ablated independently:
 
 * ``stride_lpm``   — 8-bit stride trie vs. the binary-trie reference,
-* ``lpm_cache``    — bounded LRU lookup cache on :class:`LpmTable`,
-* ``encode_memo``  — attribute/NLRI/message wire-encoding memoization,
-* ``fanout_batch`` — multi-NLRI UPDATE coalescing in the vBGP fan-out.
+* ``lpm_cache``    — bounded LRU lookup cache on :class:`LpmTable`.
+
+The control-plane fast paths have no toggle; DESIGN.md §6b records
+their last ablation.
 
 For each configuration this benchmark runs two workloads **and checks the
 functional output is byte-for-byte identical to the all-flags-on
@@ -58,10 +59,7 @@ CONFIGS = [
     ("all_on", {}),
     ("no_stride_lpm", {"stride_lpm": False}),
     ("no_lpm_cache", {"lpm_cache": False}),
-    ("no_encode_memo", {"encode_memo": False}),
-    ("no_fanout_batch", {"fanout_batch": False}),
-    ("all_off", {"stride_lpm": False, "lpm_cache": False,
-                 "encode_memo": False, "fanout_batch": False}),
+    ("all_off", {"stride_lpm": False, "lpm_cache": False}),
 ]
 
 

@@ -4,15 +4,10 @@ The paper's muxes carry full Internet routing tables (§4.1: "mux BGP
 routers maintain full Internet routing tables"), and §6 shows the
 platform absorbing them with modest CPU.  This bench replays a
 ~900k-prefix DFZ-shaped table (plus a churn tail) through a real vBGP
-node fanning out to eight ADD-PATH experiment sessions, once with every
-perf flag off (the reference pipeline) and once with every flag on
-(stride LPM, batched fan-out, memoized encode, columnar Loc-RIB,
-incremental best-path, zero-copy encode).
-
-The acceptance criterion for the §6g engine: the all-on configuration
-ingests the table at >=3x the reference's update rate.  The
-differential harness proves the two legs byte-identical, so the ratio
-is pure speedup, not behavior drift.
+node fanning out to eight ADD-PATH experiment sessions, with the
+shipping pipeline (stride LPM, batched fan-out, memoized encode,
+columnar Loc-RIB, incremental best-path, zero-copy encode) and reports
+its ingest rate.
 
 ``FULLTABLE_PREFIXES`` / ``FULLTABLE_CHURN`` override the scale for
 quick local runs (per-message rates are only mildly scale-dependent;
@@ -24,10 +19,8 @@ import os
 import time
 
 from benchmarks.reporting import format_table, report, report_json
-from repro import perf
 from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.transport import connect_pair
-from repro.conformance.differential import TOGGLES
 from repro.internet.fulltable import FullTableGenerator
 from repro.netsim.addr import IPv4Address, IPv4Prefix, MacAddress
 from repro.platform.pop import PointOfPresence, PopConfig
@@ -74,65 +67,50 @@ def build_node():
     return scheduler, pop
 
 
-def run_leg(all_off: bool):
-    """One ingestion leg; returns (elapsed_s, messages, rib_size)."""
-    flags = {name: False for name in TOGGLES} if all_off else {}
-    perf.clear_caches()
+def run_leg():
+    """One ingestion run; returns (elapsed_s, messages, rib_size)."""
     gc.collect()
-    with perf.flags(**flags):
-        scheduler, pop = build_node()
-        generator = FullTableGenerator(prefix_count=PREFIXES, seed=SEED)
-        updates = list(generator.table_updates())
-        updates.extend(generator.churn(CHURN))
-        start = time.perf_counter()
-        for update in updates:
-            pop.node._upstream_update("upstream", update)
-            scheduler.run_until(scheduler.now)  # drain immediate events
-        elapsed = time.perf_counter() - start
-        rib_size = len(pop.node.upstreams["upstream"].rib)
-    perf.clear_caches()
+    scheduler, pop = build_node()
+    generator = FullTableGenerator(prefix_count=PREFIXES, seed=SEED)
+    updates = list(generator.table_updates())
+    updates.extend(generator.churn(CHURN))
+    start = time.perf_counter()
+    for update in updates:
+        pop.node._upstream_update("upstream", update)
+        scheduler.run_until(scheduler.now)  # drain immediate events
+    elapsed = time.perf_counter() - start
+    rib_size = len(pop.node.upstreams["upstream"].rib)
     gc.collect()
     return elapsed, len(updates), rib_size
 
 
-def test_fulltable_ingest_speedup(benchmark):
-    legs = benchmark.pedantic(
-        lambda: (run_leg(all_off=True), run_leg(all_off=False)),
-        rounds=1, iterations=1,
+def test_fulltable_ingest_rate(benchmark):
+    elapsed, messages, rib_size = benchmark.pedantic(
+        run_leg, rounds=1, iterations=1,
     )
-    (off_s, messages, off_rib), (on_s, _, on_rib) = legs
-    off_rate = messages / off_s
-    on_rate = messages / on_s
-    speedup = on_rate / off_rate
-    prefixes_per_s = PREFIXES / on_s
+    rate = messages / elapsed
+    prefixes_per_s = PREFIXES / elapsed
 
     rows = [
         ["table prefixes", f"{PREFIXES:,}", "~900k (full DFZ table)"],
         ["churn-tail updates", f"{CHURN:,}", "—"],
         ["UPDATE messages", f"{messages:,}", "—"],
-        ["all-off updates/s", f"{off_rate:,.0f}", "reference pipeline"],
-        ["all-on updates/s", f"{on_rate:,.0f}", "§6g engine"],
-        ["all-on table prefixes/s", f"{prefixes_per_s:,.0f}", "—"],
-        ["speedup", f"{speedup:.2f}x", ">=3x (acceptance)"],
+        ["updates/s", f"{rate:,.0f}", "§6g engine"],
+        ["table prefixes/s", f"{prefixes_per_s:,.0f}", "—"],
     ]
     report(
         "fulltable_load",
         "§6g full-table ingestion, vBGP pipeline with "
         f"{EXPERIMENTS}-experiment fan-out\n"
-        + format_table(["metric", "measured", "target"], rows),
+        + format_table(["metric", "measured", "note"], rows),
     )
     report_json("fulltable_load", {
         "prefixes": PREFIXES,
         "messages": messages,
-        "all_off_updates_per_s": off_rate,
-        "all_on_updates_per_s": on_rate,
+        "all_on_updates_per_s": rate,
         "all_on_prefixes_per_s": prefixes_per_s,
-        "speedup_x": speedup,
     })
 
-    # Both legs converged to the same upstream table (the differential
-    # harness proves the full byte-level equivalence; this is the cheap
-    # in-bench cross-check).
-    assert off_rib == on_rib
-    assert off_rib > 0
-    assert speedup >= 3.0
+    # The table and its churn tail converged to a non-empty upstream
+    # table (the wire pin proves byte-level output across commits).
+    assert rib_size > 0

@@ -46,9 +46,7 @@ from repro.bgp.rib import (
     AdjRibIn,
     AdjRibOut,
     ColumnarLocRib,
-    LocRib,
     RibEntry,
-    make_loc_rib,
 )
 from repro.bgp.session import BgpSession, SessionConfig, SessionState
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
@@ -71,7 +69,6 @@ __all__ = [
     "GracefulRestartCapability",
     "KeepaliveMessage",
     "LargeCommunity",
-    "LocRib",
     "MessageDecoder",
     "MultiprotocolCapability",
     "NeighborConfig",
@@ -97,6 +94,5 @@ __all__ = [
     "best_path",
     "compare_routes",
     "local_route",
-    "make_loc_rib",
     "originate",
 ]

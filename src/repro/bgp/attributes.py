@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from repro import perf
 from repro.netsim.addr import IPv4Address, Prefix
 
 
@@ -251,23 +250,21 @@ class PathAttributes:
         """Fast next-hop rewrite (the datapath's dominant manipulation).
 
         Builds the copy via the constructor directly: ``dataclasses.replace``
-        pays for generic kwargs plumbing on every fan-out.  With the
-        ``encode_memo`` flag on, the rewrite is memoized per target next
-        hop on this (frozen) instance, so repeated fan-outs of a shared
-        decoded attribute set return the same object — which in turn
-        keeps its cached hash and wire encoding warm downstream.
+        pays for generic kwargs plumbing on every fan-out.  The rewrite
+        is memoized per target next hop on this (frozen) instance, so
+        repeated fan-outs of a shared decoded attribute set return the
+        same object — which in turn keeps its cached hash and wire
+        encoding warm downstream.
         """
-        if perf.FLAGS.encode_memo:
-            memo = self.__dict__.get("_nh_memo")
-            if memo is None:
-                memo = {}
-                object.__setattr__(self, "_nh_memo", memo)
-            rewritten = memo.get(next_hop)
-            if rewritten is None:
-                rewritten = self._with_next_hop_uncached(next_hop)
-                memo[next_hop] = rewritten
-            return rewritten
-        return self._with_next_hop_uncached(next_hop)
+        memo = self.__dict__.get("_nh_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_nh_memo", memo)
+        rewritten = memo.get(next_hop)
+        if rewritten is None:
+            rewritten = self._with_next_hop_uncached(next_hop)
+            memo[next_hop] = rewritten
+        return rewritten
 
     def _with_next_hop_uncached(
         self, next_hop: Optional[IPv4Address]

@@ -82,8 +82,8 @@ def displaces(
     """One fold step of :func:`best_path`: does ``candidate`` beat the
     running ``incumbent``?
 
-    Exposed separately because the Loc-RIB's ``incremental_bestpath``
-    fast path (DESIGN.md §6g) is exactly one such step: appending a new
+    Exposed separately because the Loc-RIB's incremental best path
+    (DESIGN.md §6g) is exactly one such step: appending a new
     candidate to the fold compares it against the incumbent only.  Note
     that the relation is *not* transitive — the MED step only applies
     between routes entering from the same neighboring AS — which is why

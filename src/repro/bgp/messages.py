@@ -24,7 +24,6 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
-from repro import perf
 from repro.bgp.attributes import (
     AsPath,
     AsPathSegment,
@@ -452,46 +451,25 @@ class UpdateMessage:
 
         The vBGP fan-out (``VbgpNode._fanout``) and the experiment export
         (``_export_experiment``) hand the *same* UpdateMessage object to
-        every session that should get it; with the ``encode_memo`` perf
-        flag on, the bytes are computed once.  The cache lives in the (frozen)
-        instance's ``__dict__`` so it is garbage-collected with the
-        message and invisible to ``__eq__``/``__hash__``.
+        every session that should get it, so the bytes are computed once.
+        The cache lives in the (frozen) instance's ``__dict__`` so it is
+        garbage-collected with the message and invisible to
+        ``__eq__``/``__hash__``.
         """
-        memo = perf.FLAGS.encode_memo
-        if memo:
-            cached = self.__dict__.get("_wire_cache")
-            if cached is not None:
-                wire = cached.get(addpath)
-                if wire is not None:
-                    return wire
-        if perf.FLAGS.encode_zero_copy:
-            wire = self._encode_into_buffer(addpath)
-        else:
-            withdrawn = b"".join(
-                [_encode_nlri(prefix, path_id, addpath)
-                 for prefix, path_id in self.withdrawn]
-            )
-            attrs = _encode_attributes(self.attributes) if self.nlri else b""
-            nlri = b"".join(
-                [_encode_nlri(prefix, path_id, addpath)
-                 for prefix, path_id in self.nlri]
-            )
-            body = (
-                struct.pack("!H", len(withdrawn)) + withdrawn
-                + struct.pack("!H", len(attrs)) + attrs
-                + nlri
-            )
-            wire = _wrap(MSG_UPDATE, body)
-        if memo:
-            cached = self.__dict__.get("_wire_cache")
-            if cached is None:
-                cached = {}
-                object.__setattr__(self, "_wire_cache", cached)
-            cached[addpath] = wire
+        cached = self.__dict__.get("_wire_cache")
+        if cached is not None:
+            wire = cached.get(addpath)
+            if wire is not None:
+                return wire
+        wire = self._encode_into_buffer(addpath)
+        if cached is None:
+            cached = {}
+            object.__setattr__(self, "_wire_cache", cached)
+        cached[addpath] = wire
         return wire
 
     def _encode_into_buffer(self, addpath: bool) -> bytes:
-        """Zero-copy batch encode (``encode_zero_copy``; DESIGN.md §6g).
+        """Zero-copy batch encode (DESIGN.md §6g).
 
         Writes marker, header and both NLRI runs into one reusable
         module-level ``bytearray``, then patches the three length fields
@@ -499,7 +477,7 @@ class UpdateMessage:
         body join.  The buffer's lifecycle is strictly within this call:
         it is reset on entry, and only an immutable ``bytes`` snapshot
         escapes, so re-entrancy aside (the encoder never recurses) the
-        shared buffer is safe.  Byte-identical to the reference path.
+        shared buffer is safe.
         """
         buf = _ENCODE_BUFFER
         del buf[:]
@@ -579,7 +557,6 @@ BgpMessage = Union[OpenMessage, UpdateMessage, NotificationMessage,
 # same prefixes churn over and over (flaps), and the encoding is pure.
 _NLRI_WIRE_CACHE: dict[IPv4Prefix, bytes] = {}
 _NLRI_WIRE_CACHE_CAP = 65536
-perf.register_cache_clearer(_NLRI_WIRE_CACHE.clear)
 
 
 def _prefix_wire(prefix: IPv4Prefix) -> bytes:
@@ -587,59 +564,26 @@ def _prefix_wire(prefix: IPv4Prefix) -> bytes:
     return bytes([prefix.length]) + prefix.network.packed()[:nbytes]
 
 
-# The reusable zero-copy encode buffer (``encode_zero_copy``).  One
-# module-level bytearray, reset at the start of each UPDATE encode; see
+# The reusable zero-copy encode buffer.  One module-level bytearray, reset
+# at the start of each UPDATE encode; see
 # UpdateMessage._encode_into_buffer for the lifecycle argument.
 _ENCODE_BUFFER = bytearray()
-
-
-def _clear_encode_buffer() -> None:
-    del _ENCODE_BUFFER[:]
-
-
-perf.register_cache_clearer(_clear_encode_buffer)
 
 
 def _extend_nlri_run(buf: bytearray,
                      pairs: Sequence[tuple[IPv4Prefix, Optional[int]]],
                      addpath: bool) -> None:
-    """Append an NLRI run in place (zero-copy path).
-
-    Shares ``_NLRI_WIRE_CACHE`` with the reference encoder when
-    ``encode_memo`` is on, so the two flags compose.
-    """
-    memo = perf.FLAGS.encode_memo
+    """Append an NLRI run in place, prefix bytes from ``_NLRI_WIRE_CACHE``."""
     for prefix, path_id in pairs:
         if addpath:
             buf += struct.pack("!I", path_id or 0)
-        if memo:
-            wire = _NLRI_WIRE_CACHE.get(prefix)
-            if wire is None:
-                if len(_NLRI_WIRE_CACHE) >= _NLRI_WIRE_CACHE_CAP:
-                    _NLRI_WIRE_CACHE.clear()
-                wire = _prefix_wire(prefix)
-                _NLRI_WIRE_CACHE[prefix] = wire
-            buf += wire
-        else:
-            nbytes = (prefix.length + 7) // 8
-            buf.append(prefix.length)
-            buf += prefix.network.packed()[:nbytes]
-
-
-def _encode_nlri(prefix: IPv4Prefix, path_id: Optional[int],
-                 addpath: bool) -> bytes:
-    if perf.FLAGS.encode_memo:
         wire = _NLRI_WIRE_CACHE.get(prefix)
         if wire is None:
             if len(_NLRI_WIRE_CACHE) >= _NLRI_WIRE_CACHE_CAP:
                 _NLRI_WIRE_CACHE.clear()
             wire = _prefix_wire(prefix)
             _NLRI_WIRE_CACHE[prefix] = wire
-    else:
-        wire = _prefix_wire(prefix)
-    if addpath:
-        return struct.pack("!I", path_id or 0) + wire
-    return wire
+        buf += wire
 
 
 def _decode_nlri_block(
@@ -699,15 +643,13 @@ def _attr(flags: int, type_code: int, value: bytes) -> bytes:
 def _encode_attributes(attributes: Optional[PathAttributes]) -> bytes:
     """Canonical attribute-block bytes.
 
-    With ``encode_memo`` on, the bytes are memoized on the (frozen) value
-    itself, beside its cached hash and next-hop rewrites: fan-out to E
-    experiments shares one rewritten object per next hop, so each set is
-    encoded once instead of E times, and the memo dies with the value.
+    The bytes are memoized on the (frozen) value itself, beside its
+    cached hash and next-hop rewrites: fan-out to E experiments shares one
+    rewritten object per next hop, so each set is encoded once instead of
+    E times, and the memo dies with the value.
     """
     if attributes is None:
         return b""
-    if not perf.FLAGS.encode_memo:
-        return _encode_attributes_uncached(attributes)
     wire = attributes.__dict__.get("_wire")
     if wire is None:
         wire = _encode_attributes_uncached(attributes)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from repro import perf
 from repro.bgp.attributes import PathAttributes, Route
 from repro.netsim.addr import Prefix
 
@@ -97,27 +96,26 @@ class LocRibStats:
 
 
 class _LocRibBase:
-    """Shared Loc-RIB logic over two storage backends (DESIGN.md §6g).
+    """Loc-RIB best-path logic over a candidate storage (DESIGN.md §6g).
 
     Subclasses provide the candidate storage via *token* hooks: a token is
     whatever compact value the backend uses to name one stored candidate
-    (the ``RibEntry`` itself for the dict backend, a packed int triple for
-    the columnar backend).  The best path per prefix is tracked as a token
-    and materialized on demand.
+    (a packed int triple for :class:`ColumnarLocRib`).  The best path per
+    prefix is tracked as a token and materialized on demand.
 
     ``select`` contract: the callable must behave as a deterministic left
     fold over the candidate list (RFC 4271 §9.1 style — start at the first
     entry, compare each later entry against the running winner) and must
     return one of the given entries for a non-empty list.  Both selects in
     this codebase (:func:`repro.bgp.decision.best_path` and the speaker's
-    local-route-first wrapper) satisfy this.  The ``incremental_bestpath``
-    fast paths rely on it: extending a fold by one appended candidate
-    equals folding the incumbent with that candidate, so a brand-new
-    insert only needs a two-entry select.  Removals and in-place
-    replacements of one of several candidates re-run the full fold —
-    MED comparison is non-transitive (RFC 4271 §9.1.2.2 note), so
-    dropping even a losing candidate can legitimately change the fold
-    result, and any shortcut there would diverge from the reference.
+    local-route-first wrapper) satisfy this.  The incremental best path
+    relies on it: extending a fold by one appended candidate equals
+    folding the incumbent with that candidate, so a brand-new insert only
+    needs a two-entry select.  Removals and in-place replacements of one
+    of several candidates re-run the full fold — MED comparison is
+    non-transitive (RFC 4271 §9.1.2.2 note), so dropping even a losing
+    candidate can legitimately change the fold result, and any shortcut
+    there would diverge from a full refold.
     """
 
     def __init__(
@@ -158,8 +156,8 @@ class _LocRibBase:
         raise NotImplementedError
 
     def _tokens_equal(self, a: object, b: object) -> bool:
-        """Same-best check; must match the reference's
-        ``peer == peer and route == route`` comparison."""
+        """Same-best check; must match ``peer == peer and route == route``
+        on the materialized entries."""
         raise NotImplementedError
 
     # -- public API --------------------------------------------------------
@@ -179,8 +177,6 @@ class _LocRibBase:
         prefix = route.prefix
         existed, token = self._upsert(prefix, peer, route.path_id, route)
         self.stats.inserts += 1
-        if not perf.FLAGS.incremental_bestpath:
-            return self._reselect(prefix)
         self.stats.reselects += 1
         old_token = self._best_tokens.get(prefix)
         if self._count(prefix) == 1:
@@ -204,8 +200,6 @@ class _LocRibBase:
         if not self._delete(prefix, peer, path_id):
             return False
         self.stats.removals += 1
-        if not perf.FLAGS.incremental_bestpath:
-            return self._reselect(prefix)
         self.stats.reselects += 1
         return self._reselect_after_removal(prefix)
 
@@ -217,11 +211,8 @@ class _LocRibBase:
             if not dropped:
                 continue
             self.stats.removals += dropped
-            if perf.FLAGS.incremental_bestpath:
-                self.stats.reselects += 1
-                if self._reselect_after_removal(prefix):
-                    changed.append(prefix)
-            elif self._reselect(prefix):
+            self.stats.reselects += 1
+            if self._reselect_after_removal(prefix):
                 changed.append(prefix)
         return changed
 
@@ -235,12 +226,8 @@ class _LocRibBase:
                 prefix, old_token, self._sole_token(prefix))
         return self._refold(prefix)
 
-    def _reselect(self, prefix: Prefix) -> bool:
-        self.stats.reselects += 1
-        return self._refold(prefix)
-
     def _refold(self, prefix: Prefix) -> bool:
-        """Reference reselect: full decision fold over every candidate."""
+        """Full decision fold over every candidate."""
         pairs = self._pairs(prefix)
         old_token = self._best_tokens.get(prefix)
         new_token = None
@@ -279,103 +266,18 @@ class _LocRibBase:
             yield self._materialize(prefix, token)
 
 
-class LocRib(_LocRibBase):
-    """Candidate routes per prefix across all peers, plus the best path.
-
-    The dict-backed reference layout: candidates are keyed by
-    ``(peer, path id)`` per prefix so upsert and withdrawal are O(1) dict
-    operations instead of candidate-list scans (those scans dominated
-    withdrawal processing on full tables).  Insertion order is preserved —
-    a replaced candidate moves to the end, matching the behaviour of the
-    list-based implementation it replaces — so order-sensitive tie-breaking
-    in ``select`` is unchanged.
-
-    A best-path token in this backend is the stored :class:`RibEntry`
-    itself.  See :func:`make_loc_rib` for the columnar alternative.
-    """
-
-    def __init__(
-        self, select: Callable[[list[RibEntry]], Optional[RibEntry]]
-    ) -> None:
-        super().__init__(select)
-        self._candidates: dict[
-            Prefix, dict[tuple[str, Optional[int]], RibEntry]
-        ] = {}
-
-    def __len__(self) -> int:
-        return sum(len(entries) for entries in self._candidates.values())
-
-    @property
-    def prefix_count(self) -> int:
-        return len(self._candidates)
-
-    def prefixes(self) -> Iterator[Prefix]:
-        yield from self._candidates
-
-    def _upsert(self, prefix, peer, path_id, route):
-        entries = self._candidates.setdefault(prefix, {})
-        key = (peer, path_id)
-        # pop-then-set keeps list semantics: a replacement moves to the end.
-        existed = entries.pop(key, None) is not None
-        entry = RibEntry(peer=peer, route=route)
-        entries[key] = entry
-        return existed, entry
-
-    def _delete(self, prefix, peer, path_id):
-        entries = self._candidates.get(prefix)
-        if entries is None:
-            return False
-        if entries.pop((peer, path_id), None) is None:
-            return False
-        if not entries:
-            del self._candidates[prefix]
-        return True
-
-    def _delete_peer(self, prefix, peer):
-        entries = self._candidates.get(prefix)
-        if entries is None:
-            return 0
-        stale = [key for key in entries if key[0] == peer]
-        for key in stale:
-            del entries[key]
-        if not entries:
-            del self._candidates[prefix]
-        return len(stale)
-
-    def _count(self, prefix):
-        entries = self._candidates.get(prefix)
-        return len(entries) if entries else 0
-
-    def _sole_token(self, prefix):
-        return next(iter(self._candidates[prefix].values()))
-
-    def _pairs(self, prefix):
-        entries = self._candidates.get(prefix)
-        if not entries:
-            return []
-        return [(entry, entry) for entry in entries.values()]
-
-    def _materialize(self, prefix, token):
-        return token
-
-    def _tokens_equal(self, a, b):
-        return a.peer == b.peer and a.route == b.route
-
-    def candidates(self, prefix: Prefix) -> list[RibEntry]:
-        entries = self._candidates.get(prefix)
-        return list(entries.values()) if entries else []
-
-
 class ColumnarLocRib(_LocRibBase):
-    """Columnar/flyweight Loc-RIB storage (``rib_columnar``; DESIGN.md §6g).
+    """Candidate routes per prefix across all peers, plus the best path,
+    in columnar/flyweight storage (DESIGN.md §6g).
 
     Instead of one ``RibEntry``/``Route`` object pair per stored candidate
     (~300 bytes each before attribute sharing), each prefix maps to a flat
     tuple of ``(peer id, path id, attr handle)`` int triples in insertion
-    order.  Peers and attribute values are interned per RIB: the handle
-    tables key by *equality*, so equal attributes always share one handle
-    and a best-change check is plain triple comparison — exactly the
-    reference's ``peer == peer and route == route``.  ``RibEntry`` objects
+    order; a replaced candidate moves to the end.  Peers and attribute
+    values are interned per RIB: the handle tables key by *equality*, so
+    equal attributes always share one handle and a best-change check is
+    plain triple comparison — exactly ``peer == peer and route == route``
+    on the materialized entries.  ``RibEntry`` objects
     are materialized on demand from the columns; callers never observe the
     packed layout.
 
@@ -505,17 +407,6 @@ class ColumnarLocRib(_LocRibBase):
 
     def _tokens_equal(self, a, b):
         return a == b
-
-
-def make_loc_rib(
-    select: Callable[[list[RibEntry]], Optional[RibEntry]],
-) -> _LocRibBase:
-    """Build a Loc-RIB; the storage backend is chosen at construction time
-    by ``perf.FLAGS.rib_columnar`` (like the ``stride_lpm`` backend choice
-    in :class:`repro.netsim.lpm.LpmTable`)."""
-    if perf.FLAGS.rib_columnar:
-        return ColumnarLocRib(select)
-    return LocRib(select)
 
 
 class AdjRibOut:

@@ -18,7 +18,7 @@ from repro.bgp.decision import PeerContext, best_path
 from repro.bgp.errors import CeaseSubcode, ErrorCode, NotificationError
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import RouteMap
-from repro.bgp.rib import AdjRibIn, AdjRibOut, RibEntry, make_loc_rib
+from repro.bgp.rib import AdjRibIn, AdjRibOut, ColumnarLocRib, RibEntry
 from repro.bgp.session import BgpSession, SessionConfig, SessionState
 from repro.bgp.supervisor import SessionSupervisor, SupervisorConfig
 from repro.bgp.transport import Channel
@@ -123,7 +123,7 @@ class BgpSpeaker:
         self.scheduler = scheduler
         self.config = config
         self.neighbors: dict[str, Neighbor] = {}
-        self.loc_rib = make_loc_rib(select=self._select)
+        self.loc_rib = ColumnarLocRib(select=self._select)
         self.local_routes: dict[Prefix, Route] = {}
         self.on_best_change: list[BestChangeCallback] = []
         self.on_route_received: list[RouteCallback] = []

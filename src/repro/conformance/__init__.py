@@ -10,7 +10,7 @@ Three machine-checked correctness surfaces (DESIGN.md §6e):
   the wire decoder with a persistent crash corpus under ``tests/corpus/``
   that is replayed before new mutations;
 * :mod:`repro.conformance.differential` — replays a generated update
-  workload through every :mod:`repro.perf` toggle combination and
+  workload through every :mod:`repro.perf` LPM-toggle combination and
   asserts byte-identical Loc-RIBs, kernel tables, and announced wire
   bytes against the all-off reference;
 * :mod:`repro.conformance.invariants` — the platform invariant catalog

@@ -1,23 +1,25 @@
-"""Differential correctness of the :mod:`repro.perf` fast paths.
+"""Differential correctness of the :mod:`repro.perf` LPM fast paths.
 
-PR 1 gated every optimisation behind a flag and promised that toggling
-any of them changes *speed, never results*.  This module turns that
-promise into a machine-checked property: :class:`DifferentialHarness`
-replays one seeded churn workload — plus two experiment-announcement
-checkpoints exercising the §3.2.1 control communities — through **every**
-combination of the perf toggles and compares each run against the
-all-flags-off reference:
+Toggling an LPM acceleration must change *speed, never results*.  This
+module turns that promise into a machine-checked property:
+:class:`DifferentialHarness` replays one seeded churn workload — plus two
+experiment-announcement checkpoints exercising the §3.2.1 control
+communities — through **every** combination of the LPM toggles (2**2 = 4
+runs) and compares each run against the all-flags-off reference:
 
 * the experiment client's Loc-RIB (every candidate path + the best
   path, per prefix),
 * the external upstream speaker's Loc-RIB (what the Internet sees),
 * the vBGP node's per-neighbor Adj-RIB-In and the kernel routing
   tables (the §5 table-per-neighbor state),
-* the node's route-churn counters, and
-* the *announced wire bytes* in both directions.  ``fanout_batch``
-  legitimately changes UPDATE packing, so raw frame bytes are compared
-  within groups sharing that toggle, while the decoded per-route change
-  stream must be identical across **all** combinations.
+* the node's route-churn counters,
+* the decoded per-route change stream in both directions, and
+* the *announced wire bytes* in both directions.
+
+The control-plane fast paths (encode memos, fan-out batching, the
+columnar Loc-RIB, the incremental best path, the zero-copy encode) have
+no toggle; their oracles live under ``tests/``.  The same scenario runner
+backs the cross-commit wire pin (``tests/conformance/test_wire_pin.py``).
 
 Everything is canonicalised to bytes before comparison, so a report's
 ``mismatches`` genuinely means "the fast path computed something
@@ -27,7 +29,6 @@ different", not "a set iterated in a different order".
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -57,21 +58,11 @@ __all__ = [
     "attr_fingerprint",
     "loc_rib_snapshot",
     "route_fingerprint",
-    "subsampled_flag_combinations",
 ]
 
-#: The boolean fast-path toggles (``lpm_cache_size`` is a tuning knob,
-#: not a behaviour switch, and stays at its default).  The last three are
-#: the full-table RIB engine (DESIGN.md §6g).
-TOGGLES: Tuple[str, ...] = (
-    "stride_lpm",
-    "lpm_cache",
-    "encode_memo",
-    "fanout_batch",
-    "rib_columnar",
-    "incremental_bestpath",
-    "encode_zero_copy",
-)
+#: The boolean LPM toggles (``lpm_cache_size`` is a tuning knob, not a
+#: behaviour switch, and stays at its default).
+TOGGLES: Tuple[str, ...] = ("stride_lpm", "lpm_cache")
 
 PLATFORM_ASN = 47065
 UPSTREAM_ASN = 65010
@@ -81,40 +72,11 @@ TUNNEL_MAC = "02:aa:00:00:00:02"
 
 
 def all_flag_combinations() -> List[Dict[str, bool]]:
-    """Every perf-toggle combination, the all-off reference first."""
+    """Every LPM-toggle combination, the all-off reference first."""
     combos = []
     for values in itertools.product((False, True), repeat=len(TOGGLES)):
         combos.append(dict(zip(TOGGLES, values)))
     return combos
-
-
-def subsampled_flag_combinations(
-    count: int, seed: int = 0
-) -> List[Dict[str, bool]]:
-    """A curated subset of the flag lattice (reference always first).
-
-    With seven toggles the full lattice is 128 combinations — too many
-    to replay a large workload through each.  The subsample keeps the
-    high-signal corners deterministically: the all-off reference, every
-    single-flag-on combination (isolating each fast path), all-on (the
-    shipping configuration), then fills up to ``count`` with seeded
-    random interior points so repeated CI runs cover the same lattice
-    sample.
-    """
-    combos: List[Dict[str, bool]] = [{name: False for name in TOGGLES}]
-    for name in TOGGLES:
-        combos.append({**combos[0], name: True})
-    combos.append({name: True for name in TOGGLES})
-    rng = random.Random(seed)
-    seen = {tuple(sorted(c.items())) for c in combos}
-    while len(combos) < count:
-        combo = {name: rng.random() < 0.5 for name in TOGGLES}
-        key = tuple(sorted(combo.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        combos.append(combo)
-    return combos[:max(count, 1)]
 
 
 def combo_label(combo: Dict[str, bool]) -> str:
@@ -253,8 +215,18 @@ class _RunResult:
     structural: bytes  # must match the reference byte-for-byte
     changes_to_experiment: bytes  # decoded change stream, order-free
     changes_to_upstream: bytes
-    wire_to_experiment: bytes  # raw frames; compared per fanout group
+    wire_to_experiment: bytes  # raw frames
     wire_to_upstream: bytes
+
+
+#: Every ``_RunResult`` field, with what it means in a mismatch line.
+_COMPARED: Tuple[Tuple[str, str], ...] = (
+    ("structural", "Loc-RIB/kernel/counter state"),
+    ("changes_to_experiment", "decoded route changes toward the experiment"),
+    ("changes_to_upstream", "decoded route changes toward the upstream"),
+    ("wire_to_experiment", "experiment-bound wire bytes"),
+    ("wire_to_upstream", "upstream-bound wire bytes"),
+)
 
 
 @dataclass
@@ -286,7 +258,7 @@ class DifferentialReport:
 
 
 class DifferentialHarness:
-    """Replays one workload under every perf-flag combination.
+    """Replays one workload under every LPM-flag combination.
 
     ``update_count`` sizes the churn workload (the CI gate uses 5000);
     ``seed`` makes the workload reproducible.  :meth:`run` returns a
@@ -442,27 +414,20 @@ class DifferentialHarness:
     # -- sweep -------------------------------------------------------------
 
     def run(self, combinations: Optional[List[Dict[str, bool]]] = None,
-            progress=None,
-            subsample: Optional[int] = None) -> DifferentialReport:
+            progress=None) -> DifferentialReport:
         """Run the sweep; ``progress(label)`` is called per combination.
 
-        ``subsample`` picks a curated lattice subset (see
-        :func:`subsampled_flag_combinations`) instead of all
-        ``2**len(TOGGLES)`` combinations; ignored when an explicit
-        ``combinations`` list is given.
+        ``combinations`` defaults to all ``2**len(TOGGLES)``, all-off
+        first; the first one is the reference the others are compared
+        against on every ``_RunResult`` field.
         """
-        if combinations is not None:
-            combos = list(combinations)
-        elif subsample is not None:
-            combos = subsampled_flag_combinations(subsample, seed=self.seed)
-        else:
-            combos = all_flag_combinations()
+        combos = (all_flag_combinations() if combinations is None
+                  else list(combinations))
         report = DifferentialReport(
             combinations=len(combos), updates=self.update_count,
             workload=self.workload,
         )
-        reference: Optional[_RunResult] = None
-        wire_reference: Dict[bool, Tuple[str, _RunResult]] = {}
+        reference: Optional[Tuple[str, _RunResult]] = None
         for combo in combos:
             label = combo_label(combo)
             if progress is not None:
@@ -470,36 +435,12 @@ class DifferentialHarness:
             with perf.flags(**combo):
                 result = self._run_scenario()
             if reference is None:
-                reference = result
-            else:
-                for attribute, what in (
-                    ("structural", "Loc-RIB/kernel/counter state"),
-                    ("changes_to_experiment",
-                     "decoded route changes toward the experiment"),
-                    ("changes_to_upstream",
-                     "decoded route changes toward the upstream"),
-                ):
-                    if getattr(result, attribute) != getattr(
-                        reference, attribute
-                    ):
-                        report.mismatches.append(
-                            f"{label}: {what} diverged from all_off"
-                        )
-            batching = bool(combo.get("fanout_batch"))
-            anchor = wire_reference.get(batching)
-            if anchor is None:
-                wire_reference[batching] = (label, result)
-            else:
-                anchor_label, anchor_result = anchor
-                for attribute, what in (
-                    ("wire_to_experiment", "experiment-bound wire bytes"),
-                    ("wire_to_upstream", "upstream-bound wire bytes"),
-                ):
-                    if getattr(result, attribute) != getattr(
-                        anchor_result, attribute
-                    ):
-                        report.mismatches.append(
-                            f"{label}: {what} diverged from "
-                            f"{anchor_label} (same fanout_batch)"
-                        )
+                reference = (label, result)
+                continue
+            anchor_label, anchor = reference
+            for attribute, what in _COMPARED:
+                if getattr(result, attribute) != getattr(anchor, attribute):
+                    report.mismatches.append(
+                        f"{label}: {what} diverged from {anchor_label}"
+                    )
         return report

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
-from repro import perf
 from repro.netsim.addr import AddressError, IPv4Address, MacAddress
 
 
@@ -198,13 +197,11 @@ class IPv4Packet:
         # Memoized on the (frozen) packet: the datapath asks for the
         # serialized payload several times per hop (size accounting, frame
         # encode, enforcement), and payloads are immutable.
-        if perf.FLAGS.encode_memo:
-            cached = self.__dict__.get("_payload_wire")
-            if cached is None:
-                cached = self.payload.encode()
-                object.__setattr__(self, "_payload_wire", cached)
-            return cached
-        return self.payload.encode()
+        cached = self.__dict__.get("_payload_wire")
+        if cached is None:
+            cached = self.payload.encode()
+            object.__setattr__(self, "_payload_wire", cached)
+        return cached
 
     @property
     def size(self) -> int:
@@ -212,10 +209,9 @@ class IPv4Packet:
         return self.HEADER_SIZE + len(self.payload_bytes)
 
     def encode(self) -> bytes:
-        if perf.FLAGS.encode_memo:
-            cached = self.__dict__.get("_wire")
-            if cached is not None:
-                return cached
+        cached = self.__dict__.get("_wire")
+        if cached is not None:
+            return cached
         payload = self.payload_bytes
         total_length = self.HEADER_SIZE + len(payload)
         header = struct.pack(
@@ -234,8 +230,7 @@ class IPv4Packet:
         checksum = _inet_checksum(header)
         header = header[:10] + struct.pack("!H", checksum) + header[12:]
         wire = header + payload
-        if perf.FLAGS.encode_memo:
-            object.__setattr__(self, "_wire", wire)
+        object.__setattr__(self, "_wire", wire)
         return wire
 
     @classmethod

@@ -96,8 +96,6 @@ class ToolkitCli:
             "       peering verify differential [--updates n]\n"
             "                                   [--workload churn|fulltable]\n"
             "                                   [--prefixes n]\n"
-            "                                   [--subsample n] (0 = full\n"
-            "                                    flag lattice)\n"
             "       peering verify all\n"
             "       peering intent op announce <prefix> [-m pop]\n"
             "                      [-c asn:val] [-p prepend] [-x poison]\n"
@@ -610,13 +608,17 @@ class ToolkitCli:
         ``invariants`` evaluates the platform invariant catalog against
         the *live* platform this CLI is attached to; ``codec`` fuzzes
         the wire decoder (corpus replayed first); ``differential``
-        replays a churn workload through every perf-toggle combination;
-        ``all`` runs everything with CLI-sized budgets.
+        replays a churn workload through every LPM-toggle combination;
+        ``all`` runs everything with CLI-sized budgets.  Only
+        ``invariants`` takes positional names; any other token is an
+        unknown option.
         """
         action = args[0] if args else "invariants"
         rest, options = self._parse_verify_options(args[1:])
         if action == "invariants":
             return self._verify_invariants(rest)
+        if rest:
+            return f"error: unknown option {rest[0]}"
         if action == "codec":
             return self._verify_codec(options)
         if action == "differential":
@@ -667,13 +669,7 @@ class ToolkitCli:
             prefix_count=prefixes,
             workload=options["workload"],
         )
-        # With seven toggles the full lattice is 128 runs; the CLI
-        # defaults to the curated 16-combination subsample.
-        # ``--subsample 0`` requests the full lattice.
-        subsample = options["subsample"]
-        result = harness.run(
-            subsample=None if subsample == 0 else subsample
-        )
+        result = harness.run()
         if not result.ok:
             self.exit_code = 1
         return result.format()
@@ -686,18 +682,16 @@ class ToolkitCli:
             "seed": 0,
             "workload": "churn",
             "prefixes": None,
-            "subsample": 16,
         }
         takes_value = ("--frames", "--updates", "--seed", "--prefixes",
-                       "--subsample", "--workload")
+                       "--workload")
         rest: list[str] = []
         index = 0
         while index < len(args):
             token = args[index]
             if token in takes_value and index + 1 >= len(args):
                 raise ValueError(f"{token} requires a value")
-            if token in ("--frames", "--updates", "--seed", "--prefixes",
-                         "--subsample"):
+            if token in ("--frames", "--updates", "--seed", "--prefixes"):
                 index += 1
                 options[token.lstrip("-")] = int(args[index])
             elif token == "--workload":

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from repro import perf
 from repro.bgp.attributes import PathAttributes, Route
 from repro.bgp.messages import (
     HEADER_SIZE,
@@ -745,11 +744,10 @@ class VbgpNode:
         :class:`UpdateMessage` objects go to every established session;
         the message's wire memo makes that one encode.
 
-        With the ``fanout_batch`` perf flag on, announced routes sharing
-        one attribute set are coalesced into multi-NLRI UPDATEs (one
-        message per batch instead of per route).  Withdrawals carry no
-        attributes and are always chunked to respect the 4096-byte
-        message ceiling.
+        Announced routes sharing one attribute set are coalesced into
+        multi-NLRI UPDATEs (one message per batch instead of per route).
+        Withdrawals carry no attributes and are always chunked to respect
+        the 4096-byte message ceiling.
         """
         node_ids = self._path_ids
         # ``removed`` paths have left the neighbor's rib: their ids go
@@ -771,11 +769,7 @@ class VbgpNode:
         # told.  A new path's key tuple and id are shared with the node map.
         told: dict[tuple[int, Prefix, Optional[int]], int] = {}
         announces: list[UpdateMessage] = []
-        if perf.FLAGS.fanout_batch:
-            grouped = _group_by_attributes(announced).items()
-        else:
-            grouped = ((route.attributes, (route,)) for route in announced)
-        for attrs, group in grouped:
+        for attrs, group in _group_by_attributes(announced).items():
             rewritten_attrs = attrs.with_next_hop(local_vip)
             nlri = []
             for route in group:
@@ -1015,23 +1009,13 @@ class VbgpNode:
         session = self.backbone_peers.get(node_name)
         if session is None or not session.established:
             return
-        batch = perf.FLAGS.fanout_batch
         for neighbor in self.upstreams.values():
-            if batch:
-                for group in _group_by_attributes(
-                    neighbor.rib.values()
-                ).values():
-                    carried = self._backbone_batch(neighbor.virtual, group)
-                    limit = _max_nlri_per_update(carried[0].attributes)
-                    for chunk in _chunk_routes(carried, limit):
-                        session.send_update(UpdateMessage.announce(chunk))
-                        self.counters["updates_to_backbone"] += 1
-                continue
-            for route in neighbor.rib.values():
-                session.send_update(UpdateMessage.announce([
-                    self._backbone_route(neighbor.virtual, route)
-                ]))
-                self.counters["updates_to_backbone"] += 1
+            for group in _group_by_attributes(neighbor.rib.values()).values():
+                carried = self._backbone_batch(neighbor.virtual, group)
+                limit = _max_nlri_per_update(carried[0].attributes)
+                for chunk in _chunk_routes(carried, limit):
+                    session.send_update(UpdateMessage.announce(chunk))
+                    self.counters["updates_to_backbone"] += 1
         for exp in self.experiments.values():
             for route in exp.announced.values():
                 session.send_update(UpdateMessage.announce([
@@ -1039,16 +1023,11 @@ class VbgpNode:
                 ]))
                 self.counters["updates_to_backbone"] += 1
 
-    def _backbone_route(self, virtual: VirtualNeighbor, route: Route) -> Route:
-        """A neighbor route as carried on the mesh: global-IP next hop."""
-        return route.with_next_hop(virtual.global_ip).with_path_id(
-            virtual.global_id * _GID_PATH_ID_BASE + _stable_id(route)
-        )
-
     def _backbone_batch(self, virtual: VirtualNeighbor,
                         group: list[Route]) -> list[Route]:
-        """Batched ``_backbone_route``: rewrite the shared attribute set
-        once, keep the per-route stable path ids."""
+        """Neighbor routes sharing one attribute set as carried on the
+        mesh: the set rewritten once to the global-IP next hop, each route
+        with its stable path id."""
         carried_attrs = group[0].attributes.with_next_hop(virtual.global_ip)
         base = virtual.global_id * _GID_PATH_ID_BASE
         return [
@@ -1083,25 +1062,16 @@ class VbgpNode:
         for prefix, _source_id in removed:
             fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
             fakes.append(fake.with_path_id(base + _stable_id(fake)))
-        if perf.FLAGS.fanout_batch:
-            updates = [
-                UpdateMessage.withdraw(chunk)
-                for chunk in _chunk_routes(fakes, _MAX_WITHDRAW_PER_UPDATE)
-            ]
-            for group in _group_by_attributes(announced).values():
-                carried = self._backbone_batch(neighbor.virtual, group)
-                limit = _max_nlri_per_update(carried[0].attributes)
-                updates.extend(
-                    UpdateMessage.announce(chunk)
-                    for chunk in _chunk_routes(carried, limit)
-                )
-        else:
-            updates = [UpdateMessage.withdraw([fake]) for fake in fakes]
+        updates = [
+            UpdateMessage.withdraw(chunk)
+            for chunk in _chunk_routes(fakes, _MAX_WITHDRAW_PER_UPDATE)
+        ]
+        for group in _group_by_attributes(announced).values():
+            carried = self._backbone_batch(neighbor.virtual, group)
+            limit = _max_nlri_per_update(carried[0].attributes)
             updates.extend(
-                UpdateMessage.announce(
-                    [self._backbone_route(neighbor.virtual, route)]
-                )
-                for route in announced
+                UpdateMessage.announce(chunk)
+                for chunk in _chunk_routes(carried, limit)
             )
         for session in sessions:
             for update in updates:

@@ -2,7 +2,7 @@
 
 from repro.bgp.attributes import originate
 from repro.bgp.decision import best_path
-from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib
+from repro.bgp.rib import AdjRibIn, AdjRibOut, ColumnarLocRib
 from repro.netsim.addr import IPv4Address, IPv4Prefix
 
 P1 = IPv4Prefix.parse("10.0.0.0/8")
@@ -48,7 +48,7 @@ class TestAdjRibIn:
 
 class TestLocRib:
     def make(self):
-        return LocRib(select=best_path)
+        return ColumnarLocRib(select=best_path)
 
     def test_best_changes_on_first_route(self):
         rib = self.make()

@@ -1,11 +1,12 @@
 """§6g Loc-RIB engine tests: columnar storage and incremental best-path.
 
-Two backends (dict-backed :class:`LocRib`, packed :class:`ColumnarLocRib`)
-times two reselect modes (incremental fast paths on/off) must all agree —
-on the best entry, the candidate order, and the decision-process stats.
-The hypothesis property drives arbitrary insert/withdraw sequences with
-MED-heavy attribute sets (the non-transitive corner of RFC 4271 §9.1.2.2)
-and checks the incremental state against a from-scratch full reselect
+The shipping :class:`ColumnarLocRib` must agree with the dict-backed,
+full-refold oracle (``tests/bgp/loc_rib_reference.py``) — on the best
+entry, the candidate order, the best-change signals and the
+decision-process stats.  The hypothesis property drives arbitrary
+insert/withdraw sequences with MED-heavy attribute sets (the
+non-transitive corner of RFC 4271 §9.1.2.2) and checks the incremental
+state against the oracle and against a full refold of its own candidates
 after every single operation.
 """
 
@@ -13,15 +14,11 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro import perf
 from repro.bgp.attributes import AsPath, Origin, PathAttributes, Route
 from repro.bgp.decision import best_path
-from repro.bgp.rib import (
-    ColumnarLocRib,
-    LocRib,
-    make_loc_rib,
-)
+from repro.bgp.rib import ColumnarLocRib
 from repro.netsim.addr import IPv4Address, IPv4Prefix
+from tests.bgp.loc_rib_reference import LocRib, refold_best
 
 PREFIXES = [IPv4Prefix.parse(f"10.{i}.0.0/16") for i in range(4)]
 PEERS = ["pa", "pb", "pc"]
@@ -82,61 +79,55 @@ def _state(rib):
 @given(ops=_ops())
 @settings(max_examples=60, deadline=None)
 def test_incremental_equals_full_reselect_after_every_op(ops):
-    """For both backends: the incremental RIB matches a reference RIB
-    running full reselects, checked after *every* operation."""
-    with perf.flags(incremental_bestpath=True):
-        fast_ribs = [LocRib(select=best_path), ColumnarLocRib(select=best_path)]
+    """The incremental columnar RIB matches the dict oracle running full
+    reselects, and its best path is the full refold of its own
+    candidates, checked after *every* operation."""
+    rib = ColumnarLocRib(select=best_path)
     reference = LocRib(select=best_path)
     for op in ops:
-        with perf.flags(incremental_bestpath=True):
-            for rib in fast_ribs:
-                _apply(rib, op)
-        with perf.flags(incremental_bestpath=False):
-            _apply(reference, op)
-        expected = _state(reference)
-        for rib in fast_ribs:
-            assert _state(rib) == expected
+        _apply(rib, op)
+        _apply(reference, op)
+        assert _state(rib) == _state(reference)
+        for prefix in PREFIXES:
+            assert _entry_key(rib.best(prefix)) == _entry_key(
+                refold_best(best_path, rib, prefix))
 
 
 @given(ops=_ops())
 @settings(max_examples=40, deadline=None)
 def test_backends_agree_on_stats_and_change_signals(ops):
-    """Both backends report identical best-change booleans and identical
-    always-on decision stats for the same operation stream."""
-    for incremental in (False, True):
-        with perf.flags(incremental_bestpath=incremental):
-            dict_rib = LocRib(select=best_path)
-            col_rib = ColumnarLocRib(select=best_path)
-            for op in ops:
-                kind, peer, prefix_index, attr_index, path_id = op
-                prefix = PREFIXES[prefix_index]
-                if kind == "replace":
-                    route = Route(prefix=prefix, attributes=ATTRS[attr_index],
-                                  path_id=path_id)
-                    assert dict_rib.replace(peer, route) == \
-                        col_rib.replace(peer, route)
-                elif kind == "remove":
-                    assert dict_rib.remove(peer, prefix, path_id) == \
-                        col_rib.remove(peer, prefix, path_id)
-                else:
-                    assert dict_rib.remove_peer(peer) == \
-                        col_rib.remove_peer(peer)
-            assert dict_rib.stats == col_rib.stats
-            assert len(dict_rib) == len(col_rib)
-            assert dict_rib.prefix_count == col_rib.prefix_count
+    """The columnar RIB and the oracle report identical best-change
+    booleans and identical always-on decision stats for the same
+    operation stream."""
+    dict_rib = LocRib(select=best_path)
+    col_rib = ColumnarLocRib(select=best_path)
+    for op in ops:
+        kind, peer, prefix_index, attr_index, path_id = op
+        prefix = PREFIXES[prefix_index]
+        if kind == "replace":
+            route = Route(prefix=prefix, attributes=ATTRS[attr_index],
+                          path_id=path_id)
+            assert dict_rib.replace(peer, route) == \
+                col_rib.replace(peer, route)
+        elif kind == "remove":
+            assert dict_rib.remove(peer, prefix, path_id) == \
+                col_rib.remove(peer, prefix, path_id)
+        else:
+            assert dict_rib.remove_peer(peer) == col_rib.remove_peer(peer)
+    assert dict_rib.stats == col_rib.stats
+    assert len(dict_rib) == len(col_rib)
+    assert dict_rib.prefix_count == col_rib.prefix_count
 
 
 def test_columnar_replacement_moves_to_end():
     """pop-then-append: re-announcing a candidate moves it to the end of
-    the fold order, exactly like the dict backend."""
-    with perf.flags(incremental_bestpath=False):
-        for rib in (LocRib(select=best_path), ColumnarLocRib(select=best_path)):
-            for peer, attrs in zip(PEERS, ATTRS):
-                rib.replace(peer, Route(prefix=PREFIXES[0], attributes=attrs))
-            rib.replace(PEERS[0], Route(prefix=PREFIXES[0],
-                                        attributes=ATTRS[3]))
-            assert [e.peer for e in rib.candidates(PREFIXES[0])] == \
-                [PEERS[1], PEERS[2], PEERS[0]]
+    the fold order, exactly like the dict oracle."""
+    for rib in (LocRib(select=best_path), ColumnarLocRib(select=best_path)):
+        for peer, attrs in zip(PEERS, ATTRS):
+            rib.replace(peer, Route(prefix=PREFIXES[0], attributes=attrs))
+        rib.replace(PEERS[0], Route(prefix=PREFIXES[0], attributes=ATTRS[3]))
+        assert [e.peer for e in rib.candidates(PREFIXES[0])] == \
+            [PEERS[1], PEERS[2], PEERS[0]]
 
 
 def test_columnar_path_id_zero_distinct_from_none():
@@ -169,19 +160,9 @@ def test_columnar_interns_equal_attributes():
     assert len(materialized) == 1  # one shared canonical object
 
 
-def test_make_loc_rib_dispatches_on_flag():
-    with perf.flags(rib_columnar=True):
-        assert isinstance(make_loc_rib(best_path), ColumnarLocRib)
-    with perf.flags(rib_columnar=False):
-        rib = make_loc_rib(best_path)
-        assert isinstance(rib, LocRib)
-        assert not isinstance(rib, ColumnarLocRib)
-
-
 def test_equal_attributes_share_one_handle_across_peers():
-    """Equal attributes from different peers share one handle in a RIB,
-    and clearing every flag-gated cache leaves handles and decisions
-    alone: the handle table is RIB state, not a cache."""
+    """Equal attributes from different peers share one handle in a RIB;
+    the handle table is RIB state, and decisions match the oracle."""
     copy = PathAttributes(
         origin=ATTRS[0].origin, as_path=ATTRS[0].as_path,
         next_hop=ATTRS[0].next_hop, med=ATTRS[0].med,
@@ -193,7 +174,6 @@ def test_equal_attributes_share_one_handle_across_peers():
         target.replace("pb", Route(prefix=PREFIXES[1], attributes=copy))
     assert len(rib._attr_values) == 1
     assert rib.best(PREFIXES[1]).route.attributes is ATTRS[0]
-    perf.clear_caches()
     for target in (rib, reference):
         target.replace("pb", Route(prefix=PREFIXES[0], attributes=ATTRS[2]))
     assert len(rib._attr_values) == 2

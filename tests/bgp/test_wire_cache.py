@@ -1,8 +1,8 @@
 """Encode memoization and the decode-side attribute flyweight.
 
 The optimizations must be *invisible*: cached encodes are byte-identical
-to uncached ones, and sharing decoded values only changes object
-identity, never values.
+to the joined-bytes oracle (``tests/bgp/encode_reference.py``), and
+sharing decoded values only changes object identity, never values.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ from repro.bgp.attributes import (
 )
 from repro.bgp.messages import MessageDecoder, UpdateMessage
 from repro.netsim.addr import IPv4Address, IPv4Prefix
+from tests.bgp.encode_reference import joined_encode
 
 
 def _sample_attributes(seed: int = 0) -> PathAttributes:
@@ -42,43 +43,30 @@ def _sample_update(seed: int = 0) -> UpdateMessage:
 class TestEncodeMemoization:
     def test_cached_encode_is_byte_identical(self):
         update = _sample_update()
-        with perf.flags(encode_memo=False):
-            plain_no_ap = _sample_update().encode(addpath=False)
-            plain_ap = _sample_update().encode(addpath=True)
-        with perf.flags(encode_memo=True):
-            assert update.encode(addpath=False) == plain_no_ap
-            assert update.encode(addpath=True) == plain_ap
+        for addpath in (False, True):
+            expected = joined_encode(_sample_update(), addpath)
+            assert update.encode(addpath=addpath) == expected
+            assert update.encode(addpath=addpath) == expected   # memo hit
 
     def test_repeat_encode_returns_cached_object(self):
-        with perf.flags(encode_memo=True):
-            update = _sample_update()
-            first = update.encode(addpath=True)
-            assert update.encode(addpath=True) is first
-            # Different addpath mode is cached independently.
-            other = update.encode(addpath=False)
-            assert other != first
-            assert update.encode(addpath=False) is other
-
-    def test_memo_disabled_still_correct(self):
-        with perf.flags(encode_memo=False):
-            update = _sample_update()
-            first = update.encode(addpath=True)
-            again = update.encode(addpath=True)
-            assert first == again
+        update = _sample_update()
+        first = update.encode(addpath=True)
+        assert update.encode(addpath=True) is first
+        # Different addpath mode is cached independently.
+        other = update.encode(addpath=False)
+        assert other != first
+        assert update.encode(addpath=False) is other
 
     def test_shared_attributes_roundtrip(self):
-        """Two messages with equal attributes decode identically whether
-        or not the attribute wire cache is active."""
+        """A cached encode decodes back to the message it came from."""
         update = _sample_update(seed=3)
         wire = update.encode(addpath=True)
-        for memo in (True, False):
-            with perf.flags(encode_memo=memo):
-                decoder = MessageDecoder()
-                decoder.addpath = True
-                decoder.feed(wire)
-                decoded = decoder.next_message()
-                assert decoded.attributes == update.attributes
-                assert decoded.nlri == update.nlri
+        decoder = MessageDecoder()
+        decoder.addpath = True
+        decoder.feed(wire)
+        decoded = decoder.next_message()
+        assert decoded.attributes == update.attributes
+        assert decoded.nlri == update.nlri
 
 
 class TestInterning:
@@ -123,17 +111,14 @@ class TestInterning:
         assert again == _sample_attributes(9)
 
     def test_decode_pools_equal_attribute_sets(self):
-        """Messages differing only in NLRI share the attribute object,
-        whatever the perf flags say."""
-        for memo in (True, False):
-            with perf.flags(encode_memo=memo):
-                one = self._decode(_sample_update(seed=5).encode(addpath=True))
-                other = UpdateMessage(
-                    attributes=_sample_attributes(5),
-                    nlri=((IPv4Prefix.parse("192.0.2.0/24"), 9),),
-                )
-                two = self._decode(other.encode(addpath=True))
-                assert one.attributes is two.attributes
+        """Messages differing only in NLRI share the attribute object."""
+        one = self._decode(_sample_update(seed=5).encode(addpath=True))
+        other = UpdateMessage(
+            attributes=_sample_attributes(5),
+            nlri=((IPv4Prefix.parse("192.0.2.0/24"), 9),),
+        )
+        two = self._decode(other.encode(addpath=True))
+        assert one.attributes is two.attributes
 
     def test_interning_never_changes_value(self):
         wire = _sample_update(seed=11).encode(addpath=True)
@@ -144,22 +129,7 @@ class TestInterning:
 class TestFlagHygiene:
     def test_flags_context_restores(self):
         before = perf.FLAGS
-        with perf.flags(encode_memo=False, fanout_batch=False):
-            assert not perf.FLAGS.encode_memo
-            assert not perf.FLAGS.fanout_batch
+        with perf.flags(stride_lpm=False, lpm_cache=False):
+            assert not perf.FLAGS.stride_lpm
+            assert not perf.FLAGS.lpm_cache
         assert perf.FLAGS == before
-
-    def test_cache_cleared_on_flag_change(self):
-        from repro.bgp import messages
-
-        with perf.flags(encode_memo=True):
-            update = _sample_update(seed=13)
-            wire = update.encode(addpath=True)
-            held = TestInterning._decode(wire).attributes
-            assert messages._NLRI_WIRE_CACHE
-            assert len(messages._ATTRS_BY_WIRE) > 0
-        # Leaving the context clears the flag-gated NLRI memo.  The
-        # flyweight is not flag-gated and has no clear-all: an entry
-        # something still holds survives any flag change.
-        assert not messages._NLRI_WIRE_CACHE
-        assert TestInterning._decode(wire).attributes is held

@@ -1,17 +1,14 @@
-"""§6g zero-copy UPDATE encode: byte-identical, bounded, clearable."""
+"""§6g zero-copy UPDATE encode: byte-identical to the joined-bytes
+oracle (``tests/bgp/encode_reference.py``) and bounded."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import perf
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.errors import NotificationError
-from repro.bgp.messages import (
-    MAX_MESSAGE_SIZE,
-    UpdateMessage,
-    _ENCODE_BUFFER,
-)
+from repro.bgp.messages import UpdateMessage
 from repro.netsim.addr import IPv4Address, IPv4Prefix
+from tests.bgp.encode_reference import joined_encode
 
 ATTRS = PathAttributes(
     origin=Origin.IGP,
@@ -35,30 +32,21 @@ def _prefixes(max_size):
     ))
 
 
-@given(nlri=_prefixes(12), withdrawn=_prefixes(12),
-       addpath=st.booleans(), memo=st.booleans())
+@given(nlri=_prefixes(12), withdrawn=_prefixes(12), addpath=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_zero_copy_matches_reference_encoder(nlri, withdrawn, addpath, memo):
+def test_zero_copy_matches_reference_encoder(nlri, withdrawn, addpath):
     message = UpdateMessage(
         attributes=ATTRS if nlri else None, nlri=nlri, withdrawn=withdrawn,
     )
-    with perf.flags(encode_zero_copy=False, encode_memo=False):
-        reference = message.encode(addpath)
-    for zero_memo in (False, True):
-        fresh = UpdateMessage(
-            attributes=ATTRS if nlri else None, nlri=nlri,
-            withdrawn=withdrawn,
-        )
-        with perf.flags(encode_zero_copy=True, encode_memo=zero_memo):
-            assert fresh.encode(addpath) == reference
+    reference = joined_encode(message, addpath)
+    assert message.encode(addpath) == reference
+    assert message.encode(addpath) == reference     # and from the memo
     assert UpdateMessage.decode(reference[19:], addpath) is not None
 
 
 def test_end_of_rib_identical():
-    with perf.flags(encode_zero_copy=False):
-        reference = UpdateMessage.end_of_rib().encode()
-    with perf.flags(encode_zero_copy=True):
-        assert UpdateMessage.end_of_rib().encode() == reference
+    end_of_rib = UpdateMessage.end_of_rib()
+    assert end_of_rib.encode() == joined_encode(end_of_rib)
 
 
 def test_snapshots_survive_buffer_reuse():
@@ -66,41 +54,23 @@ def test_snapshots_survive_buffer_reuse():
     the shared buffer must not corrupt an earlier result."""
     p1 = IPv4Prefix.parse("198.51.100.0/24")
     p2 = IPv4Prefix.parse("203.0.113.0/24")
-    with perf.flags(encode_zero_copy=True, encode_memo=False):
-        first = UpdateMessage(attributes=ATTRS,
-                              nlri=((p1, None),)).encode()
-        copy = bytes(first)
-        second = UpdateMessage(attributes=ATTRS,
-                               nlri=((p2, None), (p1, None))).encode()
+    first = UpdateMessage(attributes=ATTRS, nlri=((p1, None),)).encode()
+    copy = bytes(first)
+    second = UpdateMessage(attributes=ATTRS,
+                           nlri=((p2, None), (p1, None))).encode()
     assert first == copy
     assert first != second
 
 
 def test_oversize_message_raises_in_both_modes():
+    """The live encoder and the oracle both refuse a frame over the
+    4096-byte ceiling."""
     nlri = tuple(
         (IPv4Prefix(IPv4Address((10 << 24) + (i << 8)), 24), None)
         for i in range(1400)
     )
     message = UpdateMessage(attributes=ATTRS, nlri=nlri)
-    for zero in (False, True):
-        fresh = UpdateMessage(attributes=ATTRS, nlri=nlri)
-        with perf.flags(encode_zero_copy=zero, encode_memo=False):
-            with pytest.raises(NotificationError):
-                fresh.encode()
-
-
-def test_encode_buffer_registered_with_cache_clearers():
-    with perf.flags(encode_zero_copy=True):
-        UpdateMessage(
-            attributes=ATTRS,
-            nlri=((IPv4Prefix.parse("198.51.100.0/24"), None),),
-        ).encode()
-        # Retains the last encode until the next reset…
-        assert len(_ENCODE_BUFFER) > 0
-        # …and clear_caches() (also run on every perf.flags() exit)
-        # empties it.
-        perf.clear_caches()
-        assert len(_ENCODE_BUFFER) == 0
-        wire = UpdateMessage.end_of_rib().encode()
-        assert len(wire) <= MAX_MESSAGE_SIZE
-    assert len(_ENCODE_BUFFER) == 0  # flags-exit clears it too
+    with pytest.raises(NotificationError):
+        message.encode()
+    with pytest.raises(NotificationError):
+        joined_encode(message)

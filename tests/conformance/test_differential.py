@@ -1,9 +1,7 @@
-"""Differential tests: perf-toggle combinations, identical output.
+"""Differential tests: LPM-toggle combinations, identical output.
 
-With seven toggles the full lattice is 128 combinations, so the quick
-tests sweep curated subsamples (reference + every single-flag-on +
-all-on + seeded interior points) on a small workload; the slow
-acceptance tests run the CI-gate workload (≥5k updates) and the
+With two toggles the lattice is 4 combinations, so every test sweeps all
+of it: a small workload, the CI-gate workload (≥5k updates) and the
 full-table workload.  Two rigged harnesses prove the comparison logic
 actually *detects* divergence — a checker that cannot fail is not a
 checker.
@@ -17,27 +15,14 @@ from repro.conformance.differential import (
     _RunResult,
     all_flag_combinations,
     combo_label,
-    subsampled_flag_combinations,
 )
 
 
 def test_all_flag_combinations_shape():
     combos = all_flag_combinations()
-    assert len(combos) == 2 ** len(TOGGLES) == 128
+    assert len(combos) == 2 ** len(TOGGLES) == 4
     assert combos[0] == {name: False for name in TOGGLES}  # reference
-    assert len({tuple(sorted(c.items())) for c in combos}) == 128
-
-
-def test_subsampled_combinations_curated_corners():
-    combos = subsampled_flag_combinations(16, seed=3)
-    assert len(combos) == 16
-    assert combos[0] == {name: False for name in TOGGLES}  # reference first
-    for name in TOGGLES:  # every single-flag-on combo present
-        assert {**combos[0], name: True} in combos
-    assert {name: True for name in TOGGLES} in combos  # all-on present
-    assert len({tuple(sorted(c.items())) for c in combos}) == 16  # unique
-    # deterministic for a given seed
-    assert combos == subsampled_flag_combinations(16, seed=3)
+    assert len({tuple(sorted(c.items())) for c in combos}) == 4
 
 
 def test_combo_label():
@@ -47,19 +32,19 @@ def test_combo_label():
 
 def test_differential_sweep_small():
     harness = DifferentialHarness(update_count=240, prefix_count=400)
-    report = harness.run(subsample=16)
+    report = harness.run()
     assert report.ok, report.format()
-    assert report.combinations == 16
+    assert report.combinations == 4
     assert "ok" in report.format()
 
 
 def test_differential_fulltable_small():
     """The full-table workload at reduced scale: table load + churn tail
-    through every single-flag-on combination and the all-on config."""
+    through the whole lattice."""
     harness = DifferentialHarness(
         update_count=120, prefix_count=600, workload="fulltable"
     )
-    report = harness.run(subsample=12)
+    report = harness.run()
     assert report.ok, report.format()
     assert report.workload == "fulltable"
     assert "workload=fulltable" in report.format()
@@ -69,30 +54,33 @@ def test_differential_fulltable_small():
 def test_differential_sweep_acceptance():
     """The CI gate: byte-identical output on a >=5k-update workload."""
     harness = DifferentialHarness(update_count=5000)
-    report = harness.run(subsample=32)
+    report = harness.run()
     assert report.ok, report.format()
     assert report.updates >= 5000
-    assert report.combinations == 32
+    assert report.combinations == 4
 
 
 @pytest.mark.slow
 def test_differential_full_lattice():
-    """All 128 combinations on a small workload (nightly-sized)."""
+    """Every combination on a small workload, reference first."""
     harness = DifferentialHarness(update_count=120, prefix_count=300)
-    report = harness.run()
+    labels = []
+    report = harness.run(progress=labels.append)
     assert report.ok, report.format()
-    assert report.combinations == 128
+    assert report.combinations == 4
+    assert labels == [combo_label(c) for c in all_flag_combinations()]
 
 
 @pytest.mark.slow
 def test_differential_fulltable_acceptance():
     """Full-table differential at CI scale: 20k-prefix table + churn
-    tail, subsampled lattice."""
+    tail, whole lattice."""
     harness = DifferentialHarness(
         update_count=2000, prefix_count=20000, workload="fulltable"
     )
-    report = harness.run(subsample=12)
+    report = harness.run()
     assert report.ok, report.format()
+    assert report.combinations == 4
 
 
 class _Rigged(DifferentialHarness):
@@ -125,25 +113,14 @@ def test_detects_structural_divergence():
     assert combo_label(combos[2]) in report.mismatches[0]
 
 
-def test_detects_wire_divergence_within_fanout_group():
-    # two combos with identical fanout_batch but different raw frames
-    combos = [
-        {name: False for name in TOGGLES},
-        {**{name: False for name in TOGGLES}, "stride_lpm": True},
-    ]
-    rigged = _Rigged([_result(), _result(wire=b"DIFF")])
-    report = rigged.run(combinations=combos)
-    assert not report.ok
-    assert any("wire bytes" in m for m in report.mismatches)
-
-
-def test_wire_not_compared_across_fanout_groups():
-    # different fanout_batch values: raw bytes may differ, but the
-    # decoded change stream and structure must not
-    combos = [
-        {name: False for name in TOGGLES},
-        {**{name: False for name in TOGGLES}, "fanout_batch": True},
-    ]
-    rigged = _Rigged([_result(wire=b"one"), _result(wire=b"two")])
-    report = rigged.run(combinations=combos)
-    assert report.ok, report.format()
+def test_detects_wire_divergence():
+    """Raw frames are compared for every combination in both directions."""
+    combos = all_flag_combinations()
+    for field in ("wire_to_experiment", "wire_to_upstream"):
+        diverged = _result()
+        setattr(diverged, field, b"DIFF")
+        rigged = _Rigged([_result(), _result(), _result(), diverged])
+        report = rigged.run(combinations=combos)
+        (mismatch,) = report.mismatches
+        assert combo_label(combos[3]) in mismatch
+        assert "wire bytes" in mismatch

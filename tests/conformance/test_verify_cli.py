@@ -54,26 +54,19 @@ def test_verify_codec(cli):
 
 
 def test_verify_differential_small(cli):
-    # The CLI defaults to the curated 16-combination lattice subsample
-    # (the full lattice is 2**8 = 256 runs; --subsample 0 requests it).
+    # The CLI sweeps the whole LPM lattice (2**2 = 4 runs).
     out = cli.run("peering verify differential --updates 40")
     assert "differential: ok" in out
-    assert "16 flag combinations" in out
-
-
-def test_verify_differential_subsample_option(cli):
-    out = cli.run("peering verify differential --updates 40 --subsample 12")
-    assert "differential: ok" in out
-    assert "12 flag combinations" in out
+    assert "4 flag combinations" in out
 
 
 def test_verify_differential_fulltable_workload(cli):
     out = cli.run(
         "peering verify differential --updates 30 --prefixes 300 "
-        "--workload fulltable --subsample 11"
+        "--workload fulltable"
     )
     assert "differential: ok" in out
-    assert "11 flag combinations" in out
+    assert "4 flag combinations" in out
     assert "workload=fulltable" in out
 
 
@@ -90,6 +83,22 @@ def test_verify_differential_unknown_workload(cli):
 
 
 def test_verify_option_missing_value(cli):
-    for option in ("--workload", "--updates", "--subsample"):
+    for option in ("--workload", "--updates"):
         out = cli.run(f"peering verify differential {option}")
         assert out == f"error: {option} requires a value"
+
+
+@pytest.mark.parametrize("command, token", [
+    ("differential --subsample 4", "--subsample"),
+    ("differential --shards 4", "--shards"),
+    ("differential --update 40", "--update"),
+    ("codec --frame 10", "--frame"),
+    ("all --bogus", "--bogus"),
+], ids=["retired-subsample", "retired-shards", "typo-update", "typo-frame",
+        "all-bogus"])
+def test_verify_rejects_unknown_option(cli, command, token):
+    """A mistyped or retired option is a usage error, not a silent run
+    of the default budget."""
+    output, status = cli.run_with_status(f"peering verify {command}")
+    assert output == f"error: unknown option {token}"
+    assert status == 2

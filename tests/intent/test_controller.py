@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import perf
 from repro.chaos.faults import ChannelFaultInjector
 from repro.netsim.addr import IPv4Prefix
 from repro.conformance.differential import attr_fingerprint
@@ -195,20 +194,19 @@ def test_withdraw_roundtrip_commits(intent_world):
 
 
 def test_snapshot_correctness_under_perf_flags():
-    """Snapshot/revert must hold with the columnar RIB enabled (the
-    state lives in different structures)."""
-    with perf.flags(rib_columnar=True):
-        world = build_intent_world()
-        before = world.controller._fingerprint()
-        record = world.controller.apply(
-            world.controller.plan(_hijack()), force=True
-        )
-        assert record.phase == "reverted"
-        assert record.revert_clean is True
-        assert world.controller._fingerprint() == before
+    """Snapshot/revert must hold with the columnar Loc-RIB every speaker
+    uses (the state lives in packed per-prefix tuples)."""
+    world = build_intent_world()
+    before = world.controller._fingerprint()
+    record = world.controller.apply(
+        world.controller.plan(_hijack()), force=True
+    )
+    assert record.phase == "reverted"
+    assert record.revert_clean is True
+    assert world.controller._fingerprint() == before
 
-        commit = world.controller.apply(world.controller.plan(_benign(world)))
-        assert commit.phase == "committed"
-        west = world.neighbors["transit-west"].speaker
-        spare = world.clients["alpha"].profile.prefixes[1]
-        assert west.best_route(spare) is not None
+    commit = world.controller.apply(world.controller.plan(_benign(world)))
+    assert commit.phase == "committed"
+    west = world.neighbors["transit-west"].speaker
+    spare = world.clients["alpha"].profile.prefixes[1]
+    assert west.best_route(spare) is not None

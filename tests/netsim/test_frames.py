@@ -4,7 +4,6 @@ round-trip properties."""
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import perf
 from repro.netsim.addr import IPv4Address, MacAddress
 from repro.netsim.frames import (
     ArpOp,
@@ -216,37 +215,42 @@ def _sized_frames():
     ]
 
 
-@pytest.mark.parametrize("encode_memo", [True, False])
+@pytest.mark.parametrize("warm", [True, False])
 @pytest.mark.parametrize("ethertype,payload,vlan", _sized_frames())
-def test_size_is_encoded_length(ethertype, payload, vlan, encode_memo):
-    with perf.flags(encode_memo=encode_memo):
-        frame = EthernetFrame(src=MAC_A, dst=MAC_B, ethertype=ethertype,
-                              payload=payload, vlan=vlan)
-        assert frame.size == len(frame.encode())
-        assert frame.size == len(frame.encode())    # and stays so, memoised
-        if isinstance(payload, IPv4Packet):
-            # The forwarding path's copy keeps its size.
-            hop = EthernetFrame(src=MAC_B, dst=MAC_A, ethertype=ethertype,
-                                payload=payload.decrement_ttl(), vlan=vlan)
-            assert hop.size == frame.size == len(hop.encode())
+def test_size_is_encoded_length(ethertype, payload, vlan, warm):
+    """``size`` equals the encoded length whether the payload's wire memo
+    is already filled (``warm``) or still empty when ``size`` is read."""
+    frame = EthernetFrame(src=MAC_A, dst=MAC_B, ethertype=ethertype,
+                          payload=payload, vlan=vlan)
+    if warm:
+        frame.encode()
+    assert frame.size == len(frame.encode())
+    assert frame.size == len(frame.encode())    # and stays so, memoised
+    if isinstance(payload, IPv4Packet):
+        # The forwarding path's copy keeps its size.
+        hop = EthernetFrame(src=MAC_B, dst=MAC_A, ethertype=ethertype,
+                            payload=payload.decrement_ttl(), vlan=vlan)
+        assert hop.size == frame.size == len(hop.encode())
 
 
-@pytest.mark.parametrize("encode_memo", [True, False])
-def test_size_never_encodes_the_ip_packet(monkeypatch, encode_memo):
-    """Ports read ``size`` on every hop; it is header arithmetic."""
+@pytest.mark.parametrize("warm", [True, False])
+def test_size_never_encodes_the_ip_packet(monkeypatch, warm):
+    """Ports read ``size`` on every hop; it is header arithmetic, with or
+    without the payload bytes already memoized (``warm``)."""
     calls = []
     real = IPv4Packet.encode
     monkeypatch.setattr(
         IPv4Packet, "encode",
         lambda self: calls.append(self) or real(self),
     )
-    with perf.flags(encode_memo=encode_memo):
-        for _ethertype, payload, vlan in (p.values for p in _sized_frames()):
-            if isinstance(payload, IPv4Packet):
-                frame = EthernetFrame(src=MAC_A, dst=MAC_B,
-                                      ethertype=EtherType.IPV4,
-                                      payload=payload, vlan=vlan)
-                assert frame.size == frame.size > 14
+    for _ethertype, payload, vlan in (p.values for p in _sized_frames()):
+        if isinstance(payload, IPv4Packet):
+            if warm:
+                payload.payload_bytes
+            frame = EthernetFrame(src=MAC_A, dst=MAC_B,
+                                  ethertype=EtherType.IPV4,
+                                  payload=payload, vlan=vlan)
+            assert frame.size == frame.size > 14
     assert calls == []
     frame.encode()
     assert calls == [frame.payload]

@@ -11,7 +11,6 @@ reference world can be driven beside the live one and their wire compared.
 
 from __future__ import annotations
 
-from repro import perf
 from repro.bgp.attributes import Route
 from repro.bgp.messages import UpdateMessage
 from repro.vbgp.node import (
@@ -62,28 +61,20 @@ class ReferenceFanout:
             self.send(exp.session, UpdateMessage.withdraw(chunk))
         if not announced:
             return
-        if perf.FLAGS.fanout_batch:
-            for attrs, group in _group_by_attributes(announced).items():
-                rewritten_attrs = attrs.with_next_hop(local_vip)
-                batch = [
-                    Route(
-                        prefix=route.prefix,
-                        attributes=rewritten_attrs,
-                        path_id=self.path_id_for(exp, gid, route.prefix,
-                                                 route.path_id),
-                    )
-                    for route in group
-                ]
-                limit = _max_nlri_per_update(rewritten_attrs)
-                for chunk in _chunk_routes(batch, limit):
-                    self.send(exp.session, UpdateMessage.announce(chunk))
-        else:
-            for route in announced:
-                rewritten = route.with_next_hop(local_vip).with_path_id(
-                    self.path_id_for(exp, gid, route.prefix, route.path_id)
+        for attrs, group in _group_by_attributes(announced).items():
+            rewritten_attrs = attrs.with_next_hop(local_vip)
+            batch = [
+                Route(
+                    prefix=route.prefix,
+                    attributes=rewritten_attrs,
+                    path_id=self.path_id_for(exp, gid, route.prefix,
+                                             route.path_id),
                 )
-                self.send(exp.session,
-                          UpdateMessage.announce([rewritten]))
+                for route in group
+            ]
+            limit = _max_nlri_per_update(rewritten_attrs)
+            for chunk in _chunk_routes(batch, limit):
+                self.send(exp.session, UpdateMessage.announce(chunk))
 
 
 def install(node) -> ReferenceFanout:

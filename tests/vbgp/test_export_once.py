@@ -4,7 +4,6 @@ once, every target neighbor gets the same bytes the per-neighbor path
 neighbor that keeps the route one message, not two.
 """
 
-from repro import perf
 from repro.bgp.attributes import local_route
 from repro.bgp.messages import MSG_UPDATE, UpdateMessage
 from repro.bgp.session import BgpSession, SessionConfig
@@ -18,6 +17,7 @@ from repro.sim import Scheduler
 from repro.vbgp.allocator import GlobalNeighborRegistry
 from repro.vbgp.communities import announce_to_neighbor, block_neighbor
 from repro.vbgp.node import VbgpNode
+from tests.bgp.encode_reference import joined_encode
 from tests.intent.conftest import build_intent_world
 from tests.vbgp.export_reference import (
     export_to_neighbor_frame,
@@ -207,24 +207,25 @@ def test_down_target_is_skipped_then_replayed_on_establish():
     assert down.table == world.sinks[0].table != {}
 
 
-def test_encode_memo_off_yields_the_same_bytes():
-    frames = {}
-    for memo in (True, False):
-        perf.clear_caches()
-        with perf.flags(encode_memo=memo):
-            world = World(upstreams=6)
-            world.announce(world.route(
-                *(announce_to_neighbor(g) for g in world.gids(0, 1, 2))
-            ))
-            world.announce(world.route(
-                *(announce_to_neighbor(g) for g in world.gids(1, 2, 3)),
-                prepend=3,
-            ))
-            world.experiment.withdraw(world.route())
-            world.scheduler.run_for(5)
-            frames[memo] = [sink.frames for sink in world.sinks]
-    assert frames[True] == frames[False]
-    assert [len(f) for f in frames[True]] == [2, 3, 3, 2, 0, 0]
+def test_export_frames_are_the_joined_oracle_bytes():
+    """Announce, re-announce and withdraw toward six neighbors: every
+    frame is what the joined-bytes encoder makes of the message it
+    decodes to, and each neighbor gets only its own delta."""
+    world = World(upstreams=6)
+    world.announce(world.route(
+        *(announce_to_neighbor(g) for g in world.gids(0, 1, 2))
+    ))
+    world.announce(world.route(
+        *(announce_to_neighbor(g) for g in world.gids(1, 2, 3)),
+        prepend=3,
+    ))
+    world.experiment.withdraw(world.route())
+    world.scheduler.run_for(5)
+    for sink in world.sinks:
+        assert len(sink.frames) == len(sink.updates)
+        for frame, update in zip(sink.frames, sink.updates):
+            assert frame == joined_encode(update)
+    assert [len(sink.frames) for sink in world.sinks] == [2, 3, 3, 2, 0, 0]
 
 
 def test_backbone_peers_still_get_withdraw_then_announce_on_replace():

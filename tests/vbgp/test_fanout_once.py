@@ -8,7 +8,6 @@ ids everywhere else.
 
 import pytest
 
-from repro import perf
 from repro.bgp.attributes import Community, local_route
 from repro.bgp.messages import MAX_MESSAGE_SIZE, MSG_UPDATE, UpdateMessage
 from repro.bgp.session import BgpSession, SessionConfig
@@ -19,6 +18,7 @@ from repro.security.state import EnforcerState
 from repro.sim import Scheduler
 from repro.vbgp.allocator import GlobalNeighborRegistry
 from repro.vbgp.node import _MAX_WITHDRAW_PER_UPDATE
+from tests.bgp.encode_reference import joined_encode
 from tests.vbgp import fanout_reference
 from tests.vbgp.test_export_once import (
     MSG_TYPE_OFFSET,
@@ -335,69 +335,54 @@ def test_withdrawal_skips_what_an_experiment_was_never_told():
                    for exp in world.node.experiments.values())
 
 
-# -- (vi) the flags change cost, not bytes -----------------------------------
+# -- (vi) the bytes are the joined-bytes oracle's ---------------------------
 
 
-def _wire_and_tables(**flags):
-    with perf.flags(**flags):
-        world = World(upstreams=2)
-        churn(world)
-        return ([sink.frames for sink in world.sinks],
-                [sink.table for sink in world.sinks])
-
-
-def test_encode_memo_off_encodes_per_session_to_the_same_bytes(monkeypatch):
-    expected_wire, expected_tables = _wire_and_tables()
+def test_every_session_gets_the_joined_oracle_bytes(monkeypatch):
+    """Every message the fan-out builds is encoded once, and every frame
+    any sink receives is what the joined-bytes encoder makes of it."""
     encodes = count_calls(monkeypatch, UpdateMessage, "_encode_into_buffer")
-    with perf.flags(encode_memo=False):
-        world = World()
-        del encodes[:]
-        world.feeders[0].announce(PREFIXES[:3])
-        world.settle()
+    world = World(upstreams=2)
+    churn(world)
     to_sinks = [args for args in encodes if args[1]]    # addpath=True
-    assert len(to_sinks) == 8
-    assert len({id(args[0]) for args in to_sinks}) == 1
-    assert len({tuple(sink.frames) for sink in world.sinks}) == 1
-    wire, tables = _wire_and_tables(encode_memo=False)
-    assert wire == expected_wire and tables == expected_tables
-
-
-def test_fanout_batch_off_gives_the_same_decoded_stream():
-    expected_wire, expected_tables = _wire_and_tables()
-    wire, tables = _wire_and_tables(fanout_batch=False)
-    assert tables == expected_tables
-    # One route per message instead of one group per message ...
-    assert len(wire[0]) > len(expected_wire[0])
-    # ... still the same frames for everyone there from the start.
-    assert all(frames == wire[0] for frames in wire[:8])
+    assert to_sinks
+    assert len({id(args[0]) for args in to_sinks}) == len(to_sinks)
+    oracle = {joined_encode(message, True) for message, _ in to_sinks}
+    for sink in world.sinks:
+        assert sink.frames and set(sink.frames) <= oracle
+    assert len({tuple(sink.frames) for sink in world.sinks[:8]}) == 1
 
 
 # -- (vii) chunking ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_oversized_group_and_withdrawal_still_chunk(batch):
+@pytest.mark.parametrize("shared", [True, False])
+def test_oversized_group_and_withdrawal_still_chunk(shared):
+    """One attribute group too big for one UPDATE is chunked; routes with
+    an attribute set each (``shared`` off) go out one UPDATE apiece."""
     count = 900
     assert count > _MAX_WITHDRAW_PER_UPDATE
-    with perf.flags(fanout_batch=batch):
-        world = World(experiments=3)
-        feeder = world.feeders[0]
-        # 900 /24s fit one plain UPDATE (4 bytes each) but not one
-        # ADD-PATH UPDATE (8 bytes each).
+    world = World(experiments=3)
+    feeder = world.feeders[0]
+    # 900 /24s fit one plain UPDATE (4 bytes each) but not one
+    # ADD-PATH UPDATE (8 bytes each).
+    if shared:
         feeder.announce(PREFIXES[:count])
-        world.settle()
-        sink = world.sinks[0]
-        assert len(sink.table) == count
-        assert len(sink.frames) >= 2
-        assert max(map(len, sink.frames)) <= MAX_MESSAGE_SIZE
-        if batch:
-            assert len(sink.frames) < count
-        assert all(s.frames == sink.frames for s in world.sinks)
-        world.clear()
-        feeder.withdraw(PREFIXES[:count])
-        world.settle()
-        assert not sink.table
-        assert len(sink.frames) == -(-count // _MAX_WITHDRAW_PER_UPDATE)
-        assert max(map(len, sink.frames)) <= MAX_MESSAGE_SIZE
-        assert all(s.frames == sink.frames for s in world.sinks)
-        assert not world.node._path_ids
+    else:
+        for index, prefix in enumerate(PREFIXES[:count]):
+            feeder.announce([prefix], Community(65001, index))
+    world.settle()
+    sink = world.sinks[0]
+    assert len(sink.table) == count
+    assert len(sink.frames) >= 2
+    assert max(map(len, sink.frames)) <= MAX_MESSAGE_SIZE
+    assert (len(sink.frames) < count) is shared
+    assert all(s.frames == sink.frames for s in world.sinks)
+    world.clear()
+    feeder.withdraw(PREFIXES[:count])
+    world.settle()
+    assert not sink.table
+    assert len(sink.frames) == -(-count // _MAX_WITHDRAW_PER_UPDATE)
+    assert max(map(len, sink.frames)) <= MAX_MESSAGE_SIZE
+    assert all(s.frames == sink.frames for s in world.sinks)
+    assert not world.node._path_ids
