@@ -20,11 +20,11 @@ Catalog (keys of :data:`CATALOG`):
     global id, the MAC decodes back to that id, and no two neighbors at
     a PoP share a MAC, local VIP, or table (§3.2.2 identity scheme).
 ``addpath_completeness``
-    Every route in every Adj-RIB-In has an allocated ADD-PATH id toward
-    every attached experiment with an established session — i.e. full
-    visibility, the §3.2.1 promise.  The ids are node-wide: every id an
-    experiment was told is the node's id for that path, and no two live
-    paths at a node share one.
+    Full visibility, the §3.2.1 promise.  Node leg: while an experiment
+    is established, every Adj-RIB-In path has a node-wide ADD-PATH id,
+    and no two share one.  Receiver leg: an established client holds
+    exactly the node's live ids, each with its path's prefix and local
+    VIP next hop.  Fleet PoP processes have no clients: node leg only.
 ``community_propagation``
     For every experiment announcement, each external neighbor speaker
     holds the route iff the §3.2.1 whitelist/blacklist communities
@@ -191,8 +191,15 @@ def check_vmac_bijectivity(ctx: ConformanceContext) -> InvariantReport:
     return report
 
 
+def _established(session) -> bool:
+    return session is not None and session.established
+
+
 def check_addpath_completeness(ctx: ConformanceContext) -> InvariantReport:
     report = InvariantReport("addpath_completeness")
+    # ``live[pop]``: id -> (prefix, local VIP, neighbor label) of every
+    # live path, which is what an established receiver must hold.
+    live: Dict[str, Dict[int, tuple]] = {}
     for pop_name, pop in ctx.pops.items():
         node = pop.node
         node_ids = node._path_ids
@@ -207,28 +214,46 @@ def check_addpath_completeness(ctx: ConformanceContext) -> InvariantReport:
                     f"{other[1]} (gid {other[0]}) and {key[1]} "
                     f"(gid {key[0]})"
                 )
-        for exp_name, exp in node.experiments.items():
-            session = exp.session
-            if session is None or not session.established:
-                continue
-            for label, neighbor in ctx._neighbors(node):
-                gid = neighbor.virtual.global_id
-                for (prefix, source_id) in neighbor.rib.keys():
-                    report.checked += 1
-                    if (gid, prefix, source_id) not in exp.path_ids:
-                        report.fail(
-                            f"{pop_name}: route {prefix} (path {source_id})"
-                            f" from {label} has no ADD-PATH id toward "
-                            f"experiment {exp_name}"
-                        )
-            for key, path_id in exp.path_ids.items():
+        listening = any(
+            _established(exp.session) for exp in node.experiments.values()
+        )
+        paths = live[pop_name] = {}
+        for label, neighbor in ctx._neighbors(node):
+            gid = neighbor.virtual.global_id
+            for (prefix, source_id) in neighbor.rib.keys():
                 report.checked += 1
-                if node_ids.get(key) != path_id:
+                path_id = node_ids.get((gid, prefix, source_id))
+                if path_id is not None:
+                    paths[path_id] = (prefix, neighbor.virtual.local_ip, label)
+                elif listening:
                     report.fail(
-                        f"{pop_name}: experiment {exp_name} was told id "
-                        f"{path_id} for {key[1]} (gid {key[0]}) but the "
-                        f"node's id is {node_ids.get(key)}"
+                        f"{pop_name}: route {prefix} (path {source_id})"
+                        f" from {label} has no ADD-PATH id"
                     )
+    # Receiver leg: what each established client actually holds.
+    for exp_name, client in ctx.clients.items():
+        for pop_name, view in client.pops.items():
+            pop = ctx.pops.get(pop_name)
+            exp = pop.node.experiments.get(exp_name) if pop else None
+            if (exp is None or not _established(exp.session)
+                    or not _established(view.session)):
+                continue
+            where = f"client {exp_name}@{pop_name}"
+            held, paths = view.routes, live[pop_name]
+            for path_id, (prefix, vip, label) in paths.items():
+                report.checked += 1
+                route = held.get(path_id)
+                if route is None:
+                    report.fail(f"{where}: missing ADD-PATH id {path_id} "
+                                f"for {prefix} from {label}")
+                elif (route.prefix, route.next_hop) != (prefix, vip):
+                    report.fail(f"{where}: ADD-PATH id {path_id} carries "
+                                f"{route.prefix} via {route.next_hop}, not "
+                                f"{prefix} via {vip} from {label}")
+            for path_id in sorted(held.keys() - paths.keys()):
+                report.checked += 1
+                report.fail(f"{where}: stale ADD-PATH id {path_id} "
+                            f"({held[path_id].prefix}) names no live path")
     return report
 
 

@@ -432,6 +432,13 @@ def _load_state(directory: Path) -> Optional[dict]:
 
 
 def _pid_alive(pid: int) -> bool:
+    # A child of this process that exited stays a zombie, which
+    # ``kill(pid, 0)`` still reaches, until it is reaped.
+    try:
+        if os.waitpid(pid, os.WNOHANG)[0] == pid:
+            return False
+    except ChildProcessError:
+        pass  # not our child: its own parent reaps it
     try:
         os.kill(pid, 0)
     except OSError:

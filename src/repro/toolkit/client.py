@@ -265,6 +265,9 @@ class ExperimentClient:
             on_update=lambda _s, update, pop=pop_name: (
                 self._update_received(pop, update)
             ),
+            on_close=lambda closed, _reason, pop=pop_name: (
+                self._session_closed(pop, closed)
+            ),
             telemetry=getattr(self.platform, "telemetry", None),
         )
         view.session = session
@@ -317,6 +320,12 @@ class ExperimentClient:
         for route in update.routes():
             if route.path_id is not None:
                 view.routes[route.path_id] = route
+
+    def _session_closed(self, pop_name: str, session: BgpSession) -> None:
+        """A dead session's routes go with it (RFC 4271, no GR here)."""
+        view = self.pops.get(pop_name)
+        if view is not None and view.session is session:
+            view.routes.clear()
 
     # ------------------------------------------------------------------
     # Prefix management category

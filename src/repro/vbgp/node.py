@@ -187,11 +187,6 @@ class ExperimentAttachment:
     announced: dict[tuple[Prefix, Optional[int]], Route] = field(
         default_factory=dict
     )
-    # What this experiment has been told: (gid, prefix, source path id)
-    # -> the node-wide fan-out path id (``VbgpNode._path_ids``) it heard.
-    path_ids: dict[tuple[int, Prefix, Optional[int]], int] = field(
-        default_factory=dict
-    )
 
 
 ControlEnforcer = Callable[..., object]
@@ -723,10 +718,11 @@ class VbgpNode:
                 entry.pop(name, None)
                 if not entry:
                     self.exp_prefixes.remove(prefix)
-        # Withdraw everything the experiment had announced.
-        for (prefix, path_id), route in list(exp.announced.items()):
-            self._retract_experiment_route(exp, route)
-        exp.announced.clear()
+        # Withdraw everything the experiment had announced.  Each route
+        # leaves ``announced`` before it is retracted, so the last one for
+        # a prefix takes the tunnel route out of the kernel with it.
+        for key in list(exp.announced):
+            self._retract_experiment_route(exp, exp.announced.pop(key))
 
     def _fanout(
         self,
@@ -742,7 +738,11 @@ class VbgpNode:
         not to the listener, so nothing in the messages depends on who
         receives them.  They are built once and the same
         :class:`UpdateMessage` objects go to every established session;
-        the message's wire memo makes that one encode.
+        the message's wire memo makes that one encode.  Nothing is kept
+        per listener: an experiment is sent fan-out only while
+        established, and ``_experiment_up`` gives it the full table on
+        establishment and on ROUTE-REFRESH, so every live session has
+        heard every id the node holds.
 
         Announced routes sharing one attribute set are coalesced into
         multi-NLRI UPDATEs (one message per batch instead of per route).
@@ -752,23 +752,21 @@ class VbgpNode:
         node_ids = self._path_ids
         # ``removed`` paths have left the neighbor's rib: their ids go
         # back whether or not anyone is listening.
-        released = []
+        withdrawn = []
         for prefix, source_id in removed:
-            key = (gid, prefix, source_id)
-            path_id = node_ids.pop(key, None)
+            path_id = node_ids.pop((gid, prefix, source_id), None)
             if path_id is not None:
-                released.append((key, path_id))
-        live = [
-            exp for exp in experiments
+                withdrawn.append((prefix, path_id))
+        sessions = [
+            exp.session for exp in experiments
             if exp.session is not None and exp.session.established
         ]
-        if not live:
+        if not sessions:
             return
-        withdraws = _withdraw_updates(released)
-        # key -> id of everything announced here: what each listener is
-        # told.  A new path's key tuple and id are shared with the node map.
-        told: dict[tuple[int, Prefix, Optional[int]], int] = {}
-        announces: list[UpdateMessage] = []
+        updates = [
+            UpdateMessage(withdrawn=tuple(chunk))
+            for chunk in _chunk_routes(withdrawn, _MAX_WITHDRAW_PER_UPDATE)
+        ]
         for attrs, group in _group_by_attributes(announced).items():
             rewritten_attrs = attrs.with_next_hop(local_vip)
             nlri = []
@@ -778,32 +776,16 @@ class VbgpNode:
                 if path_id is None:
                     path_id = node_ids[key] = self._next_path_id
                     self._next_path_id += 1
-                told[key] = path_id
                 nlri.append((route.prefix, path_id))
             limit = _max_nlri_per_update(rewritten_attrs)
-            announces.extend(
+            updates.extend(
                 UpdateMessage(attributes=rewritten_attrs, nlri=tuple(chunk))
                 for chunk in _chunk_routes(nlri, limit)
             )
-        for exp in live:
-            session = exp.session
-            heard = exp.path_ids
-            if released:
-                # Never withdraw what this experiment was not told.
-                known = [
-                    pair for pair in released
-                    if heard.pop(pair[0], None) is not None
-                ]
-                for update in (
-                    withdraws if len(known) == len(released)
-                    else _withdraw_updates(known)
-                ):
-                    session.send_update(update)
-                    self.counters["updates_to_experiments"] += 1
-            heard.update(told)
-            for update in announces:
+        for session in sessions:
+            for update in updates:
                 session.send_update(update)
-                self.counters["updates_to_experiments"] += 1
+        self.counters["updates_to_experiments"] += len(sessions) * len(updates)
 
     # -- announcements from experiments ---------------------------------
 
@@ -1342,16 +1324,6 @@ def _max_nlri_per_update(attributes: PathAttributes) -> int:
 def _chunk_routes(routes: list, size: int) -> Iterator[list]:
     for start in range(0, len(routes), size):
         yield routes[start:start + size]
-
-
-def _withdraw_updates(released) -> list[UpdateMessage]:
-    """Withdrawal UPDATEs for ``((gid, prefix, source id), path id)``
-    pairs, chunked under the message-size ceiling."""
-    withdrawn = [(key[1], path_id) for key, path_id in released]
-    return [
-        UpdateMessage(withdrawn=tuple(chunk))
-        for chunk in _chunk_routes(withdrawn, _MAX_WITHDRAW_PER_UPDATE)
-    ]
 
 
 def _group_by_attributes(

@@ -7,6 +7,7 @@ speaker, so community propagation has a far end) and one ADD-PATH
 experiment client.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -97,9 +98,22 @@ def world():
     )
 
 
+def _receiver(world):
+    """Experiment ``x`` as a toolkit client sees it: its session and the
+    ``path id -> route`` table it received over ADD-PATH."""
+    neighbor = world.client.neighbors["to-pop"]
+    view = SimpleNamespace(
+        session=neighbor.session,
+        routes={route.path_id: route
+                for route in neighbor.adj_rib_in.routes()},
+    )
+    return SimpleNamespace(pops={"diff": view})
+
+
 def _context(world, **overrides):
     base = dict(
         pops={"diff": world.pop},
+        clients={"x": _receiver(world)},
         neighbor_speakers={"upstream": world.upstream},
         neighbor_pops={"upstream": "diff"},
     )
@@ -112,8 +126,11 @@ def test_healthy_world_passes_all_invariants(world):
     for name, report in reports.items():
         assert report.ok, report.format()
     # the fixtures must generate real evidence, not vacuous passes
+    paths = len(world.pop.node.upstreams["upstream"].rib)
+    assert paths >= 20
     assert reports["vmac_bijectivity"].checked >= 1
-    assert reports["addpath_completeness"].checked >= 20
+    # node leg (ids, Adj-RIB-In keys) + receiver leg: 3 checks per path
+    assert reports["addpath_completeness"].checked == 3 * paths
     assert reports["community_propagation"].checked >= 1
     assert reports["kernel_consistency"].checked >= 20
 
@@ -156,23 +173,52 @@ def test_vmac_bijectivity_catches_wrong_mac(world):
     assert any("MAC" in violation for violation in report.violations)
 
 
+def _broken_receiver(world, breakage):
+    """Run the checker over ``x``'s received table after ``breakage``."""
+    client = _receiver(world)
+    routes = client.pops["diff"].routes
+    assert routes, "fixture delivered no ADD-PATH routes"
+    breakage(routes)
+    return CATALOG["addpath_completeness"](
+        _context(world, clients={"x": client})
+    )
+
+
 def test_addpath_completeness_catches_missing_path_id(world):
-    exp = world.pop.node.experiments["x"]
-    assert exp.path_ids, "fixture produced no ADD-PATH allocations"
-    exp.path_ids.pop(next(iter(exp.path_ids)))
-    report = CATALOG["addpath_completeness"](_context(world))
+    # the experiment never received one of the node's live paths
+    report = _broken_receiver(
+        world, lambda routes: routes.pop(next(iter(routes)))
+    )
     assert not report.ok
-    assert "no ADD-PATH id" in report.violations[0]
+    assert report.violation_count == 1
+    assert "missing ADD-PATH id" in report.violations[0]
 
 
 def test_addpath_completeness_catches_id_the_node_did_not_give(world):
-    # an experiment told a different number than the node holds for the path
-    exp = world.pop.node.experiments["x"]
-    key = next(iter(exp.path_ids))
-    exp.path_ids[key] += 100_000
-    report = CATALOG["addpath_completeness"](_context(world))
+    # the experiment holds an id no live path at the node carries
+    def stale(routes):
+        route = next(iter(routes.values()))
+        stale_id = max(world.pop.node._path_ids.values()) + 100_000
+        routes[stale_id] = route.with_path_id(stale_id)
+
+    report = _broken_receiver(world, stale)
     assert not report.ok
-    assert "but the node's id is" in report.violations[0]
+    assert report.violation_count == 1
+    assert "stale ADD-PATH id" in report.violations[0]
+
+
+def test_addpath_completeness_catches_wrong_prefix_for_an_id(world):
+    # the id is the node's, but it carries another path's prefix
+    def wrong_prefix(routes):
+        path_id, route = next(iter(routes.items()))
+        other = next(r.prefix for r in routes.values()
+                     if r.prefix != route.prefix)
+        routes[path_id] = replace(route, prefix=other)
+
+    report = _broken_receiver(world, wrong_prefix)
+    assert not report.ok
+    assert report.violation_count == 1
+    assert "carries" in report.violations[0]
 
 
 def test_addpath_completeness_catches_shared_id(world):

@@ -122,6 +122,19 @@ def test_bird_stop_clears_routes(connected_client):
     assert not client.pops["uni-a"].routes
 
 
+def test_session_closed_by_the_mux_clears_routes(connected_client):
+    """No Graceful Restart on the experiment session: when the mux shuts
+    it, the routes it carried are gone at the client too."""
+    scheduler, platform, internet, client = connected_client
+    view = client.pops["uni-a"]
+    assert view.routes
+    platform.pops["uni-a"].node.experiments[client.name].session.shutdown()
+    scheduler.run_for(5)
+    assert client.bird_status()["uni-a"] == "closed"
+    assert not view.routes
+    assert client.pops["uni-b"].routes
+
+
 def test_bird_cli_output(connected_client):
     scheduler, platform, internet, client = connected_client
     output = client.bird_cli("uni-a", "show route")

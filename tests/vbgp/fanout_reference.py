@@ -23,17 +23,21 @@ from repro.vbgp.node import (
 
 
 class ReferenceFanout:
-    """The old ``_fanout`` plus the per-experiment id counters it used."""
+    """The old ``_fanout`` plus the per-experiment id maps and counters
+    it used."""
 
     def __init__(self, node) -> None:
         self.node = node
         self.next_path_id: dict[str, int] = {}
+        # experiment name -> {(gid, prefix, source path id) -> path id}
+        self.path_ids: dict[str, dict] = {}
 
     def path_id_for(self, exp, gid, prefix, source_id) -> int:
-        path_id = exp.path_ids.get((gid, prefix, source_id))
+        ids = self.path_ids.setdefault(exp.name, {})
+        path_id = ids.get((gid, prefix, source_id))
         if path_id is None:
             path_id = self.next_path_id.get(exp.name, 1)
-            exp.path_ids[(gid, prefix, source_id)] = path_id
+            ids[(gid, prefix, source_id)] = path_id
             self.next_path_id[exp.name] = path_id + 1
         return path_id
 
@@ -50,8 +54,9 @@ class ReferenceFanout:
         if exp.session is None or not exp.session.established:
             return
         withdrawals = []
+        ids = self.path_ids.get(exp.name, {})
         for prefix, source_id in removed:
-            path_id = exp.path_ids.pop((gid, prefix, source_id), None)
+            path_id = ids.pop((gid, prefix, source_id), None)
             if path_id is not None:
                 withdrawals.append(
                     Route(prefix=prefix, attributes=_EMPTY_ATTRS,

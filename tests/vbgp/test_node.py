@@ -14,6 +14,7 @@ from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
 from repro.bgp.transport import connect_pair
 from repro.netsim.addr import IPv4Address, IPv4Prefix
+from repro.netsim.stack import MAIN_TABLE
 from repro.platform.pop import PointOfPresence, PopConfig
 from repro.security.state import EnforcerState
 from repro.security.capabilities import ExperimentProfile
@@ -297,6 +298,24 @@ def test_experiment_detach_withdraws_everything(scheduler, pop):
     scheduler.run_for(5)
     assert n1.best_route(EXP_PREFIX) is None
     assert "x1" not in pop.node.experiments
+
+
+def test_experiment_close_removes_its_tunnel_route(scheduler, pop):
+    """The last announcement of a prefix takes its kernel route along,
+    whether it is withdrawn or its experiment's session closes."""
+    add_neighbor(scheduler, pop, "n1", 65010)
+    experiment = ExperimentEndpoint(scheduler, pop)
+    scheduler.run_for(5)
+    experiment.announce(
+        local_route(EXP_PREFIX, next_hop=IPv4Address.parse("100.125.0.2"))
+    )
+    scheduler.run_for(5)
+    main = pop.stack.tables[MAIN_TABLE]
+    assert main.get(EXP_PREFIX).out_iface == pop.node.exp_iface
+    experiment.session.shutdown()
+    scheduler.run_for(5)
+    assert "x1" not in pop.node.experiments
+    assert EXP_PREFIX not in main
 
 
 def test_known_routes_and_fib_counts(scheduler, pop):
