@@ -8,7 +8,8 @@ classes here are the protocol-level state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional
 
 from repro.bgp.attributes import PathAttributes, Route
 from repro.netsim.addr import Prefix
@@ -41,15 +42,19 @@ class AdjRibIn:
     def __init__(self, peer: str) -> None:
         self.peer = peer
         self._routes: dict[Prefix, dict[Optional[int], Route]] = {}
+        # Running path count: a ``max prefix`` limit reads it per route.
+        self._size = 0
 
     def __len__(self) -> int:
-        return sum(len(paths) for paths in self._routes.values())
+        return self._size
 
     def update(self, route: Route) -> Optional[Route]:
         """Insert/replace; returns the replaced route if any."""
         paths = self._routes.setdefault(route.prefix, {})
         previous = paths.get(route.path_id)
         paths[route.path_id] = route
+        if previous is None:
+            self._size += 1
         return previous
 
     def withdraw(self, prefix: Prefix,
@@ -59,6 +64,8 @@ class AdjRibIn:
         if not paths:
             return None
         removed = paths.pop(path_id, None)
+        if removed is not None:
+            self._size -= 1
         if not paths:
             del self._routes[prefix]
         return removed
@@ -77,6 +84,7 @@ class AdjRibIn:
         """Drop everything (session reset); returns the dropped routes."""
         dropped = list(self.routes())
         self._routes.clear()
+        self._size = 0
         return dropped
 
 
@@ -385,6 +393,18 @@ class ColumnarLocRib(_LocRibBase):
     def _sole_token(self, prefix):
         return self._cols[prefix]
 
+    def candidates_except(self, prefix: Prefix, peer: str) -> list[RibEntry]:
+        """``candidates(prefix)`` minus ``peer``'s: that peer's triples are
+        dropped by id before any entry is built (export split horizon)."""
+        cols = self._cols.get(prefix)
+        if not cols:
+            return []
+        pid = self._peer_ids.get(peer)
+        return [
+            self._materialize(prefix, cols[i:i + 3])
+            for i in range(0, len(cols), 3) if cols[i] != pid
+        ]
+
     def _pairs(self, prefix):
         cols = self._cols.get(prefix)
         if not cols:
@@ -409,44 +429,68 @@ class ColumnarLocRib(_LocRibBase):
         return a == b
 
 
+_NO_PATHS: Mapping[Optional[int], Route] = MappingProxyType({})
+
+
 class AdjRibOut:
-    """What we have advertised to one peer, keyed by (prefix, path id).
+    """What we have advertised to one peer, keyed prefix → {path id: route}.
 
     Diffing the desired against the advertised state yields the minimal
-    announce/withdraw set — used both by the speaker's MRAI batching and by
-    vBGP's fan-out to experiments.
+    announce/withdraw set for the speaker's MRAI batching.  Indexing by
+    prefix makes that diff cost the paths of the touched prefix, not the
+    size of the table.
     """
 
     def __init__(self, peer: str) -> None:
         self.peer = peer
-        self._advertised: dict[tuple[Prefix, Optional[int]], Route] = {}
+        self._by_prefix: dict[Prefix, dict[Optional[int], Route]] = {}
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._advertised)
+        return self._size
 
     def advertised(self, prefix: Prefix,
                    path_id: Optional[int] = None) -> Optional[Route]:
-        return self._advertised.get((prefix, path_id))
+        return self.paths(prefix).get(path_id)
+
+    def paths(self, prefix: Prefix) -> Mapping[Optional[int], Route]:
+        """Read-only ``{path id: route}`` advertised for one prefix."""
+        return self._by_prefix.get(prefix, _NO_PATHS)
 
     def record_announce(self, route: Route) -> bool:
         """Record an announcement; returns False if identical already sent."""
-        key = (route.prefix, route.path_id)
-        if self._advertised.get(key) == route:
+        paths = self._by_prefix.setdefault(route.prefix, {})
+        previous = paths.get(route.path_id)
+        if previous == route:
             return False
-        self._advertised[key] = route
+        paths[route.path_id] = route
+        if previous is None:
+            self._size += 1
         return True
 
     def record_withdraw(self, prefix: Prefix,
                         path_id: Optional[int] = None) -> Optional[Route]:
-        return self._advertised.pop((prefix, path_id), None)
+        paths = self._by_prefix.get(prefix)
+        if paths is None:
+            return None
+        removed = paths.pop(path_id, None)
+        if removed is not None:
+            self._size -= 1
+            if not paths:
+                del self._by_prefix[prefix]
+        return removed
 
     def routes(self) -> Iterator[Route]:
-        yield from self._advertised.values()
+        for paths in self._by_prefix.values():
+            yield from paths.values()
 
     def keys(self) -> Iterator[tuple[Prefix, Optional[int]]]:
-        yield from self._advertised
+        for prefix, paths in self._by_prefix.items():
+            for path_id in paths:
+                yield prefix, path_id
 
     def clear(self) -> None:
         """Forget everything advertised (session reset: the next session
         starts from an empty Adj-RIB-Out and re-announces from scratch)."""
-        self._advertised.clear()
+        self._by_prefix.clear()
+        self._size = 0

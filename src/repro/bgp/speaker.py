@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.bgp.attributes import Route
+from repro.bgp.attributes import PathAttributes, Route
 from repro.bgp.decision import PeerContext, best_path
 from repro.bgp.errors import CeaseSubcode, ErrorCode, NotificationError
 from repro.bgp.messages import UpdateMessage
@@ -77,8 +77,10 @@ class Neighbor:
             is_ebgp=not config.is_ibgp,
             peer_address=config.peer_address,
         )
-        # Outbound ADD-PATH id allocation: stable per source candidate.
+        # Outbound ADD-PATH ids: one per exported source candidate, held
+        # while this session carries the path, never reused.
         self._path_ids: dict[tuple[Prefix, str, Optional[int]], int] = {}
+        self._path_sources: dict[int, tuple[Prefix, str, Optional[int]]] = {}
         self._path_id_counter = itertools.count(1)
         # MRAI batching state.
         self.pending_announce: dict[tuple[Prefix, Optional[int]], Route] = {}
@@ -102,13 +104,28 @@ class Neighbor:
     def path_id_for(self, prefix: Prefix, source_peer: str,
                     source_path_id: Optional[int]) -> int:
         key = (prefix, source_peer, source_path_id)
-        if key not in self._path_ids:
-            self._path_ids[key] = next(self._path_id_counter)
-        return self._path_ids[key]
+        path_id = self._path_ids.get(key)
+        if path_id is None:
+            path_id = self._path_ids[key] = next(self._path_id_counter)
+            self._path_sources[path_id] = key
+        return path_id
 
-    def release_path_id(self, prefix: Prefix, source_peer: str,
-                        source_path_id: Optional[int]) -> Optional[int]:
-        return self._path_ids.pop((prefix, source_peer, source_path_id), None)
+    def release_path_id(self, path_id: Optional[int]) -> None:
+        """Forget the source candidate behind an outbound id (the path
+        was withdrawn from this session); the id is not handed out
+        again."""
+        key = self._path_sources.pop(path_id, None)
+        if key is not None:
+            del self._path_ids[key]
+
+    def retain_path_ids(self) -> None:
+        """Release every id the Adj-RIB-Out does not carry: after the
+        initial table transfer, those are paths that went away while the
+        session was down."""
+        for path_id in list(self._path_sources):
+            if self.adj_rib_out.advertised(
+                    self._path_sources[path_id][0], path_id) is None:
+                self.release_path_id(path_id)
 
 
 BestChangeCallback = Callable[[Prefix, Optional[RibEntry]], None]
@@ -123,6 +140,9 @@ class BgpSpeaker:
         self.scheduler = scheduler
         self.config = config
         self.neighbors: dict[str, Neighbor] = {}
+        # Decision contexts by peer name, built on first use and dropped
+        # whenever the neighbor set changes (PeerContext is frozen).
+        self._contexts: Optional[dict[str, PeerContext]] = None
         self.loc_rib = ColumnarLocRib(select=self._select)
         self.local_routes: dict[Prefix, Route] = {}
         self.on_best_change: list[BestChangeCallback] = []
@@ -194,6 +214,7 @@ class BgpSpeaker:
             raise ValueError(f"duplicate neighbor {config.name!r}")
         neighbor = Neighbor(config)
         self.neighbors[config.name] = neighbor
+        self._contexts = None
         session = self._make_session(neighbor, channel)
         if channel_factory is not None:
             neighbor.supervisor = SessionSupervisor(
@@ -285,6 +306,7 @@ class BgpSpeaker:
         neighbor = self.neighbors.pop(name, None)
         if neighbor is None:
             return
+        self._contexts = None
         if neighbor.supervisor is not None:
             neighbor.supervisor.stop()
         if neighbor.stale_event is not None:
@@ -406,6 +428,7 @@ class BgpSpeaker:
         for prefix in list(self.loc_rib.prefixes()):
             self._enqueue_prefix(neighbor, prefix)
         self._flush(neighbor)
+        neighbor.retain_path_ids()
         session = neighbor.session
         if session is not None and session.gr_negotiated:
             # RFC 4724: the End-of-RIB marker closes the initial table
@@ -522,17 +545,19 @@ class BgpSpeaker:
     # ------------------------------------------------------------------
 
     def _select(self, entries: list[RibEntry]) -> Optional[RibEntry]:
-        contexts = {
-            name: neighbor.context
-            for name, neighbor in self.neighbors.items()
-        }
-        contexts[LOCAL_PEER] = PeerContext(
-            is_ebgp=False, router_id=self.config.router_id
-        )
         # Local routes win by convention (weight), matching BIRD defaults.
-        local = [entry for entry in entries if entry.peer == LOCAL_PEER]
-        if local:
-            return local[0]
+        for entry in entries:
+            if entry.peer == LOCAL_PEER:
+                return entry
+        contexts = self._contexts
+        if contexts is None:
+            contexts = self._contexts = {
+                name: neighbor.context
+                for name, neighbor in self.neighbors.items()
+            }
+            contexts[LOCAL_PEER] = PeerContext(
+                is_ebgp=False, router_id=self.config.router_id
+            )
         return best_path(entries, contexts)
 
     def _best_changed(self, prefix: Prefix) -> None:
@@ -558,33 +583,21 @@ class BgpSpeaker:
             self._arm_mrai(neighbor)
 
     def _enqueue_prefix(self, neighbor: Neighbor, prefix: Prefix) -> None:
-        desired = self._desired_routes(neighbor, prefix)
-        desired_keys = {
-            (route.prefix, route.path_id) for route in desired
-        }
-        for key in list(neighbor.adj_rib_out.keys()):
-            if key[0] == prefix and key not in desired_keys:
-                neighbor.pending_withdraw.add(key)
-                neighbor.pending_announce.pop(key, None)
-        for route in desired:
-            key = (route.prefix, route.path_id)
-            if neighbor.adj_rib_out.advertised(*key) == route:
-                continue
-            neighbor.pending_announce[key] = route
-            neighbor.pending_withdraw.discard(key)
-
-    def _desired_routes(self, neighbor: Neighbor,
-                        prefix: Prefix) -> list[Route]:
-        """Post-policy routes we want advertised to ``neighbor``."""
+        """Diff the post-policy routes ``neighbor`` should hold for one
+        prefix against what it holds; costs that prefix's paths."""
+        held = neighbor.adj_rib_out.paths(prefix)
         if neighbor.config.addpath:
-            candidates = self.loc_rib.candidates(prefix)
+            candidates = self.loc_rib.candidates_except(prefix, neighbor.name)
         else:
-            entry = self.loc_rib.best(prefix)
-            candidates = [entry] if entry is not None else []
-        desired = []
+            best = self.loc_rib.best(prefix)
+            candidates = (
+                [best] if best is not None and best.peer != neighbor.name
+                else []  # split horizon
+            )
+        if not candidates and not held:
+            return
+        desired: dict[Optional[int], Route] = {}
         for entry in candidates:
-            if entry.peer == neighbor.name:
-                continue  # split horizon
             source = self.neighbors.get(entry.peer)
             if (
                 source is not None
@@ -593,10 +606,19 @@ class BgpSpeaker:
             ):
                 continue  # no iBGP reflection (full mesh assumed)
             route = self._export_transform(neighbor, entry)
-            if route is None:
+            if route is not None:
+                desired[route.path_id] = route
+        for path_id in held:
+            if path_id not in desired:
+                key = (prefix, path_id)
+                neighbor.pending_withdraw.add(key)
+                neighbor.pending_announce.pop(key, None)
+        for path_id, route in desired.items():
+            if held.get(path_id) == route:
                 continue
-            desired.append(route)
-        return desired
+            key = (prefix, path_id)
+            neighbor.pending_announce[key] = route
+            neighbor.pending_withdraw.discard(key)
 
     def _export_transform(self, neighbor: Neighbor,
                           entry: RibEntry) -> Optional[Route]:
@@ -638,35 +660,32 @@ class BgpSpeaker:
 
     def _flush(self, neighbor: Neighbor) -> None:
         """Emit the minimal announce/withdraw set for a neighbor."""
+        if not neighbor.pending_announce and not neighbor.pending_withdraw:
+            return
         if not neighbor.established or neighbor.session is None:
             return
         withdrawals = []
-        for prefix, path_id in sorted(
-            neighbor.pending_withdraw, key=lambda k: (k[0].key(), k[1] or 0)
-        ):
+        for prefix, path_id in sorted(neighbor.pending_withdraw,
+                                      key=_pending_order):
             removed = neighbor.adj_rib_out.record_withdraw(prefix, path_id)
             if removed is not None:
-                withdrawals.append(
-                    Route(prefix=prefix, attributes=removed.attributes,
-                          path_id=path_id)
-                )
+                withdrawals.append(removed)
+                neighbor.release_path_id(path_id)
         neighbor.pending_withdraw.clear()
         if withdrawals:
             neighbor.session.send_update(UpdateMessage.withdraw(withdrawals))
-        # Group announcements by attribute set to pack NLRI efficiently.
-        groups: list[tuple[object, list[Route]]] = []
-        for key in sorted(
-            neighbor.pending_announce, key=lambda k: (k[0].key(), k[1] or 0)
-        ):
+        # Group announcements by attribute set to pack NLRI efficiently;
+        # the dict keeps the groups in first-seen order.
+        groups: dict[PathAttributes, list[Route]] = {}
+        for key in sorted(neighbor.pending_announce, key=_pending_order):
             route = neighbor.pending_announce[key]
-            if not neighbor.adj_rib_out.record_announce(route):
-                continue
-            for attributes, routes in groups:
-                if attributes == route.attributes:
-                    routes.append(route)
-                    break
-            else:
-                groups.append((route.attributes, [route]))
+            if neighbor.adj_rib_out.record_announce(route):
+                groups.setdefault(route.attributes, []).append(route)
         neighbor.pending_announce.clear()
-        for _attributes, routes in groups:
+        for routes in groups.values():
             neighbor.session.send_update(UpdateMessage.announce(routes))
+
+
+def _pending_order(key: tuple[Prefix, Optional[int]]) -> tuple:
+    """Wire order of pending announce/withdraw keys: prefix, then path id."""
+    return key[0].key(), key[1] or 0

@@ -44,6 +44,19 @@ class TestAdjRibIn:
         dropped = rib.clear()
         assert len(dropped) == 2
         assert len(rib) == 0
+        rib.update(originate(P1, 100, NH))
+        assert len(rib) == 1
+
+    def test_len_is_kept_through_replace_and_missed_withdraw(self):
+        rib = AdjRibIn("peer")
+        rib.update(originate(P1, 100, NH).with_path_id(1))
+        rib.update(originate(P1, 200, NH).with_path_id(1))   # replace
+        rib.update(originate(P1, 300, NH).with_path_id(2))
+        assert rib.withdraw(P1, 7) is None
+        assert rib.withdraw(P2) is None
+        assert len(rib) == 2 == len(list(rib.routes()))
+        rib.withdraw(P1, 1)
+        assert len(rib) == 1 == len(list(rib.routes()))
 
 
 class TestLocRib:
@@ -101,6 +114,17 @@ class TestLocRib:
         assert len(rib.candidates(P1)) == 2
         assert len(rib) == 2
 
+    def test_candidates_except_drops_one_peer(self):
+        rib = self.make()
+        rib.replace("a", originate(P1, 100, NH).with_path_id(1))
+        rib.replace("b", originate(P1, 200, NH))
+        rib.replace("a", originate(P1, 300, NH).with_path_id(2))
+        assert rib.candidates_except(P1, "a") == [
+            entry for entry in rib.candidates(P1) if entry.peer != "a"]
+        assert [e.path_id for e in rib.candidates_except(P1, "b")] == [1, 2]
+        assert rib.candidates_except(P1, "never-seen") == rib.candidates(P1)
+        assert rib.candidates_except(P2, "a") == []
+
 
 class TestAdjRibOut:
     def test_dedup_identical_announcement(self):
@@ -124,3 +148,20 @@ class TestAdjRibOut:
         assert len(rib) == 2
         rib.record_withdraw(P1, 1)
         assert len(rib) == 1
+
+    def test_paths_are_read_per_prefix(self):
+        rib = AdjRibOut("peer")
+        first = originate(P1, 100, NH).with_path_id(1)
+        rib.record_announce(first)
+        rib.record_announce(originate(P1, 200, NH).with_path_id(2))
+        rib.record_announce(originate(P1, 300, NH).with_path_id(2))  # replace
+        rib.record_announce(originate(P2, 100, NH))
+        assert set(rib.paths(P1)) == {1, 2} and rib.paths(P1)[1] == first
+        assert len(rib) == 3 == len(list(rib.routes()))
+        assert sorted(rib.keys(), key=lambda k: (k[0].key(), k[1] or 0)) == [
+            (P1, 1), (P1, 2), (P2, None)]
+        assert rib.record_withdraw(P2, 5) is None
+        rib.record_withdraw(P2)
+        assert not rib.paths(P2) and len(rib) == 2
+        rib.clear()
+        assert not rib.paths(P1) and len(rib) == 0

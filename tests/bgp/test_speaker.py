@@ -1,8 +1,10 @@
 """Speaker integration tests: propagation, policy, ADD-PATH export,
 split horizon, iBGP rules, max-prefix protection."""
 
+import pytest
 
 from repro.bgp.attributes import Community, local_route, originate
+from repro.bgp.decision import best_path
 from repro.bgp.policy import (
     Match,
     PolicyAction,
@@ -220,6 +222,90 @@ def test_max_prefixes_resets_session(scheduler):
                                 next_hop=a.config.router_id))
     scheduler.run_for(3)
     assert not b.neighbors["to-a"].established
+
+
+@pytest.mark.parametrize("addpath", [False, True])
+def test_max_prefixes_trips_at_limit_plus_one(scheduler, addpath):
+    """Replaces and withdrawals keep the count exact: the session survives
+    at ``max_prefixes`` paths and closes on the one after."""
+    a = make_speaker(scheduler, 1, "1.1.1.1")
+    b = make_speaker(scheduler, 2, "2.2.2.2")
+    ca, cb = connect_pair(scheduler, rtt=0.02)
+    a.attach_neighbor(NeighborConfig(name="to-b", peer_asn=2, addpath=addpath,
+                                     local_address=a.config.router_id), ca)
+    b.attach_neighbor(NeighborConfig(name="to-a", peer_asn=1, addpath=addpath,
+                                     local_address=b.config.router_id,
+                                     max_prefixes=3), cb)
+    prefixes = [IPv4Prefix.parse(f"10.{index}.0.0/16") for index in range(5)]
+    neighbor = b.neighbors["to-a"]
+
+    def originate(prefix, *communities):
+        a.originate(local_route(prefix, next_hop=a.config.router_id,
+                                communities=communities))
+        scheduler.run_for(1)
+
+    for prefix in prefixes[:3]:
+        originate(prefix)
+    originate(prefixes[0], Community(1, 1))         # replace: still 3
+    assert neighbor.established and len(neighbor.adj_rib_in) == 3
+    a.withdraw(prefixes[1])
+    scheduler.run_for(1)
+    assert len(neighbor.adj_rib_in) == 2
+    originate(prefixes[3])                          # 3 again
+    originate(prefixes[3], Community(1, 2))
+    assert neighbor.established and len(neighbor.adj_rib_in) == 3
+    originate(prefixes[4])                          # the 4th path
+    assert not neighbor.established
+
+
+@pytest.mark.parametrize("change", [
+    dict(is_ibgp=True),
+    dict(peer_address=IPv4Address.parse("10.0.0.9")),
+], ids=["is_ibgp", "peer_address"])
+def test_decision_contexts_follow_a_reattached_neighbor(scheduler, change):
+    """Removing a neighbor and attaching it again under the same name with
+    another context must reach the decision: "b" wins the peer-address
+    tie-break until it comes back as iBGP or with a higher address.  "c"
+    holds a longer path, so a decision runs while "b" is away."""
+    x = make_speaker(scheduler, 10, "10.0.0.10")
+    peers = {
+        "a": make_speaker(scheduler, 1, "1.1.1.1"),
+        "b": make_speaker(scheduler, 2, "2.2.2.2"),
+        "c": make_speaker(scheduler, 3, "3.3.3.3"),
+    }
+
+    def attach(name, address, **extra):
+        peer = peers[name]
+        ours, theirs = connect_pair(scheduler, rtt=0.02)
+        config = {"peer_address": IPv4Address.parse(address), **extra}
+        x.attach_neighbor(NeighborConfig(
+            name=name, peer_asn=peer.config.asn,
+            local_address=x.config.router_id, **config), ours)
+        if "x" in peer.neighbors:
+            peer.reattach_neighbor("x", theirs)
+        else:
+            peer.attach_neighbor(NeighborConfig(
+                name="x", peer_asn=10,
+                local_address=peer.config.router_id), theirs)
+
+    for name, address in (("a", "10.0.0.2"), ("b", "10.0.0.1"),
+                          ("c", "10.0.0.3")):
+        attach(name, address)
+        peer = peers[name]
+        route = local_route(P1, next_hop=peer.config.router_id)
+        peer.originate(route.prepended(3) if name == "c" else route)
+    scheduler.run_for(2)
+    assert x.loc_rib.best(P1).peer == "b"
+
+    x.remove_neighbor("b")
+    scheduler.run_for(1)
+    assert x.loc_rib.best(P1).peer == "a"
+    attach("b", "10.0.0.1", **change)
+    scheduler.run_for(2)
+    fresh = {name: neighbor.context for name, neighbor in x.neighbors.items()}
+    assert len(x.loc_rib.candidates(P1)) == 3
+    assert x.loc_rib.best(P1) == best_path(x.loc_rib.candidates(P1), fresh)
+    assert x.loc_rib.best(P1).peer == "a"
 
 
 def test_session_loss_withdraws_routes(scheduler):
