@@ -13,7 +13,7 @@ the vBGP mechanisms themselves:
 
 import pytest
 
-from benchmarks.reporting import format_table, report, report_json
+from benchmarks.reporting import format_table, report
 from repro.bgp.attributes import local_route
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
 from repro.netsim.addr import IPv4Address, IPv4Prefix, MacAddress
@@ -153,7 +153,3 @@ def test_data_plane_demux_rate(delegation_pop, benchmark):
         + "\n(the paper leaves kernel-bypass optimizations as future "
           "work; §6 notes no experiment has needed them)",
     )
-    report_json("fig2_delegation", {
-        "packets_per_s": 1 / per_packet,
-        "per_packet_us": per_packet * 1e6,
-    })

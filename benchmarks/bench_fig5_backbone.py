@@ -9,7 +9,7 @@ E1 → backbone → E2 → N2 keyed entirely by the deterministic virtual MAC.
 
 import pytest
 
-from benchmarks.reporting import format_table, report, report_json
+from benchmarks.reporting import format_table, report
 from repro.bgp.attributes import local_route
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
 from repro.netsim.addr import IPv4Prefix
@@ -81,14 +81,6 @@ def test_fig5_rewrite_chain_report(figure5_world, benchmark):
         "Figure 5: the hop-by-hop next-hop rewrite chain\n"
         + format_table(["stage", "value"], rows),
     )
-    report_json("fig5_backbone", {
-        "neighbor_next_hop": str(port.address),
-        "mesh_next_hop": str(remote.virtual.global_ip),
-        "experiment_next_hop": str(route.next_hop),
-        "kernel_table_id": remote.virtual.table_id,
-        "kernel_next_hop": str(table_entry.value.next_hop),
-        "virtual_mac": str(remote.virtual.mac),
-    })
     assert str(route.next_hop).startswith("127.65.")
     assert GLOBAL_POOL.contains_address(table_entry.value.next_hop)
 

@@ -16,7 +16,7 @@ paper's headline claims: ≈327 B/route, linearity, a 32 GiB server fitting
 
 import pytest
 
-from benchmarks.reporting import format_table, report, report_json
+from benchmarks.reporting import format_table, report
 from repro.internet.churn import AMSIX_PROFILE, ChurnGenerator
 from repro.metrics import memory_report, rib_memory
 
@@ -72,15 +72,6 @@ def test_fig6a_memory_series(route_sets, benchmark):
           "   (paper: a 32 GiB server supports 100M routes)"
     )
     report("fig6a_memory", text)
-    largest = reports[ROUTE_COUNTS[-1]]
-    report_json("fig6a_memory", {
-        "routes": ROUTE_COUNTS[-1],
-        "control_bytes_per_route": per_route,
-        "data_plane_bytes_per_route":
-            largest.data_plane / ROUTE_COUNTS[-1],
-        "dp_with_default_bytes_per_route":
-            largest.data_plane_with_default / ROUTE_COUNTS[-1],
-    })
     assert hundred_m_gb < 32
 
     # Shape assertions: calibration, ordering, linearity.

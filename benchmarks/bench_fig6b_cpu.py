@@ -20,7 +20,7 @@ leaving ample headroom.
 
 import pytest
 
-from benchmarks.reporting import format_table, report, report_json
+from benchmarks.reporting import format_table, report
 from repro.bgp.messages import MessageDecoder
 from repro.internet.churn import AMSIX_PROFILE, ChurnGenerator
 from repro.metrics import measure_processing
@@ -159,14 +159,6 @@ def test_fig6b_cpu_series(wire_updates, benchmark):
           "worst-case utilization at the p99"
     )
     report("fig6b_cpu", text)
-    report_json("fig6b_cpu", {
-        "accept_updates_per_s": sustainable["accept"],
-        "single_router_updates_per_s": sustainable["single-router vBGP"],
-        "multi_router_updates_per_s": sustainable["multi-router vBGP"],
-        "multi_router_utilization_at_p99_pct": (
-            measurements["multi-router vBGP"].utilization(400)
-        ),
-    })
 
     accept = measurements["accept"]
     single = measurements["single-router vBGP"]

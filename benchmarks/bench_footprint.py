@@ -7,7 +7,7 @@ peers (33% transit, 28% cable/DSL/ISP, 23% content, …).
 """
 
 
-from benchmarks.reporting import format_table, report, report_json
+from benchmarks.reporting import format_table, report
 from repro.internet import (
     InternetConfig,
     NetworkType,
@@ -81,15 +81,6 @@ def test_footprint_and_connectivity(benchmark):
         + "\n\nPeeringDB classification of 923 synthesized peers:\n"
         + format_table(["network type", "measured", "paper"], mix_rows),
     )
-
-    report_json("footprint", {
-        "pops": len(pops),
-        "asns": len(PLATFORM_ASNS),
-        "prefixes_v4": len(default_prefix_allocations()),
-        "transit_links": transit_links,
-        "bilateral_peers": bilateral,
-        "rs_only_peers": rs_only,
-    })
 
     assert len(pops) == 13 and len(ixps) == 4 and len(universities) == 9
     assert len(PLATFORM_ASNS) == 8 and four_byte == 3

@@ -8,7 +8,7 @@ announcement load with margin, since it fails closed under overload).
 """
 
 
-from benchmarks.reporting import format_table, report, report_json
+from benchmarks.reporting import format_table, report
 from repro.bgp.attributes import (
     Community,
     LargeCommunity,
@@ -138,14 +138,6 @@ def test_security_capability_matrix(benchmark):
             rows,
         ),
     )
-    report_json("security_matrix", {
-        "cases": len(rows),
-        "matching_policy": sum(1 for row in rows if row[-1] == "OK"),
-        **{
-            f"{row[0]}": f"{row[1]}->{row[2]}"
-            for row in rows
-        },
-    })
     assert all(row[-1] == "OK" for row in rows)
     # Hijacks are blocked regardless of any grant.
     assert rows[-1][1] == "blocked" and rows[-1][2] == "blocked"
@@ -166,14 +158,3 @@ def test_enforcer_filter_throughput(benchmark):
             enforcer.check_routes("probe", [route], "pop")
 
     benchmark(run)
-
-    import time as _time
-
-    start = _time.perf_counter()
-    run()
-    elapsed = _time.perf_counter() - start
-    report_json("security_enforcer_throughput", {
-        "routes": len(routes),
-        "seconds": elapsed,
-        "routes_per_second": len(routes) / elapsed if elapsed else 0.0,
-    })

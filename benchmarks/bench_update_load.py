@@ -12,7 +12,7 @@ p99 burst rate with headroom.
 
 import pytest
 
-from benchmarks.reporting import format_table, report, report_json
+from benchmarks.reporting import format_table, report
 from repro.bgp.messages import UpdateMessage
 from repro.internet.churn import AMSIX_PROFILE, ChurnGenerator
 from repro.metrics import measure_processing
@@ -93,12 +93,6 @@ def test_amsix_update_load(loaded_node, benchmark):
         "§6 AMS-IX update workload, 18h replay through the vBGP pipeline\n"
         + format_table(["metric", "measured", "paper"], rows),
     )
-    report_json("update_load", {
-        "mean_rate_updates_per_s": mean_rate,
-        "p99_rate_updates_per_s": p99,
-        "max_sustainable_updates_per_s": sustainable,
-        "utilization_at_p99_pct": measurement.utilization(p99),
-    })
     assert 18 <= mean_rate <= 26
     assert 250 <= p99 <= 500
     assert sustainable > 1000  # "thousands of updates per second"

@@ -10,14 +10,9 @@ paper-shaped outputs.
 
 from __future__ import annotations
 
-import json
 import pathlib
-import time
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-# Machine-readable BENCH_<name>.json files land at the repo root so CI and
-# the perf-regression driver can diff them across revisions.
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 _session_reports: list[tuple[str, str]] = []
 
@@ -28,23 +23,6 @@ def report(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     _session_reports.append((name, text))
-
-
-def report_json(name: str, metrics: dict) -> pathlib.Path:
-    """Write machine-readable metrics to ``BENCH_<name>.json``.
-
-    Schema: ``{"name": ..., "metrics": {...}, "timestamp": ...}`` with
-    scalar metric values (numbers/strings), so downstream tooling can diff
-    runs without parsing the human-readable tables.
-    """
-    payload = {
-        "name": name,
-        "metrics": metrics,
-        "timestamp": time.time(),
-    }
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def session_reports() -> list[tuple[str, str]]:

@@ -82,8 +82,8 @@ class Neighbor:
         self._path_ids: dict[tuple[Prefix, str, Optional[int]], int] = {}
         self._path_sources: dict[int, tuple[Prefix, str, Optional[int]]] = {}
         self._path_id_counter = itertools.count(1)
-        # MRAI batching state.
-        self.pending_announce: dict[tuple[Prefix, Optional[int]], Route] = {}
+        # MRAI batching state: announcements by prefix, then path id.
+        self.pending_announce: dict[Prefix, dict[Optional[int], Route]] = {}
         self.pending_withdraw: set[tuple[Prefix, Optional[int]]] = set()
         self.mrai_event = None
         # Graceful Restart receiver state: keys retained as stale after a
@@ -584,8 +584,10 @@ class BgpSpeaker:
 
     def _enqueue_prefix(self, neighbor: Neighbor, prefix: Prefix) -> None:
         """Diff the post-policy routes ``neighbor`` should hold for one
-        prefix against what it holds; costs that prefix's paths."""
+        prefix against what it holds, replacing whatever was pending for
+        that prefix; costs that prefix's paths."""
         held = neighbor.adj_rib_out.paths(prefix)
+        pending = neighbor.pending_announce
         if neighbor.config.addpath:
             candidates = self.loc_rib.candidates_except(prefix, neighbor.name)
         else:
@@ -594,7 +596,7 @@ class BgpSpeaker:
                 [best] if best is not None and best.peer != neighbor.name
                 else []  # split horizon
             )
-        if not candidates and not held:
+        if not candidates and not held and prefix not in pending:
             return
         desired: dict[Optional[int], Route] = {}
         for entry in candidates:
@@ -610,15 +612,19 @@ class BgpSpeaker:
                 desired[route.path_id] = route
         for path_id in held:
             if path_id not in desired:
-                key = (prefix, path_id)
-                neighbor.pending_withdraw.add(key)
-                neighbor.pending_announce.pop(key, None)
+                neighbor.pending_withdraw.add((prefix, path_id))
+        announce = {}
         for path_id, route in desired.items():
-            if held.get(path_id) == route:
-                continue
-            key = (prefix, path_id)
-            neighbor.pending_announce[key] = route
-            neighbor.pending_withdraw.discard(key)
+            neighbor.pending_withdraw.discard((prefix, path_id))
+            if held.get(path_id) != route:
+                announce[path_id] = route
+        # A pending announcement nobody wants any more is dropped unsent,
+        # and its outbound id with it.
+        for path_id in pending.pop(prefix, ()):
+            if path_id not in desired and path_id not in held:
+                neighbor.release_path_id(path_id)
+        if announce:
+            pending[prefix] = announce
 
     def _export_transform(self, neighbor: Neighbor,
                           entry: RibEntry) -> Optional[Route]:
@@ -677,8 +683,11 @@ class BgpSpeaker:
         # Group announcements by attribute set to pack NLRI efficiently;
         # the dict keeps the groups in first-seen order.
         groups: dict[PathAttributes, list[Route]] = {}
-        for key in sorted(neighbor.pending_announce, key=_pending_order):
-            route = neighbor.pending_announce[key]
+        pending = neighbor.pending_announce
+        keys = [(prefix, path_id)
+                for prefix, paths in pending.items() for path_id in paths]
+        for prefix, path_id in sorted(keys, key=_pending_order):
+            route = pending[prefix][path_id]
             if neighbor.adj_rib_out.record_announce(route):
                 groups.setdefault(route.attributes, []).append(route)
         neighbor.pending_announce.clear()

@@ -1,4 +1,9 @@
-"""Resource accounting and measurement used by the §6 evaluation benches."""
+"""Modelled resource accounting for the paper benches (Fig. 6a/6b, §6).
+
+These are the byte and per-update cost models the ``benchmarks/bench_*.py``
+scripts use to regenerate the paper's figures. Cross-revision performance
+is measured end to end by ``python -m benchmarks.e2e.compare``, not here.
+"""
 
 from repro.metrics.memory import (
     FIB_ENTRY_BYTES,
@@ -6,11 +11,10 @@ from repro.metrics.memory import (
     MemoryReport,
     fib_memory,
     memory_report,
-    resident_bytes,
     rib_memory,
     route_memory_bytes,
 )
-from repro.metrics.cpu import CpuMeasurement, measure_processing, utilization
+from repro.metrics.cpu import CpuMeasurement, measure_processing
 from repro.metrics.throughput import estimate_tcp_throughput
 
 __all__ = [
@@ -22,8 +26,6 @@ __all__ = [
     "fib_memory",
     "measure_processing",
     "memory_report",
-    "resident_bytes",
     "rib_memory",
     "route_memory_bytes",
-    "utilization",
 ]

@@ -73,8 +73,3 @@ def measure_processing(
         if was_enabled:
             gc.enable()
     return CpuMeasurement(label=label, updates=count, total_seconds=elapsed)
-
-
-def utilization(rate_per_second: float, seconds_per_update: float) -> float:
-    """Percent of one core consumed at ``rate_per_second``."""
-    return min(rate_per_second * seconds_per_update * 100, 100.0)

@@ -19,7 +19,6 @@ real state rather than from a formula over the route count.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -84,49 +83,6 @@ class MemoryReport:
             self.data_plane * scale,
             self.data_plane_with_default * scale,
         )
-
-
-def resident_bytes(obj: object) -> int:
-    """Deep ``sys.getsizeof`` walk: actual Python-heap bytes held by
-    ``obj``, counting every reachable object exactly once.
-
-    Used by ``bench_fulltable_memory`` to compare Loc-RIB storage
-    backends (§6g): unlike RSS or tracemalloc snapshots this is
-    deterministic for a given object graph and interpreter version, so
-    the ±25% bench gate holds across machines.  Shared objects (decoded
-    attribute values, flyweight handles) are charged once — exactly the
-    sharing the columnar layout exists to create.
-
-    Callables, modules, and classes are skipped: a Loc-RIB holds a
-    ``select`` closure whose captured world is not route storage.
-    """
-    seen: set[int] = set()
-    stack = [obj]
-    total = 0
-    while stack:
-        current = stack.pop()
-        if id(current) in seen:
-            continue
-        if callable(current) or isinstance(current, type(sys)):
-            continue
-        seen.add(id(current))
-        total += sys.getsizeof(current)
-        if isinstance(current, dict):
-            stack.extend(current.keys())
-            stack.extend(current.values())
-        elif isinstance(current, (list, tuple, set, frozenset)):
-            stack.extend(current)
-        else:
-            attrs = getattr(current, "__dict__", None)
-            if attrs is not None:
-                stack.append(attrs)
-            slots = getattr(type(current), "__slots__", None)
-            if slots:
-                for name in slots:
-                    value = getattr(current, name, None)
-                    if value is not None:
-                        stack.append(value)
-    return total
 
 
 def memory_report(routes: list[Route],

@@ -15,8 +15,7 @@ forward, §3.2.2), so it is built for lookup speed:
   a prefix invalidates exactly the cached addresses it covers, so a more
   specific route becomes visible immediately;
 * **binary trie reference**: the original 1-bit-per-level walk is kept as
-  a second backend; the differential tests and the ablation benchmarks
-  run both.
+  a second backend; the differential tests run both.
 
 Backend choice and cache behaviour are governed by
 :mod:`repro.perf` flags (``stride_lpm``, ``lpm_cache``,
@@ -436,7 +435,7 @@ class LpmTable(Generic[V]):
 
     Backend (stride vs. binary trie) and cache behaviour follow the
     :mod:`repro.perf` flags at construction time; per-table keyword
-    overrides exist for tests and ablation benchmarks.
+    overrides exist for tests.
     """
 
     def __init__(

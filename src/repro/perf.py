@@ -1,8 +1,9 @@
-"""The LPM fast-path flags (the ablation control surface).
+"""The LPM fast-path flags (the differential lattice's control surface).
 
 :class:`repro.netsim.lpm.LpmTable` gates two independent accelerations
-behind module-level toggles so ``benchmarks/bench_ablation_fastpath.py``
-can measure them on/off without code changes:
+behind module-level toggles so the differential lattice
+(:mod:`repro.conformance.differential`) and the tests can switch them
+on/off without code changes:
 
 * ``stride_lpm``   — multi-bit (8-bit stride) trie walk instead of the
   1-bit-per-level binary trie reference,
@@ -52,7 +53,7 @@ def set_flags(**changes: object) -> PerfFlags:
 
 @contextmanager
 def flags(**changes: object) -> Iterator[PerfFlags]:
-    """Temporarily override flags (tests and ablation benchmarks)."""
+    """Temporarily override flags (tests and the differential lattice)."""
     global FLAGS
     saved = FLAGS
     try:

@@ -7,10 +7,11 @@ find one prefix's keys, so touching a prefix cost the whole Adj-RIB-Out.
 included, and ran even when nothing could be exported or withdrawn.
 ``_select`` built the decision contexts on every call. ``_flush`` sorted
 both pending sets even when they were empty, and grouped announcements by
-a linear scan over the groups. The only change carried over is the
-outbound ADD-PATH id release when a path is withdrawn. That is a bug fix,
-not part of the restructure, and keeping it lets wire bytes be compared
-exactly.
+a linear scan over the groups. Two bug fixes are carried over, because
+they are not part of the restructure and keeping them lets wire bytes be
+compared exactly: the outbound ADD-PATH id release when a path is
+withdrawn, and pending announcements kept by prefix so that one no longer
+wanted when the MRAI timer fires is dropped unsent.
 """
 
 from __future__ import annotations
@@ -34,13 +35,19 @@ def enqueue_prefix(self: BgpSpeaker, neighbor: Neighbor,
     for key in list(neighbor.adj_rib_out.keys()):
         if key[0] == prefix and key not in desired_keys:
             neighbor.pending_withdraw.add(key)
-            neighbor.pending_announce.pop(key, None)
+    announce = {}
     for route in desired:
         key = (route.prefix, route.path_id)
-        if neighbor.adj_rib_out.advertised(*key) == route:
-            continue
-        neighbor.pending_announce[key] = route
         neighbor.pending_withdraw.discard(key)
+        if neighbor.adj_rib_out.advertised(*key) != route:
+            announce[route.path_id] = route
+    for path_id in neighbor.pending_announce.pop(prefix, ()):
+        key = (prefix, path_id)
+        if (key not in desired_keys
+                and neighbor.adj_rib_out.advertised(*key) is None):
+            neighbor.release_path_id(path_id)
+    if announce:
+        neighbor.pending_announce[prefix] = announce
 
 
 def desired_routes(self: BgpSpeaker, neighbor: Neighbor,
@@ -101,10 +108,13 @@ def flush(self: BgpSpeaker, neighbor: Neighbor) -> None:
     if withdrawals:
         neighbor.session.send_update(UpdateMessage.withdraw(withdrawals))
     groups: list[tuple[object, list[Route]]] = []
-    for key in sorted(
-        neighbor.pending_announce, key=lambda k: (k[0].key(), k[1] or 0)
+    pending = [
+        route for paths in neighbor.pending_announce.values()
+        for route in paths.values()
+    ]
+    for route in sorted(
+        pending, key=lambda r: (r.prefix.key(), r.path_id or 0)
     ):
-        route = neighbor.pending_announce[key]
         if not neighbor.adj_rib_out.record_announce(route):
             continue
         for attributes, routes in groups:

@@ -337,3 +337,54 @@ def test_mrai_batches_updates(scheduler):
     # All 10 prefixes share attributes → batched into few updates.
     sessions = a.neighbors["to-2"].session
     assert sessions.stats.updates_sent <= 3
+
+
+def mrai_pair(scheduler, **common):
+    a = make_speaker(scheduler, 1, "1.1.1.1", mrai=1.0)
+    b = make_speaker(scheduler, 2, "2.2.2.2")
+    connect(scheduler, a, b, **common)
+    scheduler.run_for(1)
+    return a, b
+
+
+@pytest.mark.parametrize("addpath", [False, True])
+def test_mrai_drops_an_announcement_withdrawn_inside_the_window(
+        scheduler, addpath):
+    a, b = mrai_pair(scheduler, addpath=addpath)
+    a.originate(local_route(P1, next_hop=a.config.router_id))
+    scheduler.run_for(0.01)
+    a.withdraw(P1)
+    scheduler.run_for(2)
+    assert a.best_route(P1) is None
+    assert b.best_route(P1) is None
+    neighbor = a.neighbors["to-2"]
+    assert neighbor.session.stats.updates_sent == 0
+    assert not neighbor._path_ids      # the never-sent id is released
+
+
+def test_mrai_drops_a_change_reverted_inside_the_window(scheduler):
+    a, b = mrai_pair(scheduler)
+    x = local_route(P1, next_hop=a.config.router_id)
+    a.originate(x)
+    scheduler.run_for(2)
+    assert not b.best_route(P1).communities
+    a.originate(local_route(P1, next_hop=a.config.router_id,
+                            communities=(Community(1, 7),)))
+    scheduler.run_for(0.01)
+    a.originate(x)
+    scheduler.run_for(2)
+    assert not a.best_route(P1).communities
+    assert not b.best_route(P1).communities
+
+
+def test_mrai_keeps_a_route_restored_inside_the_window(scheduler):
+    a, b = mrai_pair(scheduler)
+    x = local_route(P1, next_hop=a.config.router_id)
+    a.originate(x)
+    scheduler.run_for(2)
+    a.withdraw(P1)
+    scheduler.run_for(0.01)
+    a.originate(x)
+    scheduler.run_for(2)
+    assert a.best_route(P1) is not None
+    assert b.best_route(P1) is not None

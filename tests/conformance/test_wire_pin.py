@@ -27,7 +27,7 @@ PINNED_FIELDS = (
 CHURN_DIGEST = (
     "98985340314933aa4081d33035197ec4f9f2bf70ed1ad237841c1ea018ce8411"
 )
-FULLTABLE_DIGEST = (
+FULL_TABLE_DIGEST = (
     "47be9c0116f6b1f1a0ae53c13e51e4b5eb2db48244b11f48a5da9cd4c3816de2"
 )
 
@@ -46,7 +46,7 @@ def scenario_digest(harness: DifferentialHarness) -> str:
         (dict(update_count=600, prefix_count=400), CHURN_DIGEST),
         (
             dict(update_count=120, prefix_count=600, workload="fulltable"),
-            FULLTABLE_DIGEST,
+            FULL_TABLE_DIGEST,
         ),
     ],
     ids=["churn", "fulltable"],
