@@ -4,7 +4,7 @@ Toggling an LPM acceleration must change *speed, never results*.  This
 module turns that promise into a machine-checked property:
 :class:`DifferentialHarness` replays one seeded churn workload — plus two
 experiment-announcement checkpoints exercising the §3.2.1 control
-communities — through **every** combination of the LPM toggles (2**2 = 4
+communities — through **every** combination of the LPM toggles (2**1 = 2
 runs) and compares each run against the all-flags-off reference:
 
 * the experiment client's Loc-RIB (every candidate path + the best
@@ -62,7 +62,7 @@ __all__ = [
 
 #: The boolean LPM toggles (``lpm_cache_size`` is a tuning knob, not a
 #: behaviour switch, and stays at its default).
-TOGGLES: Tuple[str, ...] = ("stride_lpm", "lpm_cache")
+TOGGLES: Tuple[str, ...] = ("lpm_cache",)
 
 PLATFORM_ASN = 47065
 UPSTREAM_ASN = 65010

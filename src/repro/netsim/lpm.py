@@ -1,25 +1,29 @@
-"""Longest-prefix-match routing table with a multi-bit stride fast path.
+"""Longest-prefix-match routing table: an 8-bit-stride trie.
 
 Each vBGP per-neighbor routing table, every router FIB, and the synthetic
 Internet's forwarding state are instances of :class:`LpmTable`.  The table
 is on the per-packet hot path (dMAC demux → per-neighbor table → LPM →
-forward, §3.2.2), so it is built for lookup speed:
+forward, §3.2.2) and, since every upstream's full table lands in its own
+table, on the per-route control-plane path too:
 
-* **stride trie** (default): nodes consume 8 address bits per level, so an
-  IPv4 lookup touches at most 5 nodes instead of 33.  Prefix lengths that
-  are not byte-aligned are expanded *inside* their node into a 256-slot
+* **stride trie**: nodes consume 8 address bits per level, so an IPv4
+  lookup touches at most 5 nodes instead of 33.  Prefix lengths that are
+  not byte-aligned are expanded *inside* their node into a 256-slot
   ``expanded`` array (controlled prefix expansion), keeping the walk
-  branch-free per level;
+  branch-free per level.  A parallel ``depth`` byte array holds each
+  slot's in-node prefix length, so a write touches only the slots it
+  changes: an insert takes the slots of its span held by an entry no
+  longer than itself, and a remove hands exactly the slots the removed
+  entry held to the next-shorter partial covering its span;
 * **lookup cache** (default): a bounded per-table LRU keyed by the
   destination address caches both hits and misses.  Inserting or removing
   a prefix invalidates exactly the cached addresses it covers, so a more
-  specific route becomes visible immediately;
-* **binary trie reference**: the original 1-bit-per-level walk is kept as
-  a second backend; the differential tests run both.
+  specific route becomes visible immediately.
 
-Backend choice and cache behaviour are governed by
-:mod:`repro.perf` flags (``stride_lpm``, ``lpm_cache``,
-``lpm_cache_size``), read at table construction time.
+The cache follows the :mod:`repro.perf` flags ``lpm_cache`` and
+``lpm_cache_size``, read at table construction time.  The binary-trie and
+linear-scan references the trie is checked against live under
+``tests/netsim/``.
 """
 
 from __future__ import annotations
@@ -35,9 +39,15 @@ V = TypeVar("V")
 
 _STRIDE = 8
 _MISS = object()  # cache sentinel distinguishing "no entry" from "not cached"
+# ``depth`` bytes for one whole span of a remainder-r partial (256 >> r slots).
+_DEPTH_FILL = [bytes((remainder,)) * (256 >> remainder)
+               for remainder in range(_STRIDE)]
+# The ``children`` of every childless node: most nodes are leaves, and a
+# node gets a dict of its own with its first child.  Never mutated.
+_NO_CHILDREN: dict = {}
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry(Generic[V]):
     """A prefix→value binding returned by LPM lookups."""
 
@@ -45,161 +55,30 @@ class RouteEntry(Generic[V]):
     value: V
 
 
-# ---------------------------------------------------------------------------
-# Binary trie backend (the reference implementation)
-# ---------------------------------------------------------------------------
-
-
-class _BitNode:
-    __slots__ = ("children", "entry")
-
-    def __init__(self) -> None:
-        self.children: list[Optional["_BitNode"]] = [None, None]
-        self.entry: Optional[RouteEntry] = None
-
-
-class _BinaryTrie:
-    """1-bit-per-level trie: the original, obviously-correct backend."""
-
-    def __init__(self) -> None:
-        self._root = _BitNode()
-
-    def _walk_to(self, prefix: Prefix, create: bool) -> Optional[_BitNode]:
-        node = self._root
-        value = prefix.network.value
-        bits = prefix.ADDRESS_CLS.BITS
-        for depth in range(prefix.length):
-            bit = (value >> (bits - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                if not create:
-                    return None
-                child = _BitNode()
-                node.children[bit] = child
-            node = child
-        return node
-
-    def insert(self, prefix: Prefix, value: Any) -> bool:
-        node = self._walk_to(prefix, create=True)
-        assert node is not None
-        created = node.entry is None
-        node.entry = RouteEntry(prefix=prefix, value=value)
-        return created
-
-    def get(self, prefix: Prefix) -> Optional[RouteEntry]:
-        node = self._walk_to(prefix, create=False)
-        if node is None:
-            return None
-        return node.entry
-
-    def remove(self, prefix: Prefix) -> bool:
-        path: list[tuple[_BitNode, int]] = []
-        node = self._root
-        value = prefix.network.value
-        bits = prefix.ADDRESS_CLS.BITS
-        for depth in range(prefix.length):
-            bit = (value >> (bits - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                return False
-            path.append((node, bit))
-            node = child
-        if node.entry is None:
-            return False
-        node.entry = None
-        # Prune childless, entry-less nodes bottom-up.
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            assert child is not None
-            if child.entry is None and child.children == [None, None]:
-                parent.children[bit] = None
-            else:
-                break
-        return True
-
-    def lookup(self, address: IPAddress) -> Optional[RouteEntry]:
-        node = self._root
-        best = node.entry
-        value = address.value
-        bits = address.BITS
-        for depth in range(bits):
-            bit = (value >> (bits - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.entry is not None:
-                best = node.entry
-        return best
-
-    def lookup_all(self, address: IPAddress) -> list[RouteEntry]:
-        matches: list[RouteEntry] = []
-        node = self._root
-        if node.entry is not None:
-            matches.append(node.entry)
-        value = address.value
-        bits = address.BITS
-        for depth in range(bits):
-            bit = (value >> (bits - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.entry is not None:
-                matches.append(node.entry)
-        return matches
-
-    def entries(self) -> Iterator[RouteEntry]:
-        yield from self._iter_subtree(self._root)
-
-    def _iter_subtree(self, node: _BitNode) -> Iterator[RouteEntry]:
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.entry is not None:
-                yield current.entry
-            for child in reversed(current.children):
-                if child is not None:
-                    stack.append(child)
-
-    def node_count(self) -> int:
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for child in node.children:
-                if child is not None:
-                    count += 1
-                    stack.append(child)
-        return count
-
-
-# ---------------------------------------------------------------------------
-# Stride trie backend (the fast path)
-# ---------------------------------------------------------------------------
-
-
 class _StrideNode:
-    __slots__ = ("children", "entry", "partials", "expanded")
+    __slots__ = ("children", "entry", "partials", "expanded", "depth")
 
     def __init__(self) -> None:
         # Next-byte → child node (sparse: most nodes have few children).
-        self.children: dict[int, "_StrideNode"] = {}
+        self.children: dict[int, "_StrideNode"] = _NO_CHILDREN
         # Entry for the prefix ending exactly at this node's byte boundary.
         self.entry: Optional[RouteEntry] = None
         # Entries whose length falls strictly inside this node's stride:
-        # (top-bits value, remainder length 1..7) → entry.
+        # (top-bits value, remainder length 1..7) → entry.  ``partials``,
+        # ``expanded`` and ``depth`` exist exactly while a partial does.
         self.partials: Optional[dict[tuple[int, int], RouteEntry]] = None
         # Controlled prefix expansion of ``partials``: for each possible
-        # next byte, the longest partial entry covering it (or None).
+        # next byte, the longest partial entry covering it (or None) ...
         self.expanded: Optional[list[Optional[RouteEntry]]] = None
+        # ... and that entry's remainder length (0 where it is None).
+        self.depth: Optional[bytearray] = None
 
     def is_empty(self) -> bool:
         return self.entry is None and not self.partials and not self.children
 
 
 class _StrideTrie:
-    """8-bit-stride trie with in-node controlled prefix expansion."""
+    """8-bit-stride trie with incremental in-node prefix expansion."""
 
     def __init__(self) -> None:
         self._root = _StrideNode()
@@ -207,91 +86,91 @@ class _StrideTrie:
     # -- helpers ---------------------------------------------------------
 
     @staticmethod
-    def _partial_key(prefix: Prefix) -> tuple[int, int]:
-        remainder = prefix.length % _STRIDE
-        bits = prefix.ADDRESS_CLS.BITS
-        top = (prefix.network.value >> (bits - prefix.length)) & (
-            (1 << remainder) - 1
-        )
-        return (top, remainder)
+    def _split(prefix: Prefix) -> tuple[bytes, int, int]:
+        """``prefix`` as its whole bytes (the path of nodes to it), then the
+        top bits and the length (0..7) of what is left inside that node."""
+        length = prefix.length
+        whole = length // _STRIDE
+        remainder = length % _STRIDE
+        network = prefix.network.value
+        bits = prefix.BITS
+        route = (network >> (bits - _STRIDE * whole)).to_bytes(whole, "big")
+        top = (network >> (bits - length)) & ((1 << remainder) - 1)
+        return route, top, remainder
 
-    def _descend(self, prefix: Prefix, create: bool,
+    def _descend(self, route: bytes,
                  path: Optional[list[tuple[_StrideNode, int]]] = None,
                  ) -> Optional[_StrideNode]:
         node = self._root
-        value = prefix.network.value
-        bits = prefix.ADDRESS_CLS.BITS
-        for level in range(prefix.length // _STRIDE):
-            byte = (value >> (bits - _STRIDE * (level + 1))) & 0xFF
+        for byte in route:
             child = node.children.get(byte)
             if child is None:
-                if not create:
-                    return None
-                child = _StrideNode()
-                node.children[byte] = child
+                return None
             if path is not None:
                 path.append((node, byte))
             node = child
         return node
 
-    @staticmethod
-    def _recompute_expanded(node: _StrideNode, lo: int, hi: int) -> None:
-        """Rebuild ``expanded[lo:hi]`` from the partial entries."""
-        partials = node.partials
-        if not partials:
-            node.expanded = None
-            return
-        if node.expanded is None:
-            node.expanded = [None] * 256
-        expanded = node.expanded
-        for byte in range(lo, hi):
-            best: Optional[RouteEntry] = None
-            for remainder in range(_STRIDE - 1, 0, -1):
-                entry = partials.get(
-                    (byte >> (_STRIDE - remainder), remainder)
-                )
-                if entry is not None:
-                    best = entry
-                    break
-            expanded[byte] = best
-
     # -- mutation --------------------------------------------------------
 
     def insert(self, prefix: Prefix, value: Any) -> bool:
-        node = self._descend(prefix, create=True)
-        assert node is not None
-        entry = RouteEntry(prefix=prefix, value=value)
-        if prefix.length % _STRIDE == 0:
+        route, top, remainder = self._split(prefix)
+        node = self._root
+        for byte in route:
+            children = node.children
+            child = children.get(byte)
+            if child is None:
+                if children is _NO_CHILDREN:
+                    children = node.children = {}
+                child = children[byte] = _StrideNode()
+            node = child
+        entry = RouteEntry(prefix, value)
+        if not remainder:
             created = node.entry is None
             node.entry = entry
             return created
-        key = self._partial_key(prefix)
-        if node.partials is None:
-            node.partials = {}
-        created = key not in node.partials
-        node.partials[key] = entry
-        top, remainder = key
-        span = 1 << (_STRIDE - remainder)
-        self._recompute_expanded(node, top * span, (top + 1) * span)
-        return created
+        partials = node.partials
+        if partials is None:
+            partials = node.partials = {}
+            node.expanded = [None] * 256
+            node.depth = bytearray(256)
+        size = len(partials)  # created iff the dict grows: no key probe
+        partials[top, remainder] = entry
+        span = 256 >> remainder
+        lo = top * span
+        hi = lo + span
+        expanded = node.expanded
+        depth = node.depth
+        if max(depth[lo:hi]) <= remainder:
+            expanded[lo:hi] = [entry] * span
+            depth[lo:hi] = _DEPTH_FILL[remainder]
+        else:
+            # Longer partials hold part of the span: leave their slots.
+            for byte in range(lo, hi):
+                if depth[byte] <= remainder:
+                    expanded[byte] = entry
+                    depth[byte] = remainder
+        return len(partials) != size
 
     def remove(self, prefix: Prefix) -> bool:
+        route, top, remainder = self._split(prefix)
         path: list[tuple[_StrideNode, int]] = []
-        node = self._descend(prefix, create=False, path=path)
+        node = self._descend(route, path)
         if node is None:
             return False
-        if prefix.length % _STRIDE == 0:
+        if not remainder:
             if node.entry is None:
                 return False
             node.entry = None
         else:
-            key = self._partial_key(prefix)
-            if not node.partials or key not in node.partials:
+            partials = node.partials
+            key = (top, remainder)
+            if partials is None or partials.pop(key, None) is None:
                 return False
-            del node.partials[key]
-            top, remainder = key
-            span = 1 << (_STRIDE - remainder)
-            self._recompute_expanded(node, top * span, (top + 1) * span)
+            if partials:
+                self._uncover(node, top, remainder)
+            else:
+                node.partials = node.expanded = node.depth = None
         # Prune empty nodes bottom-up so long-running simulations do not
         # leak nodes as routes churn.
         child = node
@@ -303,17 +182,45 @@ class _StrideTrie:
             child = parent
         return True
 
+    @staticmethod
+    def _uncover(node: _StrideNode, top: int, remainder: int) -> None:
+        """Hand the slots the removed partial ``(top, remainder)`` held to
+        the next-shorter partial covering its span, or empty them."""
+        partials = node.partials
+        span = 256 >> remainder
+        lo = top * span
+        hi = lo + span
+        # Every byte of the span has the same shorter ancestors.
+        cover: Optional[RouteEntry] = None
+        cover_depth = 0
+        for shorter in range(remainder - 1, 0, -1):
+            cover = partials.get((lo >> (_STRIDE - shorter), shorter))
+            if cover is not None:
+                cover_depth = shorter
+                break
+        expanded = node.expanded
+        depth = node.depth
+        if depth[lo:hi] == _DEPTH_FILL[remainder]:
+            expanded[lo:hi] = [cover] * span
+            depth[lo:hi] = bytes((cover_depth,)) * span
+        else:
+            for byte in range(lo, hi):
+                if depth[byte] == remainder:
+                    expanded[byte] = cover
+                    depth[byte] = cover_depth
+
     # -- queries ---------------------------------------------------------
 
     def get(self, prefix: Prefix) -> Optional[RouteEntry]:
-        node = self._descend(prefix, create=False)
+        route, top, remainder = self._split(prefix)
+        node = self._descend(route)
         if node is None:
             return None
-        if prefix.length % _STRIDE == 0:
+        if not remainder:
             return node.entry
         if not node.partials:
             return None
-        return node.partials.get(self._partial_key(prefix))
+        return node.partials.get((top, remainder))
 
     def lookup(self, address: IPAddress) -> Optional[RouteEntry]:
         node = self._root
@@ -337,32 +244,6 @@ class _StrideTrie:
             node = child
             shift -= _STRIDE
         return best
-
-    def lookup_all(self, address: IPAddress) -> list[RouteEntry]:
-        matches: list[RouteEntry] = []
-        node = self._root
-        value = address.value
-        shift = address.BITS - _STRIDE
-        while True:
-            if node.entry is not None:
-                matches.append(node.entry)
-            if shift < 0:
-                break
-            byte = (value >> shift) & 0xFF
-            partials = node.partials
-            if partials:
-                for remainder in range(1, _STRIDE):
-                    entry = partials.get(
-                        (byte >> (_STRIDE - remainder), remainder)
-                    )
-                    if entry is not None:
-                        matches.append(entry)
-            child = node.children.get(byte)
-            if child is None:
-                break
-            node = child
-            shift -= _STRIDE
-        return matches
 
     def entries(self) -> Iterator[RouteEntry]:
         yield from self._iter_subtree(self._root)
@@ -390,38 +271,7 @@ class _StrideTrie:
 
 
 # ---------------------------------------------------------------------------
-# Linear-scan reference (for differential testing only)
-# ---------------------------------------------------------------------------
-
-
-class LinearScanLpm(Generic[V]):
-    """A brutally simple LPM used as the differential-test oracle."""
-
-    def __init__(self) -> None:
-        self._entries: dict[Prefix, V] = {}
-
-    def insert(self, prefix: Prefix, value: V) -> None:
-        self._entries[prefix] = value
-
-    def remove(self, prefix: Prefix) -> bool:
-        return self._entries.pop(prefix, _MISS) is not _MISS
-
-    def lookup(self, address: IPAddress) -> Optional[RouteEntry[V]]:
-        best: Optional[Prefix] = None
-        for prefix in self._entries:
-            if prefix.contains_address(address):
-                if best is None or prefix.length > best.length:
-                    best = prefix
-        if best is None:
-            return None
-        return RouteEntry(prefix=best, value=self._entries[best])
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-# ---------------------------------------------------------------------------
-# Public facade: backend + LRU lookup cache
+# Public facade: stride trie + LRU lookup cache
 # ---------------------------------------------------------------------------
 
 
@@ -433,22 +283,19 @@ class LpmTable(Generic[V]):
     tables (the lookup cache keys on ``(address bits, address value)`` so
     coexistence stays correct).
 
-    Backend (stride vs. binary trie) and cache behaviour follow the
-    :mod:`repro.perf` flags at construction time; per-table keyword
-    overrides exist for tests.
+    Cache behaviour follows the :mod:`repro.perf` flags at construction
+    time; per-table keyword overrides exist for tests.
     """
 
     def __init__(
         self,
         *,
-        stride: Optional[bool] = None,
         cache: Optional[bool] = None,
         cache_size: Optional[int] = None,
     ) -> None:
         flags = perf.FLAGS
-        use_stride = flags.stride_lpm if stride is None else stride
         use_cache = flags.lpm_cache if cache is None else cache
-        self._backend = _StrideTrie() if use_stride else _BinaryTrie()
+        self._backend = _StrideTrie()
         self._cache: Optional[OrderedDict] = (
             OrderedDict() if use_cache else None
         )
@@ -480,7 +327,8 @@ class LpmTable(Generic[V]):
         """Insert or replace the entry for ``prefix``."""
         if self._backend.insert(prefix, value):
             self._size += 1
-        self._invalidate(prefix)
+        if self._cache:
+            self._invalidate(prefix)
 
     def remove(self, prefix: Prefix) -> bool:
         """Remove the exact entry for ``prefix``. Returns ``True`` if found.
@@ -491,12 +339,12 @@ class LpmTable(Generic[V]):
         if not self._backend.remove(prefix):
             return False
         self._size -= 1
-        self._invalidate(prefix)
+        if self._cache:
+            self._invalidate(prefix)
         return True
 
     def clear(self) -> None:
-        backend = self._backend
-        self._backend = type(backend)()
+        self._backend = type(self._backend)()
         self._size = 0
         if self._cache is not None:
             self._cache.clear()
@@ -504,8 +352,6 @@ class LpmTable(Generic[V]):
     def _invalidate(self, prefix: Prefix) -> None:
         """Drop cached lookups (hits *and* misses) covered by ``prefix``."""
         cache = self._cache
-        if not cache:
-            return
         if prefix.length == 0:
             cache.clear()
             return
@@ -545,16 +391,6 @@ class LpmTable(Generic[V]):
         if len(cache) > self._cache_cap:
             cache.popitem(last=False)
         return entry
-
-    def lookup_all(self, address: IPAddress) -> list[RouteEntry[V]]:
-        """All matching entries, shortest prefix first."""
-        return self._backend.lookup_all(address)
-
-    def covered_by(self, prefix: Prefix) -> Iterator[RouteEntry[V]]:
-        """Iterate entries whose prefix is covered by ``prefix``."""
-        for entry in self._backend.entries():
-            if prefix.contains_prefix(entry.prefix):
-                yield entry
 
     def entries(self) -> Iterator[RouteEntry[V]]:
         """Iterate all entries in deterministic trie order."""

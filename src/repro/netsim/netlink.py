@@ -68,8 +68,8 @@ class Netlink:
                 records.append(
                     AddressRecord(
                         iface=name,
-                        address=assignment.network,
-                        length=32,
+                        address=assignment.address,
+                        length=assignment.length,
                         primary=index == 0,
                     )
                 )
@@ -116,7 +116,7 @@ class Netlink:
         interface = self._stack.interfaces.get(iface)
         if interface is None:
             raise NetlinkError(f"no such interface: {iface}")
-        if any(a.network == address for a in interface.addresses):
+        if any(a.address == address for a in interface.addresses):
             raise NetlinkError(f"address exists: {address} on {iface}")
         self._stack.add_address(iface, address, length)
 
@@ -125,7 +125,7 @@ class Netlink:
         interface = self._stack.interfaces.get(iface)
         if interface is None:
             raise NetlinkError(f"no such interface: {iface}")
-        if not any(a.network == address for a in interface.addresses):
+        if not any(a.address == address for a in interface.addresses):
             raise NetlinkError(f"no such address: {address} on {iface}")
         self._stack.remove_address(iface, address)
 

@@ -107,6 +107,18 @@ class RoutingRule:
         return True
 
 
+@dataclass(frozen=True)
+class InterfaceAddress:
+    """An address assigned to an interface, with its subnet length."""
+
+    address: IPv4Address
+    length: int
+
+    @property
+    def subnet(self) -> IPv4Prefix:
+        return IPv4Prefix.from_address(self.address, self.length)
+
+
 @dataclass
 class InterfaceConfig:
     """Declarative interface state used by the netlink API and controller."""
@@ -130,7 +142,7 @@ class Interface:
         self.up = True
         self.mtu = 1500
         # Address order matters: index 0 is the primary address.
-        self.addresses: list[IPv4Prefix] = []
+        self.addresses: list[InterfaceAddress] = []
         # Extra unicast MACs this interface accepts (vBGP virtual MACs).
         self.extra_macs: set[MacAddress] = set()
         port.attach(self._receive)
@@ -140,7 +152,7 @@ class Interface:
         """First-added address; the source used for ICMP errors."""
         if not self.addresses:
             return None
-        return self.addresses[0].network
+        return self.addresses[0].address
 
     def accepts_mac(self, mac: MacAddress) -> bool:
         return (
@@ -252,30 +264,37 @@ class NetworkStack:
         for the subnet is installed in the main table.
         """
         iface = self.interfaces[iface_name]
-        assignment = IPv4Prefix(address, 32)
-        if any(existing.network == address for existing in iface.addresses):
+        if any(existing.address == address for existing in iface.addresses):
             return
+        assignment = InterfaceAddress(address, length)
         iface.addresses.append(assignment)
         self._local_ips.add(address)
-        subnet = IPv4Prefix.from_address(address, length)
-        self.add_route(KernelRoute(prefix=subnet, out_iface=iface_name))
+        self.add_route(KernelRoute(prefix=assignment.subnet,
+                                   out_iface=iface_name))
 
     def remove_address(self, iface_name: str, address: IPv4Address) -> None:
+        """Unassign ``address``; as in Linux, the subnet's connected route
+        leaves the main table with the interface's last address in it."""
         iface = self.interfaces[iface_name]
-        iface.addresses = [
-            existing for existing in iface.addresses
-            if existing.network != address
-        ]
+        gone = next((a for a in iface.addresses if a.address == address), None)
+        if gone is None:
+            return
+        iface.addresses.remove(gone)
         self._rebuild_local_ips()
+        subnet = gone.subnet
+        connected = KernelRoute(prefix=subnet, out_iface=iface_name)
+        if (all(a.subnet != subnet for a in iface.addresses)
+                and self.table(MAIN_TABLE).get(subnet) == connected):
+            self.remove_route(subnet)
 
     def interface_addresses(self, iface_name: str) -> list[IPv4Address]:
-        return [p.network for p in self.interfaces[iface_name].addresses]
+        return [a.address for a in self.interfaces[iface_name].addresses]
 
     def primary_address(self, iface_name: str) -> Optional[IPv4Address]:
         iface = self.interfaces[iface_name]
         if not iface.addresses:
             return None
-        return iface.addresses[0].network
+        return iface.addresses[0].address
 
     def table(self, table_id: int) -> LpmTable[KernelRoute]:
         if table_id not in self.tables:
@@ -356,7 +375,7 @@ class NetworkStack:
     def _rebuild_local_ips(self) -> None:
         ips: set[IPv4Address] = set()
         for iface in self.interfaces.values():
-            ips.update(p.network for p in iface.addresses)
+            ips.update(a.address for a in iface.addresses)
         self._local_ips = ips
 
     # ------------------------------------------------------------------
@@ -418,13 +437,13 @@ class NetworkStack:
         proxied = self.proxy_arp.get(iface.name, {}).get(ip)
         if proxied is not None:
             return proxied
-        if any(p.network == ip for p in iface.addresses):
+        if any(a.address == ip for a in iface.addresses):
             return iface.mac
         return None
 
     def _send_arp_request(self, target_ip: IPv4Address,
                           iface: Interface) -> None:
-        sender_ip = iface.addresses[0].network if iface.addresses else (
+        sender_ip = iface.addresses[0].address if iface.addresses else (
             IPv4Address(0)
         )
         request = ArpPacket(
@@ -508,7 +527,7 @@ class NetworkStack:
         # address — the reason PEERING's controller fights for address order.
         src = None
         if iface is not None and iface.addresses:
-            src = iface.addresses[0].network
+            src = iface.addresses[0].address
         if src is None:
             return
         error = IcmpMessage(

@@ -1,21 +1,20 @@
-"""The LPM fast-path flags (the differential lattice's control surface).
+"""The LPM lookup-cache flags (the differential lattice's control surface).
 
-:class:`repro.netsim.lpm.LpmTable` gates two independent accelerations
-behind module-level toggles so the differential lattice
-(:mod:`repro.conformance.differential`) and the tests can switch them
+:class:`repro.netsim.lpm.LpmTable` gates one acceleration behind a
+module-level toggle so the differential lattice
+(:mod:`repro.conformance.differential`) and the tests can switch it
 on/off without code changes:
 
-* ``stride_lpm``   — multi-bit (8-bit stride) trie walk instead of the
-  1-bit-per-level binary trie reference,
 * ``lpm_cache``    — bounded per-table LRU lookup cache keyed by
   destination address, invalidated on insert/remove of any covering
   prefix (negative results are cached too); ``lpm_cache_size`` is its
   capacity, a tuning knob rather than a behaviour switch.
 
-Every control-plane fast path (attribute, NLRI and message encode memos,
+The 8-bit-stride trie under the cache is the only LPM backend, and every
+control-plane fast path (attribute, NLRI and message encode memos,
 multi-NLRI fan-out batching, the columnar Loc-RIB, the incremental best
-path and the zero-copy UPDATE encode) is always on; their former
-reference bodies live under ``tests/`` as oracles.
+path and the zero-copy UPDATE encode) is always on; the bodies they
+replaced live under ``tests/`` as oracles.
 
 Flags are read at table construction time.
 """
@@ -31,9 +30,8 @@ __all__ = ["FLAGS", "PerfFlags", "set_flags", "flags"]
 
 @dataclass(frozen=True)
 class PerfFlags:
-    """The LPM toggles (all on by default)."""
+    """The LPM lookup-cache toggle and its capacity (on by default)."""
 
-    stride_lpm: bool = True
     lpm_cache: bool = True
     lpm_cache_size: int = 1024
 

@@ -958,7 +958,7 @@ class VbgpNode:
     def _upstream_address(self) -> IPv4Address:
         iface = self.stack.interfaces.get(self.upstream_iface)
         if iface is not None and iface.addresses:
-            return iface.addresses[0].network
+            return iface.addresses[0].address
         return self.router_id
 
     # ==================================================================

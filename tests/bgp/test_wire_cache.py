@@ -129,7 +129,6 @@ class TestInterning:
 class TestFlagHygiene:
     def test_flags_context_restores(self):
         before = perf.FLAGS
-        with perf.flags(stride_lpm=False, lpm_cache=False):
-            assert not perf.FLAGS.stride_lpm
+        with perf.flags(lpm_cache=False):
             assert not perf.FLAGS.lpm_cache
         assert perf.FLAGS == before

@@ -43,7 +43,7 @@ def test_apply_from_scratch(setup):
                             out_iface="eth0", next_hop=None)],
     ))
     assert report.added == 3
-    assert [str(a.network) for a in stack.interfaces["eth0"].addresses] == [
+    assert [str(a.address) for a in stack.interfaces["eth0"].addresses] == [
         "10.0.0.1", "10.0.0.2",
     ]
     assert netlink.dump_routes(100)
@@ -178,6 +178,26 @@ def test_rollback_restores_removed_objects(setup):
             fail_on=lambda op: op.startswith("add rule"),
         )
     assert netlink.dump_routes(100)  # the removed route came back
+
+
+def test_rollback_restores_removed_address_with_its_subnet(setup):
+    """Undoing a ``del addr`` re-adds the address with its real length, so
+    the interface and the main table end as they began."""
+    stack, netlink, controller = setup
+    controller.apply(intent(addresses={"eth0": [(ip("192.0.2.1"), 24)]}))
+    before_addresses = netlink.dump_addresses("eth0")
+    before_main = netlink.dump_routes(254)
+    assert [(str(r.address), r.length) for r in before_addresses] == [
+        ("192.0.2.1", 24),
+    ]
+    with pytest.raises(TransactionError):
+        controller.apply(
+            intent(addresses={"eth0": [(ip("198.51.100.1"), 24)]}),
+            fail_on=lambda op: op.startswith("add addr 198."),
+        )
+    assert controller.rollbacks == 1
+    assert netlink.dump_addresses("eth0") == before_addresses
+    assert netlink.dump_routes(254) == before_main
 
 
 def test_counters(setup):

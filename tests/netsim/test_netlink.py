@@ -116,3 +116,40 @@ def test_request_counter(netlink):
     netlink.dump_rules()
     netlink.dump_addresses("eth0")
     assert netlink.requests == before + 2
+
+
+def test_dump_reports_each_address_length(netlink):
+    netlink.add_address("eth0", ip("192.0.2.1"), 24)
+    netlink.add_address("eth0", ip("198.51.100.7"), 32)
+    records = netlink.dump_addresses("eth0")
+    assert [(str(r.address), r.length) for r in records] == [
+        ("192.0.2.1", 24), ("198.51.100.7", 32),
+    ]
+
+
+def test_del_address_removes_only_its_connected_route(netlink):
+    netlink.add_address("eth0", ip("192.0.2.1"), 24)
+    connected = RouteRecord(table=254, prefix=pfx("192.0.2.0/24"),
+                            out_iface="eth0", next_hop=None)
+    assert netlink.dump_routes(254) == [connected]
+    # A subnet route the operator replaced is not the kernel's to remove.
+    netlink.add_address("eth1", ip("198.51.100.1"), 24)
+    netlink.del_route(254, pfx("198.51.100.0/24"))
+    via = RouteRecord(table=254, prefix=pfx("198.51.100.0/24"),
+                      out_iface="eth0", next_hop=ip("192.0.2.254"))
+    netlink.add_route(via)
+    netlink.del_address("eth0", ip("192.0.2.1"))
+    netlink.del_address("eth1", ip("198.51.100.1"))
+    assert netlink.dump_routes(254) == [via]
+
+
+def test_connected_route_stays_until_last_address_of_subnet(netlink):
+    netlink.add_address("eth0", ip("192.0.2.1"), 24)
+    netlink.add_address("eth0", ip("192.0.2.2"), 24)
+    netlink.del_address("eth0", ip("192.0.2.1"))
+    assert [r.prefix for r in netlink.dump_routes(254)] == [
+        pfx("192.0.2.0/24")
+    ]
+    netlink.del_address("eth0", ip("192.0.2.2"))
+    assert netlink.dump_routes(254) == []
+

@@ -8,11 +8,7 @@ import pytest
 
 from repro import perf
 
-SURVIVING_FLAGS = {
-    "stride_lpm",
-    "lpm_cache",
-    "lpm_cache_size",
-}
+SURVIVING_FLAGS = {"lpm_cache", "lpm_cache_size"}
 
 # Deleted flags: their fast paths are the only path, and the bodies they
 # switched to live under ``tests/`` as oracles.
@@ -24,6 +20,7 @@ DELETED_FLAGS = (
     "rib_columnar",
     "incremental_bestpath",
     "encode_zero_copy",
+    "stride_lpm",
 )
 
 
