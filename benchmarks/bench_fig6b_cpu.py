@@ -27,7 +27,7 @@ from repro.metrics import measure_processing
 from repro.netsim.addr import IPv4Prefix
 from repro.security import ControlPlaneEnforcer, ExperimentProfile
 from repro.sim import Scheduler
-from repro.vbgp.allocator import LocalVipAllocator, global_neighbor_ip
+from repro.vbgp.allocator import global_neighbor_ip, local_neighbor_ip
 
 RATES = [500, 1000, 2000, 4000]
 UPDATE_COUNT = 3000
@@ -95,7 +95,6 @@ def single_router_pipeline():
 
 def multi_router_pipeline():
     single = single_router_pipeline()
-    vips = LocalVipAllocator()
     path_ids = {}
     counter = [0]
 
@@ -114,7 +113,7 @@ def multi_router_pipeline():
             if key not in path_ids:
                 path_ids[key] = len(path_ids) + 1
             carried = carried.with_path_id(path_ids[key])
-            vips.vip_for(gid)
+            local_neighbor_ip(gid)
             from repro.bgp.messages import UpdateMessage
 
             UpdateMessage.announce([carried]).encode(addpath=True)

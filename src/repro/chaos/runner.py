@@ -14,8 +14,9 @@ pre-fault routing state or a bound expires.  Each scenario returns a
 standing resilience invariants:
 
 ``reconverged``
-    every client's received-route set and every upstream speaker's
-    Loc-RIB returned to the pre-fault snapshot within the bound;
+    every client's received paths and every upstream speaker's Loc-RIB
+    returned to the pre-fault snapshot within the bound — path by path,
+    attributes included, ADD-PATH ids ignored;
 ``kernel_tables_consistent``
     every upstream neighbor's Adj-RIB-In matches its per-neighbor
     kernel routing table (the §5 table-per-neighbor design);
@@ -41,6 +42,8 @@ from repro.bgp.attributes import local_route
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
 from repro.bgp.supervisor import SupervisorConfig
 from repro.chaos.faults import ChannelFaultInjector
+from repro.conformance.invariants import ConformanceContext, run_invariants
+from repro.conformance.state import paths, speaker_paths
 from repro.netsim.addr import IPv4Prefix
 from repro.platform.experiment import ExperimentProposal
 from repro.platform.peering import PeeringPlatform
@@ -757,12 +760,14 @@ class ChaosRunner:
             self.scheduler.run_for(self.step)
 
     def _snapshot(self):
-        """Routing state as multisets of paths per prefix.
+        """Routing state as multisets of paths, attributes included.
 
-        ADD-PATH ids are deliberately excluded: they are client-local
-        handles that may be reallocated when a fault outlasts the GR
-        retention window (flush + re-announce).  The convergence
-        invariant is that every client sees the same *paths* — the
+        Every client view and every neighbor's Loc-RIB, projected
+        through :func:`~repro.conformance.state.paths`: ADD-PATH ids
+        are deliberately excluded — they are client-local handles that
+        may be reallocated when a fault outlasts the GR retention window
+        (flush + re-announce) — but a path that comes back with another
+        AS path, next hop or community set has not re-converged.  The
         zero-withdrawal property of in-window GR recovery is asserted
         separately by the graceful-restart tests via the telemetry
         station feed.
@@ -770,14 +775,10 @@ class ChaosRunner:
         state: Dict[str, tuple] = {}
         for name, client in self.world.clients.items():
             for pop_name, view in client.pops.items():
-                state[f"client:{name}:{pop_name}"] = tuple(sorted(
-                    str(route.prefix) for route in view.routes.values()
-                ))
+                state[f"client:{name}:{pop_name}"] = paths(
+                    view.routes.values())
         for name, handle in self.world.neighbors.items():
-            state[f"neighbor:{name}"] = tuple(sorted(
-                str(entry.route.prefix)
-                for entry in handle.speaker.loc_rib.best_routes()
-            ))
+            state[f"neighbor:{name}"] = speaker_paths(handle.speaker)
         return state
 
     def _settled(self) -> bool:
@@ -816,11 +817,6 @@ class ChaosRunner:
         are deliberately not asserted here: mid-recovery both are
         transiently (and legitimately) violated while sessions re-sync.
         """
-        from repro.conformance.invariants import (
-            ConformanceContext,
-            run_invariants,
-        )
-
         context = ConformanceContext.from_platform(
             self.platform, clients=self.world.clients
         )
@@ -842,11 +838,6 @@ class ChaosRunner:
     def _full_invariants(self, converged: bool) -> Dict[str, bool]:
         """The whole invariant catalog: nothing may be transiently
         excused — recovery must be *complete*."""
-        from repro.conformance.invariants import (
-            ConformanceContext,
-            run_invariants,
-        )
-
         context = ConformanceContext.from_platform(
             self.platform,
             clients=self.world.clients,

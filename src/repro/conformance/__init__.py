@@ -1,6 +1,6 @@
 """Conformance & differential-correctness subsystem.
 
-Three machine-checked correctness surfaces (DESIGN.md §6e):
+Machine-checked correctness surfaces (DESIGN.md §6e):
 
 * :mod:`repro.conformance.strategies` — Hypothesis strategies generating
   arbitrary *canonical-form* BGP messages for round-trip
@@ -15,9 +15,14 @@ Three machine-checked correctness surfaces (DESIGN.md §6e):
   bytes against the all-off reference;
 * :mod:`repro.conformance.invariants` — the platform invariant catalog
   (next-hop/virtual-MAC bijectivity, ADD-PATH completeness, community
-  propagation, cross-experiment isolation, RIB/kernel consistency) as
-  composable checkers consumed by tests, the chaos runner, and the
-  ``peering verify`` CLI.
+  propagation, cross-experiment isolation, RIB/kernel consistency,
+  no withdrawal lost to shedding) as six composable checkers consumed by
+  tests, the chaos runner, the fleet, the intent controller, and the
+  ``peering verify`` CLI;
+* :mod:`repro.conformance.state` — the one canonical view of world
+  state (speaker Loc-RIBs, PoP Adj-RIB-Ins / attachments / kernel
+  tables, ADD-PATH-free path multisets) that every differential and
+  convergence check compares.
 """
 
 from repro.conformance.differential import (

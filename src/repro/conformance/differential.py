@@ -21,7 +21,8 @@ columnar Loc-RIB, the incremental best path, the zero-copy encode) have
 no toggle; their oracles live under ``tests/``.  The same scenario runner
 backs the cross-commit wire pin (``tests/conformance/test_wire_pin.py``).
 
-Everything is canonicalised to bytes before comparison, so a report's
+Everything is canonicalised to bytes through
+:mod:`repro.conformance.state` before comparison, so a report's
 ``mismatches`` genuinely means "the fast path computed something
 different", not "a set iterated in a different order".
 """
@@ -33,14 +34,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import perf
-from repro.bgp.attributes import PathAttributes, Route, local_route
-from repro.bgp.messages import (
-    HEADER_SIZE,
-    MSG_UPDATE,
-    MessageDecoder,
-    UpdateMessage,
-)
+from repro.bgp.attributes import local_route
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
+from repro.conformance.state import (
+    WireTap,
+    changes_from_frames,
+    pop_view,
+    speaker_view,
+)
 from repro.internet.churn import AMSIX_PROFILE, ChurnGenerator
 from repro.internet.fulltable import FullTableGenerator
 from repro.netsim.addr import IPv4Address, IPv4Prefix, MacAddress
@@ -55,9 +56,6 @@ __all__ = [
     "DifferentialHarness",
     "DifferentialReport",
     "all_flag_combinations",
-    "attr_fingerprint",
-    "loc_rib_snapshot",
-    "route_fingerprint",
 ]
 
 #: The boolean LPM toggles (``lpm_cache_size`` is a tuning knob, not a
@@ -82,125 +80,6 @@ def all_flag_combinations() -> List[Dict[str, bool]]:
 def combo_label(combo: Dict[str, bool]) -> str:
     on = [name for name in TOGGLES if combo.get(name)]
     return "+".join(on) if on else "all_off"
-
-
-# ---------------------------------------------------------------------------
-# Canonicalisation
-# ---------------------------------------------------------------------------
-
-
-def _attr_fingerprint(attributes: Optional[PathAttributes]) -> tuple:
-    if attributes is None:
-        return ()
-    aggregator = attributes.aggregator
-    return (
-        attributes.origin.value,
-        tuple(
-            (segment.kind.value, segment.asns)
-            for segment in attributes.as_path.segments
-        ),
-        str(attributes.next_hop),
-        attributes.med,
-        attributes.local_pref,
-        attributes.atomic_aggregate,
-        None if aggregator is None else (aggregator[0], str(aggregator[1])),
-        tuple(sorted(
-            (c.asn, c.value) for c in attributes.communities
-        )),
-        tuple(sorted(
-            (c.global_admin, c.local1, c.local2)
-            for c in attributes.large_communities
-        )),
-        tuple(sorted(
-            (u.type_code, u.flags, u.value) for u in attributes.unknown
-        )),
-    )
-
-
-def _route_fingerprint(route: Route) -> tuple:
-    return (
-        str(route.prefix),
-        route.path_id,
-        _attr_fingerprint(route.attributes),
-    )
-
-
-def _changes_from_frames(frames: List[bytes], addpath: bool) -> List[tuple]:
-    """Decode captured UPDATE frames into a canonical change stream."""
-    changes: List[tuple] = []
-    decoder = MessageDecoder()
-    decoder.addpath = addpath
-    for frame in frames:
-        decoder.feed(frame)
-        message = decoder.next_message()
-        assert isinstance(message, UpdateMessage)
-        for prefix, path_id in message.withdrawn:
-            changes.append(("W", str(prefix), path_id))
-        for route in message.routes():
-            changes.append(("A",) + _route_fingerprint(route))
-    return changes
-
-
-def _loc_rib_snapshot(speaker: BgpSpeaker) -> list:
-    rib = speaker.loc_rib
-    snapshot = []
-    for prefix in sorted(rib.prefixes(), key=str):
-        best = rib.best(prefix)
-        candidates = sorted(
-            (entry.peer, _route_fingerprint(entry.route))
-            for entry in rib.candidates(prefix)
-        )
-        snapshot.append((
-            str(prefix),
-            None if best is None else _route_fingerprint(best.route),
-            candidates,
-        ))
-    return snapshot
-
-
-# Public aliases: the intent layer's snapshot/diff machinery and the
-# fleet differential harness (repro.fleet, §6k) reuse this module's
-# canonicalisation and wire-tap so "byte-identical" means the same thing
-# in every differential leg.
-attr_fingerprint = _attr_fingerprint
-route_fingerprint = _route_fingerprint
-loc_rib_snapshot = _loc_rib_snapshot
-changes_from_frames = _changes_from_frames
-
-
-class _WireTap:
-    """Records the UPDATE frames delivered to one channel endpoint.
-
-    Wraps ``channel.on_data`` *after* the receiving session attached, so
-    the session still sees every byte; the tap reframes the stream
-    itself (chunks may split frames) and keeps only type-2 messages.
-    """
-
-    def __init__(self, channel) -> None:
-        self.frames: List[bytes] = []
-        self._buffer = bytearray()
-        inner = channel.on_data
-
-        def tapped(data: bytes) -> None:
-            self._buffer.extend(data)
-            self._drain()
-            if inner is not None:
-                inner(data)
-
-        channel.on_data = tapped
-
-    def _drain(self) -> None:
-        while len(self._buffer) >= HEADER_SIZE:
-            length = int.from_bytes(self._buffer[16:18], "big")
-            if length < HEADER_SIZE or len(self._buffer) < length:
-                return
-            frame = bytes(self._buffer[:length])
-            del self._buffer[:length]
-            if frame[18] == MSG_UPDATE:
-                self.frames.append(frame)
-
-
-WireTap = _WireTap
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +189,7 @@ class DifferentialHarness:
             ),
             port.channel,
         )
-        upstream_tap = _WireTap(port.channel)
+        upstream_tap = WireTap(port.channel)
 
         # The experiment: an ADD-PATH client speaker behind the tunnel.
         from repro.bgp.transport import connect_pair
@@ -345,7 +224,7 @@ class DifferentialHarness:
             ),
             theirs,
         )
-        client_tap = _WireTap(theirs)
+        client_tap = WireTap(theirs)
         scheduler.run_for(5)
 
         # Workload: a seeded update stream with two announcement
@@ -379,30 +258,18 @@ class DifferentialHarness:
             scheduler.run_until(scheduler.now)
         scheduler.run_for(5)
 
-        node = pop.node
-        neighbor = node.upstreams["upstream"]
-        adj_rib_in = sorted(
-            (str(prefix), source_id, _attr_fingerprint(route.attributes))
-            for (prefix, source_id), route in neighbor.rib.items()
-        )
-        kernel = []
-        for table_id in sorted(pop.stack.tables):
-            table = pop.stack.tables[table_id]
-            kernel.append((table_id, sorted(
-                (str(entry.prefix), str(entry.value.next_hop),
-                 entry.value.out_iface)
-                for entry in table.entries()
-            )))
+        view = pop_view(pop)
+        counters = pop.node.counters
         structural = (
-            ("client_loc_rib", _loc_rib_snapshot(client)),
-            ("upstream_loc_rib", _loc_rib_snapshot(upstream)),
-            ("adj_rib_in", adj_rib_in),
-            ("kernel", kernel),
-            ("installed", node.counters["routes_installed"]),
-            ("removed", node.counters["routes_removed"]),
+            ("client_loc_rib", speaker_view(client)),
+            ("upstream_loc_rib", speaker_view(upstream)),
+            ("adj_rib_in", view.upstreams["upstream"]),
+            ("kernel", list(view.kernel.items())),
+            ("installed", counters["routes_installed"]),
+            ("removed", counters["routes_removed"]),
         )
-        to_exp = _changes_from_frames(client_tap.frames, addpath=True)
-        to_up = _changes_from_frames(upstream_tap.frames, addpath=False)
+        to_exp = changes_from_frames(client_tap.frames, addpath=True)
+        to_up = changes_from_frames(upstream_tap.frames, addpath=False)
         return _RunResult(
             structural=repr(structural).encode(),
             changes_to_experiment=repr(sorted(to_exp)).encode(),

@@ -5,20 +5,25 @@ a running deployment (PoPs, experiment clients, allocations, external
 neighbor speakers) — and returns an :class:`InvariantReport` carrying a
 verdict, how much evidence was examined, and every concrete violation.
 
-The same checkers serve three consumers:
+The same checkers serve every consumer:
 
 * unit/integration tests (each invariant also has a deliberately-broken
   fixture it must catch, see ``tests/conformance/test_invariants.py``),
 * the chaos runner, which evaluates them after every fault scenario,
+* the intent controller, which re-verifies after every applied change,
+* the fleet, where each PoP process runs the four node-local checkers
+  and the driver calls :func:`judge_exports` and :func:`judge_isolation`
+  against the external speakers it holds,
 * the ``peering verify`` CLI, which runs them against the live platform.
 
 Catalog (keys of :data:`CATALOG`):
 
 ``vmac_bijectivity``
     Every (local or backbone-learned) neighbor's virtual MAC, global
-    IP, and kernel-table id are exactly the deterministic images of its
-    global id, the MAC decodes back to that id, and no two neighbors at
-    a PoP share a MAC, local VIP, or table (§3.2.2 identity scheme).
+    IP, local VIP and kernel-table id are exactly the deterministic
+    images of its global id, the MAC decodes back to that id, and no two
+    neighbors at a PoP share a MAC, local VIP, or table (§3.2.2 identity
+    scheme).
 ``addpath_completeness``
     Full visibility, the §3.2.1 promise.  Node leg: while an experiment
     is established, every Adj-RIB-In path has a node-wide ADD-PATH id,
@@ -53,6 +58,7 @@ from typing import Callable, Dict, Iterable, Mapping, Optional
 from repro.vbgp.allocator import (
     global_neighbor_ip,
     global_neighbor_mac,
+    local_neighbor_ip,
     neighbor_mac_global_id,
     neighbor_table_id,
 )
@@ -63,6 +69,8 @@ __all__ = [
     "ConformanceContext",
     "InvariantReport",
     "community_export_expectations",
+    "judge_exports",
+    "judge_isolation",
     "run_invariants",
 ]
 
@@ -84,6 +92,14 @@ class InvariantReport:
         self.violation_count += 1
         if len(self.violations) < _MAX_VIOLATIONS:
             self.violations.append(message)
+
+    def as_dict(self) -> dict:
+        """The verdict as primitives, for the fleet's control RPC."""
+        return {
+            "ok": self.ok,
+            "checked": self.checked,
+            "violations": list(self.violations),
+        }
 
     def format(self) -> str:
         verdict = "ok" if self.ok else "VIOLATED"
@@ -174,6 +190,9 @@ def check_vmac_bijectivity(ctx: ConformanceContext) -> InvariantReport:
                             f"back to gid {gid}")
             if virtual.global_ip != global_neighbor_ip(gid):
                 report.fail(f"{where}: global IP {virtual.global_ip} "
+                            f"mismatches gid {gid}")
+            if virtual.local_ip != local_neighbor_ip(gid):
+                report.fail(f"{where}: local VIP {virtual.local_ip} "
                             f"mismatches gid {gid}")
             if virtual.table_id != neighbor_table_id(gid):
                 report.fail(f"{where}: table id {virtual.table_id} "
@@ -307,6 +326,35 @@ def community_export_expectations(
     return expectations
 
 
+def judge_exports(report: InvariantReport, neighbor: str,
+                  expectations: Mapping[object, bool], speaker) -> None:
+    """One neighbor's half of ``community_propagation``: ``speaker`` (the
+    external AS) holds exactly the ``expectations`` it is selected for,
+    free of control communities.  The fleet driver calls it too."""
+    for prefix, expected in expectations.items():
+        report.checked += 1
+        exported = speaker.best_route(prefix)
+        if expected and exported is None:
+            report.fail(
+                f"{neighbor}: expected export of {prefix} but the "
+                "neighbor does not hold it"
+            )
+        elif not expected and exported is not None:
+            report.fail(
+                f"{neighbor}: holds {prefix} although the control "
+                "communities exclude it"
+            )
+        if exported is not None:
+            leaked = sorted(
+                str(c) for c in exported.communities if is_control(c)
+            )
+            if leaked:
+                report.fail(
+                    f"{neighbor}: export of {prefix} leaks "
+                    f"control communities {', '.join(leaked)}"
+                )
+
+
 def check_community_propagation(ctx: ConformanceContext) -> InvariantReport:
     report = InvariantReport("community_propagation")
     for neighbor_name, speaker in ctx.neighbor_speakers.items():
@@ -318,32 +366,28 @@ def check_community_propagation(ctx: ConformanceContext) -> InvariantReport:
         expectations = community_export_expectations(node, neighbor_name)
         if expectations is None:
             continue
-        upstream = node.upstreams[neighbor_name]
-        gid = upstream.virtual.global_id
-        for prefix, expected in expectations.items():
-            report.checked += 1
-            exported = speaker.best_route(prefix)
-            if expected and exported is None:
-                report.fail(
-                    f"{neighbor_name}: expected export of {prefix} "
-                    f"(communities select gid {gid}) but the neighbor "
-                    "does not hold it"
-                )
-            elif not expected and exported is not None:
-                report.fail(
-                    f"{neighbor_name}: holds {prefix} although the "
-                    f"control communities exclude gid {gid}"
-                )
-            if exported is not None:
-                leaked = sorted(
-                    str(c) for c in exported.communities if is_control(c)
-                )
-                if leaked:
-                    report.fail(
-                        f"{neighbor_name}: export of {prefix} leaks "
-                        f"control communities {', '.join(leaked)}"
-                    )
+        gid = node.upstreams[neighbor_name].virtual.global_id
+        judge_exports(report, f"{neighbor_name}(gid={gid})", expectations,
+                      speaker)
     return report
+
+
+def judge_isolation(report: InvariantReport, where: str, experiment: str,
+                    allocated: Mapping[str, Iterable], prefixes) -> None:
+    """One client's half of ``no_cross_experiment_leakage``: none of the
+    ``prefixes`` it holds is leased to another experiment.  The fleet
+    driver calls it too."""
+    foreign = set()
+    for other, leased in allocated.items():
+        if other != experiment:
+            foreign.update(leased)
+    for prefix in prefixes:
+        report.checked += 1
+        if prefix in foreign:
+            report.fail(
+                f"{where}: holds {prefix}, which is allocated to another "
+                "experiment"
+            )
 
 
 def check_no_cross_experiment_leakage(
@@ -351,18 +395,11 @@ def check_no_cross_experiment_leakage(
 ) -> InvariantReport:
     report = InvariantReport("no_cross_experiment_leakage")
     for name, client in ctx.clients.items():
-        foreign = set()
-        for other, prefixes in ctx.allocated.items():
-            if other != name:
-                foreign |= set(prefixes)
         for pop_name, view in client.pops.items():
-            for route in view.routes.values():
-                report.checked += 1
-                if route.prefix in foreign:
-                    report.fail(
-                        f"client {name}@{pop_name}: holds {route.prefix}, "
-                        "which is allocated to another experiment"
-                    )
+            judge_isolation(
+                report, f"client {name}@{pop_name}", name, ctx.allocated,
+                (route.prefix for route in view.routes.values()),
+            )
     return report
 
 

@@ -273,7 +273,14 @@ class FleetController:
         return self.wait_ready(name, timeout=timeout)
 
     def down(self) -> None:
-        """Stop every PoP (polite ``stop``, then terminate, then kill)."""
+        """Stop every PoP (polite ``stop``, then terminate, then kill).
+
+        Only a connected PoP can be asked to stop; one launched but never
+        connected is terminated up front rather than waited on.
+        """
+        for name, proc in self.processes.items():
+            if name not in self.clients and proc.poll() is None:
+                proc.terminate()
         for name, client in list(self.clients.items()):
             try:
                 client.call("stop")

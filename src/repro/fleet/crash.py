@@ -10,12 +10,14 @@ Graceful Restart machinery holds their stale state meanwhile), the
 experiment client re-announces, and the surviving members' wall-clock
 backbone redial reconnects the mesh.
 
-Convergence is asserted at the prefix level: every external speaker's
-Loc-RIB and every PoP's §3.2.1 export-expectation map must return to
-the exact pre-fault state, and the full six-invariant catalog must hold
-over the healed fleet.  Mid-outage churn is *balanced* (announce then
-withdraw the same prefixes on survivors) so the pre-fault snapshot
-remains the ground truth.
+Convergence is asserted at the path level: every external speaker's
+and client's Loc-RIB (attributes kept, ADD-PATH ids ignored) and every
+PoP's §3.2.1 export-expectation map must return to the exact pre-fault
+state, and the full six-invariant catalog must hold over the healed
+fleet.  Local VIPs are a function of the pinned gid, so the restarted
+PoP hands each neighbor the next hop it had before.  Mid-outage churn
+is *balanced* (announce then withdraw the same prefixes on survivors)
+so the pre-fault snapshot remains the ground truth.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from typing import Dict, List, Optional
 
 from repro.bgp.attributes import local_route
 from repro.chaos.runner import ScenarioResult
+from repro.conformance.state import speaker_paths
 from repro.fleet.compiler import CompiledFleet, compile_world
-from repro.fleet.differential import SocketFleetLeg
+from repro.fleet.differential import SocketFleetLeg, _DriverLeg
 from repro.fleet.spec import demo_world_spec
 from repro.internet.churn import AMSIX_PROFILE, ChurnGenerator
 from repro.netsim.addr import IPv4Prefix
@@ -37,16 +40,15 @@ __all__ = ["FleetPopCrashScenario", "run_fleet_pop_crash"]
 SCENARIO_NAME = "fleet-pop-crash"
 
 
-def _prefix_state(leg: SocketFleetLeg) -> Dict[str, object]:
-    """Prefix-level ground truth: every external speaker's Loc-RIB as a
-    sorted prefix list, plus each PoP's export-expectation map."""
+def _path_state(leg: _DriverLeg) -> Dict[str, object]:
+    """Path-level ground truth: every driver speaker's
+    :func:`~repro.conformance.state.speaker_paths`, plus each PoP's
+    export-expectation map."""
     state: Dict[str, object] = {}
     for endpoint in leg.endpoints:
-        state[f"upstream:{endpoint.key}"] = sorted(
-            str(p) for p in endpoint.speaker.loc_rib.prefixes())
+        state[f"upstream:{endpoint.key}"] = speaker_paths(endpoint.speaker)
     for client in leg.clients.values():
-        state[f"client:{client.key}"] = sorted(
-            str(p) for p in client.speaker.loc_rib.prefixes())
+        state[f"client:{client.key}"] = speaker_paths(client.speaker)
     for pop_entry in leg.spec_pops:
         name = pop_entry["name"]
         state[f"expectations:{name}"] = leg.pop_call(name, "expectations")
@@ -92,7 +94,7 @@ class FleetPopCrashScenario:
     def _balanced_outage_churn(self, leg: SocketFleetLeg,
                                victim: str) -> int:
         """Announce-then-withdraw transient prefixes on survivors: the
-        fleet keeps moving during the outage, yet the net prefix state is
+        fleet keeps moving during the outage, yet the net path state is
         unchanged, so the pre-fault snapshot stays the ground truth."""
         survivors = [ep for ep in leg.endpoints if ep.pop != victim]
         applied = 0
@@ -165,7 +167,7 @@ class FleetPopCrashScenario:
             raise RuntimeError(
                 f"fleet boot incomplete: {', '.join(pending)}")
         self._warmup(leg)
-        pre_fault = _prefix_state(leg)
+        pre_fault = _path_state(leg)
 
         leg.controller.kill_pop(victim)
         leg.settle()  # drain the connection-reset storm
@@ -178,14 +180,14 @@ class FleetPopCrashScenario:
         convergence_time = time.monotonic() - restart_at
 
         result = leg.collect()
-        post_heal = _prefix_state(leg)
+        post_heal = _path_state(leg)
         diverged: List[str] = sorted(
             key for key in set(pre_fault) | set(post_heal)
             if pre_fault.get(key) != post_heal.get(key))
         invariants = {
             name: report["ok"] for name, report in result.invariants.items()
         }
-        invariants["prefix_state_restored"] = not diverged
+        invariants["path_state_restored"] = not diverged
         details: Dict[str, float] = {
             "pops": float(len(fleet.pop_names())),
             "warmup_updates": float(self.updates),

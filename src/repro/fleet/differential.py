@@ -13,9 +13,10 @@ Afterwards the harness diffs, byte-for-byte: every PoP's canonical
 structural snapshot (Adj-RIB-Ins, remote RIBs, ADD-PATH announcements,
 kernel tables, install counters), every external speaker's Loc-RIB, and
 the raw UPDATE wire bytes each external endpoint received — plus the
-full six-invariant catalog evaluated over the *fleet* (four invariants
-inside each PoP process via the control RPC, two driver-side against
-the external speakers).
+full six-invariant catalog evaluated over the *fleet* (four checkers
+inside each PoP process via the control RPC; the catalog's own
+``judge_exports`` / ``judge_isolation`` driver-side against the
+external speakers).
 
 Determinism rests on the frozen-time lockstep protocol: scheduler time
 never advances in either leg (all sessions negotiate hold time 0, so no
@@ -35,11 +36,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.bgp.attributes import Route, local_route
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
 from repro.bgp.transport import SocketChannel, connect_pair
-from repro.conformance.differential import (
-    WireTap,
-    changes_from_frames,
-    loc_rib_snapshot,
+from repro.conformance.invariants import (
+    CATALOG,
+    InvariantReport,
+    judge_exports,
+    judge_isolation,
 )
+from repro.conformance.state import WireTap, changes_from_frames, speaker_view
 from repro.fleet.compiler import CompiledFleet, compile_world
 from repro.fleet.controller import FleetController
 from repro.fleet.runtime import LOCAL_INVARIANTS, build_fleet_pop
@@ -48,11 +51,7 @@ from repro.internet.churn import AMSIX_PROFILE, ChurnGenerator
 from repro.netsim.addr import IPv4Address, IPv4Prefix
 from repro.sim.scheduler import Scheduler
 from repro.telemetry import TelemetryHub
-from repro.vbgp.communities import (
-    announce_to_neighbor,
-    block_neighbor,
-    is_control,
-)
+from repro.vbgp.communities import announce_to_neighbor, block_neighbor
 
 __all__ = [
     "FleetDifferentialHarness",
@@ -256,20 +255,33 @@ class _DriverLeg:
         wire: Dict[str, bytes] = {}
         changes: Dict[str, str] = {}
         for ep in self.endpoints:
-            driver_ribs[ep.key] = repr(loc_rib_snapshot(ep.speaker))
+            driver_ribs[ep.key] = repr(speaker_view(ep.speaker))
             wire[ep.key] = b"".join(ep.tap.frames)
             changes[ep.key] = repr(
                 changes_from_frames(ep.tap.frames, addpath=False))
         for client in self.clients.values():
-            driver_ribs[client.key] = repr(loc_rib_snapshot(client.speaker))
+            driver_ribs[client.key] = repr(speaker_view(client.speaker))
             wire[client.key] = b"".join(client.tap.frames)
             changes[client.key] = repr(
                 changes_from_frames(client.tap.frames, addpath=True))
         invariants = dict(local_reports)
-        invariants["community_propagation"] = (
-            self._check_community_propagation(expectations))
-        invariants["no_cross_experiment_leakage"] = (
-            self._check_no_cross_experiment_leakage())
+        exports = InvariantReport("community_propagation")
+        for ep in self.endpoints:
+            per_upstream = expectations[ep.pop].get(ep.upstream) or {}
+            judge_exports(exports, ep.key, {
+                IPv4Prefix.parse(prefix): expected
+                for prefix, expected in per_upstream.items()
+            }, ep.speaker)
+        allocated = {
+            exp["name"]: {IPv4Prefix.parse(exp["prefix"])}
+            for exp in self.spec_experiments
+        }
+        isolation = InvariantReport("no_cross_experiment_leakage")
+        for client in self.clients.values():
+            judge_isolation(isolation, client.key, client.experiment,
+                            allocated, client.speaker.loc_rib.prefixes())
+        for report in (exports, isolation):
+            invariants[report.name] = report.as_dict()
         return LegResult(
             snapshots=snapshots,
             expectations=expectations,
@@ -279,56 +291,6 @@ class _DriverLeg:
             changes=changes,
             invariants=invariants,
         )
-
-    def _check_community_propagation(self, expectations) -> dict:
-        """Driver half of the §3.2.1 invariant: each PoP exported its
-        expectation map (via RPC in the fleet leg); the external speakers
-        are in this process, so presence/absence and control-community
-        hygiene are checked here."""
-        report = {"ok": True, "checked": 0, "violations": []}
-        for ep in self.endpoints:
-            per_upstream = expectations[ep.pop].get(ep.upstream)
-            if per_upstream is None:
-                continue
-            for prefix_str, expected in per_upstream.items():
-                report["checked"] += 1
-                best = ep.speaker.best_route(IPv4Prefix.parse(prefix_str))
-                if expected and best is None:
-                    report["violations"].append(
-                        f"{ep.key}: expected export of {prefix_str} "
-                        "but the neighbor does not hold it")
-                elif not expected and best is not None:
-                    report["violations"].append(
-                        f"{ep.key}: holds {prefix_str} although control "
-                        "communities exclude it")
-                if best is not None:
-                    leaked = sorted(
-                        str(c) for c in best.communities if is_control(c))
-                    if leaked:
-                        report["violations"].append(
-                            f"{ep.key}: export of {prefix_str} leaks "
-                            f"control communities {', '.join(leaked)}")
-        report["ok"] = not report["violations"]
-        return report
-
-    def _check_no_cross_experiment_leakage(self) -> dict:
-        allocated: Dict[str, set] = {
-            exp["name"]: {exp["prefix"]} for exp in self.spec_experiments
-        }
-        report = {"ok": True, "checked": 0, "violations": []}
-        for client in self.clients.values():
-            foreign = set()
-            for other, prefixes in allocated.items():
-                if other != client.experiment:
-                    foreign |= prefixes
-            for prefix in client.speaker.loc_rib.prefixes():
-                report["checked"] += 1
-                if str(prefix) in foreign:
-                    report["violations"].append(
-                        f"{client.key}: holds {prefix}, allocated to "
-                        "another experiment")
-        report["ok"] = not report["violations"]
-        return report
 
 
 class InProcessFleetLeg(_DriverLeg):
@@ -644,8 +606,7 @@ class FleetDifferentialHarness:
             mismatches.extend(self._diff(reference, fleet_result))
         empty = {name: {"ok": False, "checked": 0,
                         "violations": ["leg did not run"]}
-                 for name in (*LOCAL_INVARIANTS, "community_propagation",
-                              "no_cross_experiment_leakage")}
+                 for name in CATALOG}
         return FleetDifferentialReport(
             spec_digest=fleet.digest,
             pops=len(self.spec.pops),

@@ -11,9 +11,9 @@ Everything nondeterministic about multi-process construction is resolved
 here from the artifact's pinned values: global ids are preassigned into
 the process-local registry, the backbone address is pinned rather than
 counter-allocated, and upstream LAN addresses/MACs come from the
-compiler.  The node's own allocators (local VIPs, ADD-PATH ids) stay
-untouched — they are functions of route arrival order, which the fleet
-protocol makes identical across legs.
+compiler.  Local VIPs are functions of the pinned gids; the node's
+ADD-PATH id allocator stays untouched — it is a function of route
+arrival order, which the fleet protocol makes identical across legs.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bgp.transport import Channel
-from repro.conformance.differential import attr_fingerprint, route_fingerprint
 from repro.conformance.invariants import (
     ConformanceContext,
     community_export_expectations,
     run_invariants,
 )
+from repro.conformance.state import pop_view
 from repro.netsim.addr import IPv4Address, IPv4Prefix, MacAddress
 from repro.platform.backbone import Backbone
 from repro.platform.pop import PointOfPresence, PopConfig
@@ -144,77 +144,21 @@ class FleetPop:
     # -- canonical state ---------------------------------------------------
 
     def structural_snapshot(self) -> str:
-        """Canonical structural state, as a stable ``repr`` string.
-
-        Same canonicalisation discipline as the perf differential
-        harness: everything is sorted tuples of primitives, so two PoPs
-        holding the same state produce the same bytes regardless of
-        dict/set iteration order.  ADD-PATH ids of ``None`` sort as -1
-        so upstream (non-ADD-PATH) and backbone (ADD-PATH) RIBs share
-        one shape.
-        """
-        node = self.node
-        def rib_rows(rib) -> list:
-            return sorted(
-                (
-                    str(prefix),
-                    -1 if source_id is None else source_id,
-                    attr_fingerprint(route.attributes),
-                )
-                for (prefix, source_id), route in rib.items()
-            )
-
-        upstreams = [
-            (name, rib_rows(node.upstreams[name].rib))
-            for name in sorted(node.upstreams)
-        ]
-        remotes = [
-            (gid, rib_rows(node.remote_neighbors[gid].rib))
-            for gid in sorted(node.remote_neighbors)
-        ]
-        remote_exp = sorted(
-            (str(prefix), route_fingerprint(route))
-            for prefix, route in node.remote_exp_routes.items()
-        )
-        announced = []
-        for exp_name in sorted(node.experiments):
-            exp = node.experiments[exp_name]
-            announced.append((exp_name, sorted(
-                (str(prefix), -1 if path_id is None else path_id,
-                 route_fingerprint(route))
-                for (prefix, path_id), route in exp.announced.items()
-            )))
-        kernel = []
-        for table_id in sorted(self.pop.stack.tables):
-            table = self.pop.stack.tables[table_id]
-            kernel.append((table_id, sorted(
-                (str(entry.prefix), str(entry.value.next_hop),
-                 entry.value.out_iface)
-                for entry in table.entries()
-            )))
+        """This PoP's :func:`~repro.conformance.state.pop_view` plus its
+        install/remove counters, as a stable ``repr`` string."""
+        counters = self.node.counters
         return repr((
-            ("pop", self.name),
-            ("upstreams", upstreams),
-            ("remote_neighbors", remotes),
-            ("remote_exp_routes", remote_exp),
-            ("exp_announced", announced),
-            ("kernel", kernel),
-            ("installed", node.counters["routes_installed"]),
-            ("removed", node.counters["routes_removed"]),
+            self.name,
+            pop_view(self.pop),
+            counters["routes_installed"],
+            counters["routes_removed"],
         ))
 
     def local_invariants(self) -> Dict[str, dict]:
         """The invariant subset evaluable inside this process."""
         ctx = ConformanceContext(pops={self.name: self.pop})
         reports = run_invariants(ctx, LOCAL_INVARIANTS)
-        return {
-            name: {
-                "ok": report.ok,
-                "checked": report.checked,
-                "violations": list(report.violations),
-            }
-            for name, report in reports.items()
-        }
+        return {name: report.as_dict() for name, report in reports.items()}
 
     def community_expectations(self) -> Dict[str, Optional[dict]]:
         """Per-upstream §3.2.1 export expectations (for the driver-side

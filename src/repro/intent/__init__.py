@@ -5,7 +5,7 @@ The intent layer turns raw toolkit calls into guarded transactions:
 * :mod:`repro.intent.changeset` — the declarative :class:`ChangeSet`
   model with canonical serialization and stable digests,
 * :mod:`repro.intent.dryrun` — offline evaluation: predicted
-  per-neighbor export diffs plus the five-invariant catalog over a
+  per-neighbor export diffs plus the six-invariant catalog over a
   simulated post-change state, without touching the live platform,
 * :mod:`repro.intent.controller` — ``plan → apply → re-verify →
   commit | auto-revert`` with snapshot rollback and lifecycle events

@@ -6,14 +6,14 @@ tenant of the mux.  The intent layer makes them transactional:
 
 ``plan``
     Dry-run the ChangeSet (:class:`~repro.intent.dryrun.DryRunEvaluator`)
-    — predicted per-neighbor export diffs plus the full five-invariant
+    — predicted per-neighbor export diffs plus the full six-invariant
     catalog over the simulated post-change state, live platform
     untouched.
 ``apply``
     Record a snapshot of the restorable platform state (client
     announcements, attachments) together with a structural fingerprint
     (Loc-RIBs, Adj-RIB-Ins, kernel tables, announced wire bytes — the
-    same canonicalization the differential harness uses), stage the
+    :mod:`repro.conformance.state` views every harness uses), stage the
     ChangeSet through the ordinary toolkit primitives, let the platform
     settle, then **re-verify**: the live invariant catalog, the
     control-plane enforcer's violation level, and the predicted export
@@ -46,12 +46,13 @@ from typing import Mapping, Optional
 
 from repro.bgp.attributes import Community
 from repro.bgp.messages import UpdateMessage
-from repro.conformance.differential import (
-    attr_fingerprint,
-    loc_rib_snapshot,
-    route_fingerprint,
-)
 from repro.conformance.invariants import ConformanceContext, run_invariants
+from repro.conformance.state import (
+    attr_fingerprint,
+    paths,
+    pop_view,
+    speaker_view,
+)
 from repro.intent.changeset import ChangeOp, ChangeSet, parse_community
 from repro.intent.dryrun import DryRunEvaluator, DryRunReport, _parse_prefix
 from repro.telemetry.station import IntentEvent
@@ -397,13 +398,13 @@ class IntentController:
         )
 
     def _fingerprint(self) -> bytes:
-        """DifferentialHarness-style structural canonicalization.
+        """Canonical structural state, composed of conformance views.
 
-        Covers client Loc-RIBs and announcements, every PoP's
-        per-neighbor Adj-RIB-In and kernel tables, the experiment
-        attachment state, and the announced wire bytes toward every
-        established neighbor.  Monotonic counters and violation logs
-        are deliberately excluded — they record history, not state.
+        Client Loc-RIBs and announcements as ``paths``, every PoP's
+        ``pop_view``, the announced wire bytes toward every established
+        neighbor, and every neighbor speaker's ``speaker_view``.
+        Monotonic counters and violation logs are deliberately excluded
+        — they record history, not state.
         """
         clients_part = []
         for name in sorted(self.clients):
@@ -414,58 +415,15 @@ class IntentController:
                 established = (
                     view.session is not None and view.session.established
                 )
-                loc_rib = sorted(
-                    (str(r.prefix), attr_fingerprint(r.attributes))
-                    for r in view.routes.values()
-                )
-                announcements = sorted(
-                    (str(prefix), route_fingerprint(route))
-                    for prefix, route in view.announced.items()
-                )
-                views.append(
-                    (pop_name, established, tuple(loc_rib),
-                     tuple(announcements))
-                )
+                views.append((
+                    pop_name, established, paths(view.routes.values()),
+                    paths(view.announced.values()),
+                ))
             clients_part.append((name, tuple(views)))
-        pops_part = []
-        for pop_name in sorted(self.platform.pops):
-            pop = self.platform.pops[pop_name]
-            node = pop.node
-            neighbors = []
-            for label, neighbor in sorted(
-                list(node.upstreams.items())
-                + [(f"remote-gid{gid}", remote)
-                   for gid, remote in node.remote_neighbors.items()]
-            ):
-                rib = sorted(
-                    (str(prefix), repr(path_id),
-                     attr_fingerprint(route.attributes))
-                    for (prefix, path_id), route in neighbor.rib.items()
-                )
-                neighbors.append((label, tuple(rib)))
-            experiments = []
-            for exp_name in sorted(node.experiments):
-                exp = node.experiments[exp_name]
-                experiments.append((exp_name, tuple(sorted(
-                    (str(prefix), repr(path_id), route_fingerprint(route))
-                    for (prefix, path_id), route in exp.announced.items()
-                ))))
-            remote_exp = sorted(
-                (str(prefix), route_fingerprint(route))
-                for prefix, route in node.remote_exp_routes.items()
-            )
-            kernel = []
-            for table_id in sorted(pop.stack.tables):
-                table = pop.stack.tables[table_id]
-                kernel.append((table_id, sorted(
-                    (str(entry.prefix), str(entry.value.next_hop),
-                     entry.value.out_iface)
-                    for entry in table.entries()
-                )))
-            pops_part.append((
-                pop_name, tuple(neighbors), tuple(experiments),
-                tuple(remote_exp), tuple(kernel),
-            ))
+        pops_part = tuple(
+            (pop_name, pop_view(self.platform.pops[pop_name]))
+            for pop_name in sorted(self.platform.pops)
+        )
         wire_part = []
         for key, entries in sorted(self.evaluator.export_state().items()):
             frames = b"".join(
@@ -473,16 +431,15 @@ class IntentController:
                 for prefix in sorted(entries)
             )
             wire_part.append((key, frames))
-        speakers_part = []
-        for name in sorted(self.neighbor_speakers):
-            speakers_part.append(
-                (name, loc_rib_snapshot(self.neighbor_speakers[name]))
-            )
+        speakers_part = tuple(
+            (name, speaker_view(self.neighbor_speakers[name]))
+            for name in sorted(self.neighbor_speakers)
+        )
         structure = (
             ("clients", tuple(clients_part)),
-            ("pops", tuple(pops_part)),
+            ("pops", pops_part),
             ("announced_wire", tuple(wire_part)),
-            ("speakers", tuple(speakers_part)),
+            ("speakers", speakers_part),
         )
         return repr(structure).encode()
 

@@ -15,7 +15,7 @@ what the wire would carry.  :class:`DryRunEvaluator` exploits that:
    enforcer in its non-recording mode
    (:meth:`ControlPlaneEnforcer.check_routes` with ``record=False``),
 4. recompute the export sets from the simulated state and diff, and
-5. run the full five-invariant catalog over a simulated conformance
+5. run the full six-invariant catalog over a simulated conformance
    context whose attachments and predicted neighbor speakers reflect
    the post-change state.
 
@@ -33,12 +33,12 @@ from typing import Iterable, Mapping, Optional
 
 from repro.bgp.attributes import Community, Route
 from repro.bgp.messages import UpdateMessage
-from repro.conformance.differential import attr_fingerprint
 from repro.conformance.invariants import (
     ConformanceContext,
     InvariantReport,
     run_invariants,
 )
+from repro.conformance.state import attr_fingerprint
 from repro.intent.changeset import ChangeOp, ChangeSet, parse_community
 from repro.netsim.addr import IPv4Prefix, IPv6Prefix
 from repro.toolkit.client import ExperimentClient, build_announcement

@@ -10,9 +10,11 @@ Each external BGP neighbor of the platform is assigned, platform-wide:
   global id so the MAC-encoded routing decision survives backbone hops,
 * a **kernel table id**, also deterministic in the global id.
 
-Each vBGP node additionally assigns the neighbor a **local virtual IP** in
+Each vBGP node additionally gives the neighbor a **local virtual IP** in
 ``127.65.0.0/16`` (Figure 2's ``127.65.0.1``/``127.65.0.2``) used as the
-next hop in routes exported to experiments attached at that node.
+next hop in routes exported to experiments attached at that node.  It is
+the global id's address in that pool, so it too is the same on every
+node and across restarts, whatever order neighbors attach in.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ def global_neighbor_ip(global_id: int) -> IPv4Address:
     if not 0 < global_id < GLOBAL_POOL.num_addresses - 1:
         raise ValueError(f"global id out of range: {global_id}")
     return GLOBAL_POOL.address_at(global_id)
+
+
+def local_neighbor_ip(global_id: int) -> IPv4Address:
+    """Node-local next-hop VIP for the neighbor (127.65.x.y)."""
+    if not 0 < global_id < LOCAL_POOL.num_addresses - 1:
+        raise ValueError(f"global id out of range: {global_id}")
+    return LOCAL_POOL.address_at(global_id)
 
 
 def global_neighbor_mac(global_id: int) -> MacAddress:
@@ -64,10 +73,21 @@ class VirtualNeighbor:
     """The full virtual identity of one platform neighbor at one node."""
 
     global_id: int
-    local_ip: IPv4Address  # 127.65.0.x, node-local
+    local_ip: IPv4Address  # 127.65.x.y, node-local
     global_ip: IPv4Address  # 127.127.x.y, platform-wide
     mac: MacAddress  # deterministic in global_id
     table_id: int
+
+
+def virtual_neighbor(global_id: int) -> VirtualNeighbor:
+    """The neighbor's whole virtual identity, all images of its gid."""
+    return VirtualNeighbor(
+        global_id=global_id,
+        local_ip=local_neighbor_ip(global_id),
+        global_ip=global_neighbor_ip(global_id),
+        mac=global_neighbor_mac(global_id),
+        table_id=neighbor_table_id(global_id),
+    )
 
 
 class GlobalNeighborRegistry:
@@ -123,34 +143,3 @@ class GlobalNeighborRegistry:
 
     def __len__(self) -> int:
         return len(self._ids)
-
-
-class LocalVipAllocator:
-    """Node-local allocation of 127.65.0.0/16 virtual IPs by global id."""
-
-    def __init__(self) -> None:
-        self._by_gid: dict[int, IPv4Address] = {}
-        self._next = 1
-
-    def vip_for(self, global_id: int) -> IPv4Address:
-        if global_id not in self._by_gid:
-            if self._next >= LOCAL_POOL.num_addresses - 1:
-                raise RuntimeError("local virtual IP pool exhausted")
-            self._by_gid[global_id] = LOCAL_POOL.address_at(self._next)
-            self._next += 1
-        return self._by_gid[global_id]
-
-    def gid_for(self, vip: IPv4Address) -> Optional[int]:
-        for gid, address in self._by_gid.items():
-            if address == vip:
-                return gid
-        return None
-
-    def virtual_neighbor(self, global_id: int) -> VirtualNeighbor:
-        return VirtualNeighbor(
-            global_id=global_id,
-            local_ip=self.vip_for(global_id),
-            global_ip=global_neighbor_ip(global_id),
-            mac=global_neighbor_mac(global_id),
-            table_id=neighbor_table_id(global_id),
-        )

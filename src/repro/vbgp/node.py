@@ -50,9 +50,10 @@ from repro.sim.scheduler import Scheduler
 from repro.vbgp.allocator import (
     GLOBAL_POOL,
     GlobalNeighborRegistry,
-    LocalVipAllocator,
     VirtualNeighbor,
+    global_neighbor_mac,
     neighbor_mac_global_id,
+    virtual_neighbor,
 )
 from repro.vbgp.communities import (
     ANNOUNCE_ASN,
@@ -226,7 +227,6 @@ class VbgpNode:
         self.control_enforcer = control_enforcer
         self.data_enforcer = data_enforcer
 
-        self.vips = LocalVipAllocator()
         self.upstreams: dict[str, UpstreamNeighbor] = {}
         # (gid, pop id) of every upstream: ``select_targets`` candidates.
         self._target_candidates: list[tuple[int, int]] = []
@@ -351,7 +351,7 @@ class VbgpNode:
         if name in self.upstreams:
             raise ValueError(f"duplicate upstream {name!r} at {self.name}")
         global_id = self.registry.register(self.name, name)
-        virtual = self.vips.virtual_neighbor(global_id)
+        virtual = virtual_neighbor(global_id)
         neighbor = UpstreamNeighbor(
             name=name,
             peer_asn=peer_asn,
@@ -1103,7 +1103,7 @@ class VbgpNode:
             return
         remote = self.remote_neighbors.get(gid)
         if remote is None:
-            virtual = self.vips.virtual_neighbor(gid)
+            virtual = virtual_neighbor(gid)
             remote = RemoteNeighbor(global_id=gid, virtual=virtual)
             self.remote_neighbors[gid] = remote
             assert self.backbone_iface is not None
@@ -1232,7 +1232,7 @@ class VbgpNode:
         if gid is not None:
             # The rewrite that tells the experiment *which* neighbor
             # delivered this traffic.
-            source_mac = self.vips.virtual_neighbor(gid).mac
+            source_mac = global_neighbor_mac(gid)
         self.counters["frames_to_experiments"] += 1
         if self._m_frames_by_neighbor is not None:
             label = f"gid{gid}" if gid is not None else "unknown"
@@ -1266,7 +1266,7 @@ class VbgpNode:
             return
         source_mac = backbone.mac
         if gid is not None:
-            source_mac = self.vips.virtual_neighbor(gid).mac
+            source_mac = global_neighbor_mac(gid)
         backbone.send_frame(
             EthernetFrame(
                 src=source_mac,

@@ -173,6 +173,19 @@ def test_vmac_bijectivity_catches_wrong_mac(world):
     assert any("MAC" in violation for violation in report.violations)
 
 
+def test_vmac_bijectivity_catches_vip_not_derived_from_gid(world):
+    # a VIP handed out first come, first served: unique at this PoP,
+    # but another node (or this one after a restart) may disagree
+    neighbor = world.pop.node.upstreams["upstream"]
+    object.__setattr__(
+        neighbor.virtual, "local_ip", IPv4Address.parse("127.65.0.9")
+    )
+    report = CATALOG["vmac_bijectivity"](_context(world))
+    assert not report.ok
+    assert report.violation_count == 1
+    assert "local VIP" in report.violations[0]
+
+
 def _broken_receiver(world, breakage):
     """Run the checker over ``x``'s received table after ``breakage``."""
     client = _receiver(world)

@@ -15,7 +15,7 @@ def test_crash_restart_converges_to_pre_fault_state(seed):
         seed=seed, port_base=24820 + seed * 40)
     assert result.ok, result.format()
     assert result.name == "fleet-pop-crash"
-    assert result.invariants["prefix_state_restored"]
+    assert result.invariants["path_state_restored"]
     assert result.details["diverged_keys"] == 0
     assert result.details["outage_updates"] > 0
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.chaos.faults import ChannelFaultInjector
+from repro.conformance.state import attr_fingerprint
 from repro.netsim.addr import IPv4Prefix
-from repro.conformance.differential import attr_fingerprint
 from repro.intent import ChangeSet, announce_op, withdraw_op
 from repro.telemetry.station import IntentEvent, RouteMonitoring
 

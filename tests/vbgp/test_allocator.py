@@ -3,13 +3,17 @@
 import pytest
 
 from repro.netsim.addr import MacAddress
+from repro.platform.pop import PointOfPresence, PopConfig
+from repro.security.state import EnforcerState
+from repro.sim import Scheduler
 from repro.vbgp.allocator import (
     GlobalNeighborRegistry,
-    LocalVipAllocator,
     global_neighbor_ip,
     global_neighbor_mac,
+    local_neighbor_ip,
     neighbor_mac_global_id,
     neighbor_table_id,
+    virtual_neighbor,
 )
 
 
@@ -61,21 +65,50 @@ def test_registry_distinct_per_pop():
     assert a != b
 
 
-def test_local_vip_allocator_stable():
-    allocator = LocalVipAllocator()
-    vip5 = allocator.vip_for(5)
-    vip9 = allocator.vip_for(9)
-    assert allocator.vip_for(5) == vip5
-    assert vip5 != vip9
-    assert allocator.gid_for(vip9) == 9
-    assert allocator.gid_for(vip5) == 5
+def test_local_neighbor_ip_deterministic():
+    assert str(local_neighbor_ip(1)) == "127.65.0.1"
+    assert str(local_neighbor_ip(257)) == "127.65.1.1"
+    with pytest.raises(ValueError):
+        local_neighbor_ip(0)
+    with pytest.raises(ValueError):
+        local_neighbor_ip(1 << 16)
 
 
 def test_virtual_neighbor_bundle():
-    allocator = LocalVipAllocator()
-    virtual = allocator.virtual_neighbor(7)
+    virtual = virtual_neighbor(7)
     assert virtual.global_id == 7
     assert str(virtual.global_ip) == "127.127.0.7"
     assert virtual.table_id == 1007
     assert neighbor_mac_global_id(virtual.mac) == 7
-    assert str(virtual.local_ip).startswith("127.65.")
+    assert str(virtual.local_ip) == "127.65.0.7"
+
+
+def _pop_attaching(names):
+    """A PoP whose registry pins gids 1-3, attaching ``names`` in order."""
+    registry = GlobalNeighborRegistry()
+    for gid, name in enumerate(("as1", "as2", "as3"), start=1):
+        registry.preassign("p", name, gid)
+    pop = PointOfPresence(
+        Scheduler(),
+        PopConfig(name="p", pop_id=0, kind="ixp"),
+        platform_asn=47065,
+        platform_asns=frozenset({47065}),
+        registry=registry,
+        enforcer_state=EnforcerState(),
+    )
+    for index, name in enumerate(names):
+        pop.provision_neighbor(name, 65001 + index, kind="peer")
+    return pop
+
+
+def test_vips_do_not_depend_on_attach_order():
+    # A PoP restarted from scratch re-learns its neighbors in whatever
+    # order they redial; each must get back the VIP it had before.
+    forward = _pop_attaching(("as1", "as2", "as3"))
+    backward = _pop_attaching(("as3", "as2", "as1"))
+    for name in ("as1", "as2", "as3"):
+        a = forward.node.upstreams[name].virtual
+        b = backward.node.upstreams[name].virtual
+        assert a.global_id == b.global_id
+        assert a.local_ip == b.local_ip, name
+        assert a.local_ip == local_neighbor_ip(a.global_id)
