@@ -62,7 +62,7 @@ def test_large_ixp_pop(benchmark):
     fanned = len(view.routes)
     next_hops = {
         str(route.next_hop)
-        for route in pop.node.upstreams["rs-bigix"].rib.values()
+        for route in pop.node.upstreams["rs-bigix"].rib.routes()
     }
     report(
         "scale_ixp",

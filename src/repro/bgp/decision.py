@@ -108,7 +108,7 @@ def best_path(
 
     A left fold over ``entries`` in order (the ``select`` contract the
     Loc-RIB's incremental reselect relies on — see
-    :class:`repro.bgp.rib._LocRibBase`).
+    :class:`repro.bgp.rib.ColumnarLocRib`).
     """
     if not entries:
         return None

@@ -1,18 +1,25 @@
 """Routing Information Bases: Adj-RIB-In, Loc-RIB, Adj-RIB-Out.
 
-These are the speaker-internal tables of RFC 4271 §3.2. vBGP additionally
-keeps one *kernel* table per neighbor (see :mod:`repro.vbgp.tables`); the
-classes here are the protocol-level state.
+One class per table of RFC 4271 §3.2.  ``BgpSpeaker`` keeps all three;
+the vBGP node keeps one :class:`AdjRibIn` per neighbor (upstream and
+backbone-learned) and, beside it, one *kernel* table per neighbor in the
+PoP's network stack (:mod:`repro.netsim.stack`).
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, KeysView, ValuesView
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 from repro.bgp.attributes import PathAttributes, Route
 from repro.netsim.addr import Prefix
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.scheduler import Scheduler
+
+PathKey = tuple[Prefix, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -32,60 +39,124 @@ class RibEntry:
 
 
 class AdjRibIn:
-    """Routes received from one peer, keyed by (prefix, path id).
+    """Routes received from one peer, plus that peer's RFC 4724 receiver
+    state.
 
-    With ADD-PATH inactive every announcement for a prefix implicitly
-    replaces the previous one (path id ``None``); with ADD-PATH active the
-    peer may maintain several concurrent paths per prefix.
+    Flat layout: ``(prefix, path id) → Route`` and a per-prefix path
+    count, so "does any path for this prefix remain?" is O(1) (a
+    withdrawal against a full table must not scan it).  With ADD-PATH
+    inactive every announcement for a prefix implicitly replaces the
+    previous one (path id ``None``); with ADD-PATH active the peer may
+    hold several concurrent paths per prefix.
+
+    Graceful Restart receiver: :meth:`retain_stale` marks every held path
+    stale and arms the restart timer; a path the restarted peer announces
+    or withdraws again loses its mark; :meth:`flush_stale` (End-of-RIB or
+    timer expiry) removes the paths still marked.  The stale marks are
+    kept in table order, so a flush is deterministic.
     """
 
-    def __init__(self, peer: str) -> None:
-        self.peer = peer
-        self._routes: dict[Prefix, dict[Optional[int], Route]] = {}
-        # Running path count: a ``max prefix`` limit reads it per route.
-        self._size = 0
+    __slots__ = ("_routes", "_prefix_counts", "_stale", "_stale_timer")
+
+    def __init__(self) -> None:
+        self._routes: dict[PathKey, Route] = {}
+        self._prefix_counts: dict[Prefix, int] = {}
+        self._stale: dict[PathKey, None] = {}
+        self._stale_timer = None
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._routes)
 
     def update(self, route: Route) -> Optional[Route]:
         """Insert/replace; returns the replaced route if any."""
-        paths = self._routes.setdefault(route.prefix, {})
-        previous = paths.get(route.path_id)
-        paths[route.path_id] = route
+        key = (route.prefix, route.path_id)
+        previous = self._routes.get(key)
+        self._routes[key] = route
         if previous is None:
-            self._size += 1
+            prefix = route.prefix
+            self._prefix_counts[prefix] = (
+                self._prefix_counts.get(prefix, 0) + 1
+            )
+        elif self._stale:
+            self._stale.pop(key, None)
         return previous
 
     def withdraw(self, prefix: Prefix,
                  path_id: Optional[int] = None) -> Optional[Route]:
         """Remove; returns the withdrawn route if it existed."""
-        paths = self._routes.get(prefix)
-        if not paths:
+        key = (prefix, path_id)
+        removed = self._routes.pop(key, None)
+        if removed is None:
             return None
-        removed = paths.pop(path_id, None)
-        if removed is not None:
-            self._size -= 1
-        if not paths:
-            del self._routes[prefix]
+        if self._stale:
+            self._stale.pop(key, None)
+        remaining = self._prefix_counts[prefix] - 1
+        if remaining:
+            self._prefix_counts[prefix] = remaining
+        else:
+            del self._prefix_counts[prefix]
         return removed
 
-    def routes_for(self, prefix: Prefix) -> list[Route]:
-        return list(self._routes.get(prefix, {}).values())
+    def has_prefix(self, prefix: Prefix) -> bool:
+        """O(1): does at least one path for ``prefix`` remain?"""
+        return prefix in self._prefix_counts
 
-    def routes(self) -> Iterator[Route]:
-        for paths in self._routes.values():
-            yield from paths.values()
+    def routes(self) -> ValuesView[Route]:
+        return self._routes.values()
 
-    def prefixes(self) -> Iterator[Prefix]:
-        yield from self._routes
+    def prefixes(self) -> KeysView[Prefix]:
+        return self._prefix_counts.keys()
 
-    def clear(self) -> list[Route]:
-        """Drop everything (session reset); returns the dropped routes."""
-        dropped = list(self.routes())
+    def keys(self) -> KeysView[PathKey]:
+        return self._routes.keys()
+
+    def items(self) -> ItemsView[PathKey, Route]:
+        return self._routes.items()
+
+    @property
+    def stale_count(self) -> int:
+        """Paths still marked stale (0 outside a restart window)."""
+        return len(self._stale)
+
+    def clear(self) -> list[PathKey]:
+        """Drop everything (session reset), stale marks and restart timer
+        included; returns the dropped keys."""
+        dropped = list(self._routes)
         self._routes.clear()
-        self._size = 0
+        self._prefix_counts.clear()
+        self._stale.clear()
+        self._cancel_stale_timer()
         return dropped
+
+    def retain_stale(self, scheduler: "Scheduler", restart_time: float,
+                     on_expired: Callable[[], None]) -> int:
+        """RFC 4724 receiver mode after the peer's session dropped: mark
+        every held path stale and call ``on_expired`` after
+        ``restart_time`` seconds unless :meth:`flush_stale` runs first.
+        Returns the number of paths retained; 0 (nothing held, or the
+        peer asked for no retention) arms nothing, and the owner flushes
+        as on any other close."""
+        if not self._routes or restart_time <= 0:
+            return 0
+        self._stale = dict.fromkeys(self._routes)
+        self._cancel_stale_timer()
+        self._stale_timer = scheduler.call_later(
+            float(restart_time), on_expired)
+        return len(self._stale)
+
+    def flush_stale(self) -> list[PathKey]:
+        """End the restart window: cancel the timer, remove the paths
+        still stale and return their keys."""
+        self._cancel_stale_timer()
+        stale, self._stale = self._stale, {}
+        for prefix, path_id in stale:
+            self.withdraw(prefix, path_id)
+        return list(stale)
+
+    def _cancel_stale_timer(self) -> None:
+        if self._stale_timer is not None:
+            self._stale_timer.cancel()
+            self._stale_timer = None
 
 
 @dataclass
@@ -103,13 +174,27 @@ class LocRibStats:
     removals: int = 0
 
 
-class _LocRibBase:
-    """Loc-RIB best-path logic over a candidate storage (DESIGN.md §6g).
+Triple = tuple[int, int, int]
 
-    Subclasses provide the candidate storage via *token* hooks: a token is
-    whatever compact value the backend uses to name one stored candidate
-    (a packed int triple for :class:`ColumnarLocRib`).  The best path per
-    prefix is tracked as a token and materialized on demand.
+
+class ColumnarLocRib:
+    """Candidate routes per prefix across all peers, plus the best path,
+    in columnar/flyweight storage (DESIGN.md §6g).
+
+    Instead of one ``RibEntry``/``Route`` object pair per stored candidate
+    (~300 bytes each before attribute sharing), each prefix maps to a flat
+    tuple of ``(peer id, path id, attr handle)`` int triples in insertion
+    order; a replaced candidate moves to the end.  Peers and attribute
+    values are interned per RIB: the handle tables key by *equality*, so
+    equal attributes always share one handle and a best-change check is
+    plain triple comparison — exactly ``peer == peer and route == route``
+    on the materialized entries.  The best path per prefix is kept as its
+    triple; ``RibEntry`` objects are materialized on demand, and callers
+    never observe the packed layout.
+
+    ``path id`` ``None`` is encoded as ``-1`` (wire path ids are unsigned,
+    so the sentinel cannot collide with a real id, including the valid
+    path id ``0``).
 
     ``select`` contract: the callable must behave as a deterministic left
     fold over the candidate list (RFC 4271 §9.1 style — start at the first
@@ -130,179 +215,13 @@ class _LocRibBase:
         self, select: Callable[[list[RibEntry]], Optional[RibEntry]]
     ) -> None:
         self._select = select
-        self._best_tokens: dict[Prefix, object] = {}
-        self.stats = LocRibStats()
-
-    # -- storage hooks -----------------------------------------------------
-
-    def _upsert(self, prefix: Prefix, peer: str, path_id: Optional[int],
-                route: Route) -> tuple[bool, object]:
-        """Insert/replace (replacement moves to the end); returns
-        ``(existed, token)``."""
-        raise NotImplementedError
-
-    def _delete(self, prefix: Prefix, peer: str,
-                path_id: Optional[int]) -> bool:
-        raise NotImplementedError
-
-    def _delete_peer(self, prefix: Prefix, peer: str) -> int:
-        """Remove all of a peer's candidates for one prefix; returns count."""
-        raise NotImplementedError
-
-    def _count(self, prefix: Prefix) -> int:
-        raise NotImplementedError
-
-    def _sole_token(self, prefix: Prefix) -> object:
-        """The token of the single remaining candidate (count == 1)."""
-        raise NotImplementedError
-
-    def _pairs(self, prefix: Prefix) -> list[tuple[RibEntry, object]]:
-        """Materialized ``(entry, token)`` pairs in insertion order."""
-        raise NotImplementedError
-
-    def _materialize(self, prefix: Prefix, token: object) -> RibEntry:
-        raise NotImplementedError
-
-    def _tokens_equal(self, a: object, b: object) -> bool:
-        """Same-best check; must match ``peer == peer and route == route``
-        on the materialized entries."""
-        raise NotImplementedError
-
-    # -- public API --------------------------------------------------------
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def prefix_count(self) -> int:
-        raise NotImplementedError
-
-    def prefixes(self) -> Iterator[Prefix]:
-        raise NotImplementedError
-
-    def replace(self, peer: str, route: Route) -> bool:
-        """Upsert a peer's candidate; returns True if the best changed."""
-        prefix = route.prefix
-        existed, token = self._upsert(prefix, peer, route.path_id, route)
-        self.stats.inserts += 1
-        self.stats.reselects += 1
-        old_token = self._best_tokens.get(prefix)
-        if self._count(prefix) == 1:
-            # Sole candidate: the fold is a no-op, it wins outright.
-            return self._commit_best(prefix, old_token, token)
-        if not existed and old_token is not None:
-            # Brand-new candidate appended at the end: by the fold
-            # contract the full refold equals select([incumbent, new]).
-            incumbent = self._materialize(prefix, old_token)
-            chosen = self._select(
-                [incumbent, self._materialize(prefix, token)])
-            new_token = old_token if chosen is incumbent else token
-            return self._commit_best(prefix, old_token, new_token)
-        # Replacement among several candidates (moved to the end) — the
-        # fold order changed, so only a full refold is exact.
-        return self._refold(prefix)
-
-    def remove(self, peer: str, prefix: Prefix,
-               path_id: Optional[int] = None) -> bool:
-        """Remove a peer's candidate; returns True if the best changed."""
-        if not self._delete(prefix, peer, path_id):
-            return False
-        self.stats.removals += 1
-        self.stats.reselects += 1
-        return self._reselect_after_removal(prefix)
-
-    def remove_peer(self, peer: str) -> list[Prefix]:
-        """Drop all of a peer's candidates; returns prefixes whose best changed."""
-        changed = []
-        for prefix in list(self.prefixes()):
-            dropped = self._delete_peer(prefix, peer)
-            if not dropped:
-                continue
-            self.stats.removals += dropped
-            self.stats.reselects += 1
-            if self._reselect_after_removal(prefix):
-                changed.append(prefix)
-        return changed
-
-    def _reselect_after_removal(self, prefix: Prefix) -> bool:
-        count = self._count(prefix)
-        old_token = self._best_tokens.get(prefix)
-        if count == 0:
-            return self._commit_best(prefix, old_token, None)
-        if count == 1:
-            return self._commit_best(
-                prefix, old_token, self._sole_token(prefix))
-        return self._refold(prefix)
-
-    def _refold(self, prefix: Prefix) -> bool:
-        """Full decision fold over every candidate."""
-        pairs = self._pairs(prefix)
-        old_token = self._best_tokens.get(prefix)
-        new_token = None
-        if pairs:
-            chosen = self._select([entry for entry, _ in pairs])
-            if chosen is not None:
-                for entry, token in pairs:
-                    if entry is chosen:
-                        new_token = token
-                        break
-        return self._commit_best(prefix, old_token, new_token)
-
-    def _commit_best(self, prefix: Prefix, old_token: object,
-                     new_token: object) -> bool:
-        if new_token is None:
-            if old_token is not None:
-                del self._best_tokens[prefix]
-                self.stats.best_changes += 1
-                return True
-            return False
-        if old_token is not None and self._tokens_equal(old_token, new_token):
-            return False
-        self._best_tokens[prefix] = new_token
-        self.stats.best_changes += 1
-        return True
-
-    def best(self, prefix: Prefix) -> Optional[RibEntry]:
-        token = self._best_tokens.get(prefix)
-        return None if token is None else self._materialize(prefix, token)
-
-    def candidates(self, prefix: Prefix) -> list[RibEntry]:
-        return [entry for entry, _ in self._pairs(prefix)]
-
-    def best_routes(self) -> Iterator[RibEntry]:
-        for prefix, token in self._best_tokens.items():
-            yield self._materialize(prefix, token)
-
-
-class ColumnarLocRib(_LocRibBase):
-    """Candidate routes per prefix across all peers, plus the best path,
-    in columnar/flyweight storage (DESIGN.md §6g).
-
-    Instead of one ``RibEntry``/``Route`` object pair per stored candidate
-    (~300 bytes each before attribute sharing), each prefix maps to a flat
-    tuple of ``(peer id, path id, attr handle)`` int triples in insertion
-    order; a replaced candidate moves to the end.  Peers and attribute
-    values are interned per RIB: the handle tables key by *equality*, so
-    equal attributes always share one handle and a best-change check is
-    plain triple comparison — exactly ``peer == peer and route == route``
-    on the materialized entries.  ``RibEntry`` objects
-    are materialized on demand from the columns; callers never observe the
-    packed layout.
-
-    ``path id`` ``None`` is encoded as ``-1`` (wire path ids are unsigned,
-    so the sentinel cannot collide with a real id, including the valid
-    path id ``0``).
-    """
-
-    def __init__(
-        self, select: Callable[[list[RibEntry]], Optional[RibEntry]]
-    ) -> None:
-        super().__init__(select)
         self._cols: dict[Prefix, tuple[int, ...]] = {}
+        self._best: dict[Prefix, Triple] = {}
         self._peer_ids: dict[str, int] = {}
         self._peer_names: list[str] = []
         self._attr_handles: dict[PathAttributes, int] = {}
         self._attr_values: list[PathAttributes] = []
+        self.stats = LocRibStats()
 
     def __len__(self) -> int:
         return sum(len(cols) for cols in self._cols.values()) // 3
@@ -313,6 +232,144 @@ class ColumnarLocRib(_LocRibBase):
 
     def prefixes(self) -> Iterator[Prefix]:
         yield from self._cols
+
+    # -- updates -------------------------------------------------------------
+
+    def replace(self, peer: str, route: Route) -> bool:
+        """Upsert a peer's candidate; returns True if the best changed."""
+        prefix = route.prefix
+        pid = self._peer_id(peer)
+        code = -1 if route.path_id is None else route.path_id
+        triple = (pid, code, self._attr_handle(route.attributes))
+        self.stats.inserts += 1
+        self.stats.reselects += 1
+        cols = self._cols.get(prefix)
+        if cols is None:
+            # Sole candidate: the fold is a no-op, it wins outright.
+            self._cols[prefix] = triple
+            return self._commit_best(prefix, triple)
+        for i in range(0, len(cols), 3):
+            if cols[i] == pid and cols[i + 1] == code:
+                # pop-then-append: a replacement moves to the end, so the
+                # fold order changed and only a full refold is exact.
+                rest = cols[:i] + cols[i + 3:]
+                self._cols[prefix] = rest + triple
+                if not rest:
+                    return self._commit_best(prefix, triple)
+                return self._refold(prefix)
+        self._cols[prefix] = cols + triple
+        incumbent = self._best.get(prefix)
+        if incumbent is None:
+            return self._refold(prefix)
+        # Brand-new candidate appended at the end: by the fold contract
+        # the full refold equals select([incumbent, new]).
+        held = self._materialize(prefix, incumbent)
+        chosen = self._select([held, self._materialize(prefix, triple)])
+        return self._commit_best(
+            prefix, incumbent if chosen is held else triple)
+
+    def remove(self, peer: str, prefix: Prefix,
+               path_id: Optional[int] = None) -> bool:
+        """Remove a peer's candidate; returns True if the best changed."""
+        cols = self._cols.get(prefix)
+        pid = self._peer_ids.get(peer)
+        if cols is None or pid is None:
+            return False
+        code = -1 if path_id is None else path_id
+        for i in range(0, len(cols), 3):
+            if cols[i] == pid and cols[i + 1] == code:
+                self._store(prefix, cols[:i] + cols[i + 3:])
+                self.stats.removals += 1
+                self.stats.reselects += 1
+                return self._reselect(prefix)
+        return False
+
+    def remove_peer(self, peer: str) -> list[Prefix]:
+        """Drop all of a peer's candidates; returns prefixes whose best changed."""
+        pid = self._peer_ids.get(peer)
+        if pid is None:
+            return []
+        changed = []
+        for prefix, cols in list(self._cols.items()):
+            kept = tuple(
+                value
+                for i in range(0, len(cols), 3) if cols[i] != pid
+                for value in cols[i:i + 3]
+            )
+            dropped = (len(cols) - len(kept)) // 3
+            if not dropped:
+                continue
+            self._store(prefix, kept)
+            self.stats.removals += dropped
+            self.stats.reselects += 1
+            if self._reselect(prefix):
+                changed.append(prefix)
+        return changed
+
+    def _store(self, prefix: Prefix, cols: tuple[int, ...]) -> None:
+        if cols:
+            self._cols[prefix] = cols
+        else:
+            del self._cols[prefix]
+
+    def _reselect(self, prefix: Prefix) -> bool:
+        """Best path after a removal."""
+        cols = self._cols.get(prefix)
+        if cols is None:
+            return self._commit_best(prefix, None)
+        if len(cols) == 3:
+            return self._commit_best(prefix, cols)
+        return self._refold(prefix)
+
+    def _refold(self, prefix: Prefix) -> bool:
+        """Full decision fold over every candidate."""
+        pairs = self._pairs(prefix)
+        new = None
+        if pairs:
+            chosen = self._select([entry for entry, _ in pairs])
+            if chosen is not None:
+                for entry, triple in pairs:
+                    if entry is chosen:
+                        new = triple
+                        break
+        return self._commit_best(prefix, new)
+
+    def _commit_best(self, prefix: Prefix, new: Optional[Triple]) -> bool:
+        if new == self._best.get(prefix):
+            return False
+        if new is None:
+            del self._best[prefix]
+        else:
+            self._best[prefix] = new
+        self.stats.best_changes += 1
+        return True
+
+    # -- reads ---------------------------------------------------------------
+
+    def best(self, prefix: Prefix) -> Optional[RibEntry]:
+        triple = self._best.get(prefix)
+        return None if triple is None else self._materialize(prefix, triple)
+
+    def candidates(self, prefix: Prefix) -> list[RibEntry]:
+        return [entry for entry, _ in self._pairs(prefix)]
+
+    def candidates_except(self, prefix: Prefix, peer: str) -> list[RibEntry]:
+        """``candidates(prefix)`` minus ``peer``'s: that peer's triples are
+        dropped by id before any entry is built (export split horizon)."""
+        cols = self._cols.get(prefix)
+        if not cols:
+            return []
+        pid = self._peer_ids.get(peer)
+        return [
+            self._materialize(prefix, cols[i:i + 3])
+            for i in range(0, len(cols), 3) if cols[i] != pid
+        ]
+
+    def best_routes(self) -> Iterator[RibEntry]:
+        for prefix, triple in self._best.items():
+            yield self._materialize(prefix, triple)
+
+    # -- columns -------------------------------------------------------------
 
     def _peer_id(self, peer: str) -> int:
         pid = self._peer_ids.get(peer)
@@ -330,82 +387,8 @@ class ColumnarLocRib(_LocRibBase):
             self._attr_values.append(attrs)
         return handle
 
-    def _upsert(self, prefix, peer, path_id, route):
-        pid = self._peer_id(peer)
-        code = -1 if path_id is None else path_id
-        handle = self._attr_handle(route.attributes)
-        triple = (pid, code, handle)
-        cols = self._cols.get(prefix)
-        if cols is None:
-            self._cols[prefix] = triple
-            return False, triple
-        for i in range(0, len(cols), 3):
-            if cols[i] == pid and cols[i + 1] == code:
-                # pop-then-append: a replacement moves to the end.
-                self._cols[prefix] = cols[:i] + cols[i + 3:] + triple
-                return True, triple
-        self._cols[prefix] = cols + triple
-        return False, triple
-
-    def _delete(self, prefix, peer, path_id):
-        cols = self._cols.get(prefix)
-        if cols is None:
-            return False
-        pid = self._peer_ids.get(peer)
-        if pid is None:
-            return False
-        code = -1 if path_id is None else path_id
-        for i in range(0, len(cols), 3):
-            if cols[i] == pid and cols[i + 1] == code:
-                rest = cols[:i] + cols[i + 3:]
-                if rest:
-                    self._cols[prefix] = rest
-                else:
-                    del self._cols[prefix]
-                return True
-        return False
-
-    def _delete_peer(self, prefix, peer):
-        pid = self._peer_ids.get(peer)
-        if pid is None:
-            return 0
-        cols = self._cols.get(prefix)
-        if cols is None:
-            return 0
-        kept = tuple(
-            value
-            for i in range(0, len(cols), 3) if cols[i] != pid
-            for value in cols[i:i + 3]
-        )
-        dropped = (len(cols) - len(kept)) // 3
-        if not dropped:
-            return 0
-        if kept:
-            self._cols[prefix] = kept
-        else:
-            del self._cols[prefix]
-        return dropped
-
-    def _count(self, prefix):
-        cols = self._cols.get(prefix)
-        return len(cols) // 3 if cols else 0
-
-    def _sole_token(self, prefix):
-        return self._cols[prefix]
-
-    def candidates_except(self, prefix: Prefix, peer: str) -> list[RibEntry]:
-        """``candidates(prefix)`` minus ``peer``'s: that peer's triples are
-        dropped by id before any entry is built (export split horizon)."""
-        cols = self._cols.get(prefix)
-        if not cols:
-            return []
-        pid = self._peer_ids.get(peer)
-        return [
-            self._materialize(prefix, cols[i:i + 3])
-            for i in range(0, len(cols), 3) if cols[i] != pid
-        ]
-
-    def _pairs(self, prefix):
+    def _pairs(self, prefix: Prefix) -> list[tuple[RibEntry, Triple]]:
+        """Materialized ``(entry, triple)`` pairs in insertion order."""
         cols = self._cols.get(prefix)
         if not cols:
             return []
@@ -414,8 +397,8 @@ class ColumnarLocRib(_LocRibBase):
             for i in range(0, len(cols), 3)
         ]
 
-    def _materialize(self, prefix, token):
-        pid, code, handle = token
+    def _materialize(self, prefix: Prefix, triple: Triple) -> RibEntry:
+        pid, code, handle = triple
         return RibEntry(
             peer=self._peer_names[pid],
             route=Route(
@@ -425,8 +408,9 @@ class ColumnarLocRib(_LocRibBase):
             ),
         )
 
-    def _tokens_equal(self, a, b):
-        return a == b
+
+# benchmarks/e2e/trace.py times the Loc-RIB by patching this name.
+_LocRibBase = ColumnarLocRib
 
 
 _NO_PATHS: Mapping[Optional[int], Route] = MappingProxyType({})

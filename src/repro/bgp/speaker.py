@@ -71,7 +71,8 @@ class Neighbor:
     def __init__(self, config: NeighborConfig) -> None:
         self.config = config
         self.session: Optional[BgpSession] = None
-        self.adj_rib_in = AdjRibIn(config.name)
+        # Received routes and, after a GR-retained reset, their stale set.
+        self.adj_rib_in = AdjRibIn()
         self.adj_rib_out = AdjRibOut(config.name)
         self.context = PeerContext(
             is_ebgp=not config.is_ibgp,
@@ -86,10 +87,6 @@ class Neighbor:
         self.pending_announce: dict[Prefix, dict[Optional[int], Route]] = {}
         self.pending_withdraw: set[tuple[Prefix, Optional[int]]] = set()
         self.mrai_event = None
-        # Graceful Restart receiver state: keys retained as stale after a
-        # non-administrative close, flushed on timer expiry or End-of-RIB.
-        self.stale_keys: set[tuple[Prefix, Optional[int]]] = set()
-        self.stale_event = None
         # Optional auto-reconnect supervision.
         self.supervisor: Optional[SessionSupervisor] = None
 
@@ -258,8 +255,8 @@ class BgpSpeaker:
             on_close=lambda session, reason, n=config.name: (
                 self._session_closed(n, reason)
             ),
-            on_end_of_rib=lambda session, n=config.name: (
-                self._end_of_rib(n)
+            on_end_of_rib=lambda session, n=neighbor: (
+                self._flush_stale(n, "gr-flush-eor")
             ),
             telemetry=self.telemetry,
         )
@@ -309,12 +306,9 @@ class BgpSpeaker:
         self._contexts = None
         if neighbor.supervisor is not None:
             neighbor.supervisor.stop()
-        if neighbor.stale_event is not None:
-            neighbor.stale_event.cancel()
-            neighbor.stale_event = None
         if neighbor.session is not None:
             neighbor.session.shutdown(CeaseSubcode.PEER_DECONFIGURED)
-        self._flush_peer_routes(name)
+        self._flush_peer_routes(name, neighbor)
 
     def neighbor(self, name: str) -> Neighbor:
         return self.neighbors[name]
@@ -393,9 +387,6 @@ class BgpSpeaker:
                     continue
                 imported = maybe
             neighbor.adj_rib_in.update(imported)
-            # A refreshed route is no longer stale (RFC 4724 receiver).
-            if neighbor.stale_keys:
-                neighbor.stale_keys.discard((route.prefix, route.path_id))
             if neighbor.config.max_prefixes is not None and (
                 len(neighbor.adj_rib_in) > neighbor.config.max_prefixes
             ):
@@ -455,90 +446,55 @@ class BgpSpeaker:
             and session.gr_negotiated
             and not session.closed_admin
         ):
-            self._mark_stale(neighbor)
-        else:
-            self._flush_peer_routes(neighbor_name)
-
-    def _mark_stale(self, neighbor: Neighbor) -> None:
-        """GR receiver mode: retain the peer's routes, marked stale."""
-        session = neighbor.session
-        restart_time = session.peer_restart_time if session is not None else 0
-        keys = {
-            (route.prefix, route.path_id)
-            for route in neighbor.adj_rib_in.routes()
-        }
-        if not keys or restart_time <= 0:
-            self._flush_peer_routes(neighbor.name)
-            return
-        neighbor.stale_keys = keys
-        if neighbor.stale_event is not None:
-            neighbor.stale_event.cancel()
-        neighbor.stale_event = self.scheduler.call_later(
-            float(restart_time),
-            lambda name=neighbor.name: self._stale_expired(name),
-        )
-        tele = self.telemetry
-        if tele is not None:
-            from repro.telemetry.station import ResilienceEvent
-            tele.station.publish(ResilienceEvent(
-                peer=neighbor.name, time=self.scheduler.now,
-                event="gr-stale",
-                detail=f"{len(keys)} routes retained for {restart_time}s",
-            ))
-
-    def _end_of_rib(self, neighbor_name: str) -> None:
-        """Peer finished its (re)transmission: flush leftover stale routes."""
-        neighbor = self.neighbors.get(neighbor_name)
-        if neighbor is None:
-            return
-        if neighbor.stale_event is not None:
-            neighbor.stale_event.cancel()
-            neighbor.stale_event = None
-        self._flush_stale(neighbor, "gr-flush-eor")
-
-    def _stale_expired(self, neighbor_name: str) -> None:
-        """Restart timer ran out without a refreshed RIB: fail closed."""
-        neighbor = self.neighbors.get(neighbor_name)
-        if neighbor is None:
-            return
-        neighbor.stale_event = None
-        self._flush_stale(neighbor, "gr-flush-expired")
+            # GR receiver mode: retain the peer's routes, marked stale,
+            # until End-of-RIB or the restart timer flushes them.
+            restart_time = session.peer_restart_time
+            retained = neighbor.adj_rib_in.retain_stale(
+                self.scheduler, restart_time,
+                lambda n=neighbor: self._flush_stale(n, "gr-flush-expired"),
+            )
+            if retained:
+                self._resilience_event(
+                    neighbor_name, "gr-stale",
+                    f"{retained} routes retained for {restart_time}s",
+                )
+                return
+        self._flush_peer_routes(neighbor_name, neighbor)
 
     def _flush_stale(self, neighbor: Neighbor, event: str) -> None:
-        remaining = neighbor.stale_keys
-        neighbor.stale_keys = set()
-        if not remaining:
+        """End-of-RIB or restart-timer expiry: drop what is still stale."""
+        flushed = neighbor.adj_rib_in.flush_stale()
+        if not flushed:
             return
-        for prefix, path_id in remaining:
-            neighbor.adj_rib_in.withdraw(prefix, path_id)
+        for prefix, path_id in flushed:
             if self.loc_rib.remove(neighbor.name, prefix, path_id):
                 self._best_changed(prefix)
-        for prefix in {key[0] for key in remaining}:
+        for prefix in {prefix for prefix, _ in flushed}:
             self._schedule_export(prefix)
-        tele = self.telemetry
-        if tele is not None:
-            from repro.telemetry.station import ResilienceEvent
-            tele.station.publish(ResilienceEvent(
-                peer=neighbor.name, time=self.scheduler.now,
-                event=event, detail=f"{len(remaining)} stale routes flushed",
-            ))
+        self._resilience_event(
+            neighbor.name, event, f"{len(flushed)} stale routes flushed"
+        )
 
-    def _flush_peer_routes(self, neighbor_name: str) -> None:
-        neighbor = self.neighbors.get(neighbor_name)
+    def _flush_peer_routes(self, neighbor_name: str,
+                           neighbor: Optional[Neighbor] = None) -> None:
         touched: set[Prefix] = set()
         if neighbor is not None:
-            touched.update(neighbor.adj_rib_in.prefixes())
-            neighbor.adj_rib_in.clear()
-            neighbor.stale_keys = set()
-            if neighbor.stale_event is not None:
-                neighbor.stale_event.cancel()
-                neighbor.stale_event = None
+            touched.update(prefix for prefix, _ in neighbor.adj_rib_in.clear())
         for prefix in self.loc_rib.remove_peer(neighbor_name):
             touched.add(prefix)
             self._best_changed(prefix)
         # Re-export: routes via the dead peer must be withdrawn elsewhere.
         for prefix in touched:
             self._schedule_export(prefix)
+
+    def _resilience_event(self, peer: str, event: str, detail: str) -> None:
+        tele = self.telemetry
+        if tele is not None:
+            from repro.telemetry.station import ResilienceEvent
+            tele.station.publish(ResilienceEvent(
+                peer=peer, time=self.scheduler.now,
+                event=event, detail=detail,
+            ))
 
     # ------------------------------------------------------------------
     # Decision

@@ -790,7 +790,7 @@ class ChaosRunner:
                 supervisor = neighbor.supervisor
                 if supervisor is not None and supervisor.pending:
                     return False
-                if neighbor.stale_keys:
+                if neighbor.rib.stale_count:
                     return False
                 session = neighbor.session
                 if session is None or not session.established:

@@ -34,6 +34,7 @@ from repro.bgp.messages import (
     UpdateMessage,
     attributes_wire_length,
 )
+from repro.bgp.rib import AdjRibIn
 from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.supervisor import SessionSupervisor, SupervisorConfig
 from repro.bgp.transport import Channel
@@ -66,82 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 RULE_PRIORITY_VMAC = 100
 
-_RIB_MISS = object()
-
-
-class PathRib:
-    """A per-neighbor Adj-RIB-In keyed by ``(prefix, path id)``.
-
-    Drop-in for the plain dict it replaces, but additionally maintains a
-    per-prefix reference count so "does any path for this prefix remain?"
-    is O(1).  The previous ``any(key[0] == prefix for key in rib)`` scan
-    made every withdrawal O(table size) — the dominant cost of withdrawal
-    storms against full-table neighbors.
-    """
-
-    __slots__ = ("_routes", "_prefix_counts")
-
-    def __init__(self) -> None:
-        self._routes: dict[tuple[Prefix, Optional[int]], Route] = {}
-        self._prefix_counts: dict[Prefix, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._routes)
-
-    def __iter__(self) -> Iterator[tuple[Prefix, Optional[int]]]:
-        return iter(self._routes)
-
-    def __contains__(self, key: tuple[Prefix, Optional[int]]) -> bool:
-        return key in self._routes
-
-    def __getitem__(self, key: tuple[Prefix, Optional[int]]) -> Route:
-        return self._routes[key]
-
-    def __setitem__(self, key: tuple[Prefix, Optional[int]],
-                    route: Route) -> None:
-        if key not in self._routes:
-            prefix = key[0]
-            self._prefix_counts[prefix] = (
-                self._prefix_counts.get(prefix, 0) + 1
-            )
-        self._routes[key] = route
-
-    def __bool__(self) -> bool:
-        return bool(self._routes)
-
-    def get(self, key: tuple[Prefix, Optional[int]], default=None):
-        return self._routes.get(key, default)
-
-    def pop(self, key: tuple[Prefix, Optional[int]], default=None):
-        route = self._routes.pop(key, _RIB_MISS)
-        if route is _RIB_MISS:
-            return default
-        prefix = key[0]
-        remaining = self._prefix_counts.get(prefix, 0) - 1
-        if remaining <= 0:
-            self._prefix_counts.pop(prefix, None)
-        else:
-            self._prefix_counts[prefix] = remaining
-        return route
-
-    def clear(self) -> None:
-        self._routes.clear()
-        self._prefix_counts.clear()
-
-    def keys(self):
-        return self._routes.keys()
-
-    def values(self):
-        return self._routes.values()
-
-    def items(self):
-        return self._routes.items()
-
-    def has_prefix(self, prefix: Prefix) -> bool:
-        """O(1): does at least one path for ``prefix`` remain?"""
-        return prefix in self._prefix_counts
-
-
 @dataclass
 class UpstreamNeighbor:
     """A real BGP neighbor of this PoP."""
@@ -153,15 +78,12 @@ class UpstreamNeighbor:
     kind: str  # "transit" | "peer" | "route-server"
     virtual: VirtualNeighbor
     session: Optional[BgpSession] = None
-    # Routes received: (prefix, peer path id) -> route.
-    rib: PathRib = field(default_factory=PathRib)
+    # Routes received, keyed (prefix, peer path id), and the GR stale set.
+    rib: AdjRibIn = field(default_factory=AdjRibIn)
     # Session-rebuild parameters (supervisor re-dials reuse them).
     addpath: bool = False
     graceful_restart: bool = False
     restart_time: int = 120
-    # GR receiver state: keys retained as stale after a non-admin close.
-    stale_keys: set = field(default_factory=set)
-    stale_event: object = None
     supervisor: Optional[SessionSupervisor] = None
 
 
@@ -171,7 +93,9 @@ class RemoteNeighbor:
 
     global_id: int
     virtual: VirtualNeighbor
-    rib: PathRib = field(default_factory=PathRib)
+    # The backbone peer (PoP node name) whose session carries its routes.
+    peer: str
+    rib: AdjRibIn = field(default_factory=AdjRibIn)
 
 
 @dataclass
@@ -240,8 +164,10 @@ class VbgpNode:
         self.backbone_peers: dict[str, BgpSession] = {}
         # Experiment prefixes (local and remote) for data-plane intercept.
         self.exp_prefixes: LpmTable[dict] = LpmTable()
-        # Remote experiments' routes learned over the backbone, by prefix.
+        # Remote experiments' routes learned over the backbone, by prefix,
+        # and the backbone peer each one came from.
         self.remote_exp_routes: dict[Prefix, Route] = {}
+        self._remote_exp_peers: dict[Prefix, str] = {}
         # MAC -> upstream neighbor, to attribute ingress traffic.
         self._mac_to_gid: dict[MacAddress, int] = {}
         self.counters = {
@@ -404,7 +330,9 @@ class VbgpNode:
             on_update=lambda _s, update, n=name: self._upstream_update(n, update),
             on_established=lambda _s, n=name: self._upstream_established(n),
             on_close=lambda _s, reason, n=name: self._upstream_closed(n, reason),
-            on_end_of_rib=lambda _s, n=name: self._upstream_end_of_rib(n),
+            on_end_of_rib=lambda _s, n=neighbor: (
+                self._flush_stale(n, "gr-flush-eor")
+            ),
             telemetry=self.telemetry,
         )
         if neighbor.supervisor is not None:
@@ -463,21 +391,16 @@ class VbgpNode:
         if neighbor is None:
             return
         self.counters["updates_from_upstream"] += 1
+        rib = neighbor.rib
+        removed = [
+            (prefix, path_id) for prefix, path_id in update.withdrawn
+            if rib.withdraw(prefix, path_id) is not None
+        ]
+        self._remove_kernel_routes(neighbor, removed)
         table_id = neighbor.virtual.table_id
-        removed: list[tuple[Prefix, Optional[int]]] = []
-        for prefix, path_id in update.withdrawn:
-            if neighbor.rib.pop((prefix, path_id), None) is not None:
-                removed.append((prefix, path_id))
-                if (not neighbor.rib.has_prefix(prefix)
-                        and self.stack.remove_route(prefix,
-                                                    table_id=table_id)):
-                    self.counters["routes_removed"] += 1
         announced = update.routes()
         for route in announced:
-            neighbor.rib[(route.prefix, route.path_id)] = route
-            # A refreshed route is no longer stale (RFC 4724 receiver).
-            if neighbor.stale_keys:
-                neighbor.stale_keys.discard((route.prefix, route.path_id))
+            rib.update(route)
             # Route servers are transparent (RFC 7947): the next hop is the
             # member router on the IXP LAN, not the server itself.
             next_hop = neighbor.peer_address
@@ -528,8 +451,6 @@ class VbgpNode:
             session is not None
             and session.gr_negotiated
             and not session.closed_admin
-            and session.peer_restart_time > 0
-            and len(neighbor.rib) > 0
         ):
             # Graceful Restart receiver mode: retain the neighbor's
             # routes (and its kernel table) marked stale — no withdraw
@@ -537,74 +458,52 @@ class VbgpNode:
             # the restart timer expires or a refreshed RIB's End-of-RIB
             # arrives (§4.7 fail-closed: a peer that never returns does
             # not keep stale state forever).
-            neighbor.stale_keys = set(neighbor.rib)
-            self.counters["gr_routes_retained"] += len(neighbor.stale_keys)
-            if neighbor.stale_event is not None:
-                neighbor.stale_event.cancel()
-            neighbor.stale_event = self.scheduler.call_later(
-                float(session.peer_restart_time),
-                lambda n=name: self._upstream_stale_expired(n),
+            restart_time = session.peer_restart_time
+            retained = neighbor.rib.retain_stale(
+                self.scheduler, restart_time,
+                lambda n=neighbor: self._flush_stale(n, "gr-flush-expired"),
             )
-            self._resilience_event(
-                name, "gr-stale",
-                f"{len(neighbor.stale_keys)} routes retained for "
-                f"{session.peer_restart_time}s",
-            )
-            return
-        keys = list(neighbor.rib)
-        neighbor.rib.clear()
-        self._flush_upstream(neighbor, keys)
-        neighbor.stale_keys = set()
-        if neighbor.stale_event is not None:
-            neighbor.stale_event.cancel()
-            neighbor.stale_event = None
+            if retained:
+                self.counters["gr_routes_retained"] += retained
+                self._resilience_event(
+                    name, "gr-stale",
+                    f"{retained} routes retained for {restart_time}s",
+                )
+                return
+        self._drop_paths(neighbor, neighbor.rib.clear())
 
-    def _upstream_end_of_rib(self, name: str) -> None:
-        """Restarted peer finished re-sending: flush leftover stale keys."""
-        neighbor = self.upstreams.get(name)
-        if neighbor is None:
+    def _flush_stale(self, neighbor: UpstreamNeighbor, event: str) -> None:
+        """End-of-RIB or restart-timer expiry: drop what is still stale."""
+        keys = neighbor.rib.flush_stale()
+        if not keys:
             return
-        if neighbor.stale_event is not None:
-            neighbor.stale_event.cancel()
-            neighbor.stale_event = None
-        self._flush_stale_upstream(neighbor, "gr-flush-eor")
-
-    def _upstream_stale_expired(self, name: str) -> None:
-        """Restart timer ran out without a refreshed RIB: fail closed."""
-        neighbor = self.upstreams.get(name)
-        if neighbor is None:
-            return
-        neighbor.stale_event = None
-        self._flush_stale_upstream(neighbor, "gr-flush-expired")
-
-    def _flush_stale_upstream(self, neighbor: UpstreamNeighbor,
-                              event: str) -> None:
-        remaining = neighbor.stale_keys
-        neighbor.stale_keys = set()
-        if not remaining:
-            return
-        keys = [key for key in remaining if neighbor.rib.pop(key, None)
-                is not None]
         self.counters["gr_routes_flushed"] += len(keys)
-        self._flush_upstream(neighbor, keys)
+        self._drop_paths(neighbor, keys)
         self._resilience_event(
             neighbor.name, event, f"{len(keys)} stale routes flushed"
         )
 
-    def _flush_upstream(self, neighbor: UpstreamNeighbor,
-                        keys: list) -> None:
-        """Remove kernel routes for ``keys`` and withdraw them everywhere."""
+    def _drop_paths(self, neighbor, keys: list) -> None:
+        """``keys`` have left ``neighbor.rib``: update its kernel table and
+        withdraw them from the experiments and, for an upstream, from the
+        backbone (remote neighbors' paths never go back onto the mesh)."""
         if not keys:
             return
+        self._remove_kernel_routes(neighbor, keys)
+        self._fanout(self.experiments.values(), neighbor.virtual.global_id,
+                     neighbor.virtual.local_ip, [], keys)
+        if isinstance(neighbor, UpstreamNeighbor):
+            self._backbone_export(neighbor, [], keys)
+
+    def _remove_kernel_routes(self, neighbor, keys: list) -> None:
+        """Take each prefix of ``keys`` out of ``neighbor``'s kernel table
+        once no path for it remains in ``neighbor.rib``."""
+        table_id = neighbor.virtual.table_id
         for prefix, _path_id in keys:
             if neighbor.rib.has_prefix(prefix):
                 continue  # another path for the prefix survives
-            if self.stack.remove_route(prefix,
-                                       table_id=neighbor.virtual.table_id):
+            if self.stack.remove_route(prefix, table_id=table_id):
                 self.counters["routes_removed"] += 1
-        self._fanout(self.experiments.values(), neighbor.virtual.global_id,
-                     neighbor.virtual.local_ip, [], keys)
-        self._backbone_export(neighbor, [], keys)
 
     def _resilience_event(self, peer: str, event: str, detail: str) -> None:
         tele = self.telemetry
@@ -701,7 +600,7 @@ class VbgpNode:
             return
         for neighbor in (*self.upstreams.values(),
                          *self.remote_neighbors.values()):
-            routes = list(neighbor.rib.values())
+            routes = list(neighbor.rib.routes())
             if routes:
                 self._fanout(
                     (exp,), neighbor.virtual.global_id,
@@ -981,6 +880,9 @@ class VbgpNode:
                 self._backbone_update(n, update)
             ),
             on_established=lambda _s, n=node_name: self._backbone_up(n),
+            on_close=lambda s, _reason, n=node_name: (
+                self._backbone_closed(n, s)
+            ),
             telemetry=self.telemetry,
         )
         self.backbone_peers[node_name] = session
@@ -992,7 +894,7 @@ class VbgpNode:
         if session is None or not session.established:
             return
         for neighbor in self.upstreams.values():
-            for group in _group_by_attributes(neighbor.rib.values()).values():
+            for group in _group_by_attributes(neighbor.rib.routes()).values():
                 carried = self._backbone_batch(neighbor.virtual, group)
                 limit = _max_nlri_per_update(carried[0].attributes)
                 for chunk in _chunk_routes(carried, limit):
@@ -1074,44 +976,59 @@ class VbgpNode:
 
     def _backbone_update(self, node_name: str, update: UpdateMessage) -> None:
         """Process mesh routes: remote-neighbor or remote-experiment."""
+        removed: dict[int, list[tuple[Prefix, Optional[int]]]] = {}
         for prefix, path_id in update.withdrawn:
             gid = (path_id or 0) // _GID_PATH_ID_BASE
-            if gid:
-                remote = self.remote_neighbors.get(gid)
-                if remote is None:
-                    continue
-                if remote.rib.pop((prefix, path_id), None) is None:
-                    continue
-                if not remote.rib.has_prefix(prefix):
-                    self.stack.remove_route(prefix,
-                                            table_id=remote.virtual.table_id)
-                self._fanout(self.experiments.values(), gid,
-                             remote.virtual.local_ip, [],
-                             [(prefix, path_id)])
-            else:
+            if not gid:
                 self._remote_experiment_withdraw(prefix)
+                continue
+            remote = self.remote_neighbors.get(gid)
+            if remote is not None and remote.rib.withdraw(
+                    prefix, path_id) is not None:
+                removed.setdefault(gid, []).append((prefix, path_id))
+        for gid, keys in removed.items():
+            self._drop_paths(self.remote_neighbors[gid], keys)
         for route in update.routes():
             next_hop = route.next_hop
             if next_hop is not None and GLOBAL_POOL.contains_address(next_hop):
-                self._remote_neighbor_route(route)
+                self._remote_neighbor_route(node_name, route)
             else:
-                self._remote_experiment_route(route)
+                self._remote_experiment_route(node_name, route)
 
-    def _remote_neighbor_route(self, route: Route) -> None:
+    def _backbone_closed(self, node_name: str, session: BgpSession) -> None:
+        """A backbone session went down: fail closed on what it carried.
+
+        Every remote neighbor and remote experiment route learned from
+        ``node_name`` is dropped (kernel tables, experiments, upstream
+        exports) and learned again when the mesh session is re-dialed.
+        A close from a session that was already replaced is ignored: its
+        successor carries the peer's state now.
+        """
+        if self.backbone_peers.get(node_name) is not session:
+            return
+        for remote in self.remote_neighbors.values():
+            if remote.peer == node_name:
+                self._drop_paths(remote, remote.rib.clear())
+        for prefix, peer in list(self._remote_exp_peers.items()):
+            if peer == node_name:
+                self._remote_experiment_withdraw(prefix)
+
+    def _remote_neighbor_route(self, node_name: str, route: Route) -> None:
         gid = (route.path_id or 0) // _GID_PATH_ID_BASE
         if not gid:
             return
         remote = self.remote_neighbors.get(gid)
         if remote is None:
             virtual = virtual_neighbor(gid)
-            remote = RemoteNeighbor(global_id=gid, virtual=virtual)
+            remote = RemoteNeighbor(
+                global_id=gid, virtual=virtual, peer=node_name)
             self.remote_neighbors[gid] = remote
             assert self.backbone_iface is not None
             self._provision_virtual(
                 virtual, next_hop=virtual.global_ip,
                 out_iface=self.backbone_iface,
             )
-        remote.rib[(route.prefix, route.path_id)] = route
+        remote.rib.update(route)
         self.stack.add_route(
             KernelRoute(
                 prefix=route.prefix,
@@ -1124,7 +1041,7 @@ class VbgpNode:
         self._fanout(self.experiments.values(), gid,
                      remote.virtual.local_ip, [route], [])
 
-    def _remote_experiment_route(self, route: Route) -> None:
+    def _remote_experiment_route(self, node_name: str, route: Route) -> None:
         """A remote experiment's prefix: route it across the backbone."""
         if route.next_hop is None or self.backbone_iface is None:
             return
@@ -1136,6 +1053,7 @@ class VbgpNode:
             )
         )
         self.remote_exp_routes[route.prefix] = route
+        self._remote_exp_peers[route.prefix] = node_name
         marker = self.exp_prefixes.get(route.prefix) or {}
         marker["__remote__"] = route.next_hop
         self.exp_prefixes.insert(route.prefix, marker)
@@ -1157,6 +1075,7 @@ class VbgpNode:
         route = self.remote_exp_routes.pop(prefix, None)
         if route is None:
             return
+        del self._remote_exp_peers[prefix]
         self.stack.remove_route(prefix)
         marker = self.exp_prefixes.get(prefix)
         if marker is not None:
@@ -1284,9 +1203,9 @@ class VbgpNode:
         """All routes currently known across per-neighbor RIBs."""
         routes: list[Route] = []
         for neighbor in self.upstreams.values():
-            routes.extend(neighbor.rib.values())
+            routes.extend(neighbor.rib.routes())
         for remote in self.remote_neighbors.values():
-            routes.extend(remote.rib.values())
+            routes.extend(remote.rib.routes())
         return routes
 
     def fib_entry_count(self) -> int:

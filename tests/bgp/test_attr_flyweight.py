@@ -238,7 +238,7 @@ def test_entry_dies_with_the_last_route_holding_it():
             world.settle()
         held = messages._ATTRS_BY_WIRE[block]
         assert {route.attributes for route in
-                feeder.neighbor.rib.values()} == {held}
+                feeder.neighbor.rib.routes()} == {held}
         del held
         feeder.withdraw(prefixes[:1])
         world.settle()

@@ -7,6 +7,7 @@ from repro.bgp.messages import (
     OpenMessage,
     UpdateMessage,
 )
+from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
 from repro.bgp.supervisor import SupervisorConfig
 from repro.bgp.transport import connect_pair
@@ -17,6 +18,7 @@ from repro.telemetry import TelemetryHub
 from repro.toolkit import ExperimentClient
 
 DEST = IPv4Prefix.parse("198.51.100.0/24")
+DEST2 = IPv4Prefix.parse("203.0.113.0/24")
 
 
 # ----------------------------------------------------------------------
@@ -116,13 +118,13 @@ def test_gr_retains_routes_across_reset(scheduler):
     b.neighbors["a"].session.channel.close()
     scheduler.run_for(0.2)
     # Stale but retained: the best route survives the reset window.
-    assert a.neighbors["b"].stale_keys
+    assert a.neighbors["b"].adj_rib_in.stale_count
     assert a.best_route(DEST) is not None
     # The supervisor re-dials; the refreshed RIB's End-of-RIB flushes
     # the stale marks and the route is still there.
     scheduler.run_for(5)
     assert a.neighbors["b"].established
-    assert not a.neighbors["b"].stale_keys
+    assert not a.neighbors["b"].adj_rib_in.stale_count
     assert a.best_route(DEST) is not None
 
 
@@ -130,7 +132,7 @@ def test_gr_admin_shutdown_still_withdraws(scheduler):
     a, b = gr_pair(scheduler, supervised=False)
     a.neighbors["b"].session.shutdown()  # deliberate teardown
     scheduler.run_for(1)
-    assert not a.neighbors["b"].stale_keys
+    assert not a.neighbors["b"].adj_rib_in.stale_count
     assert a.best_route(DEST) is None
 
 
@@ -141,7 +143,7 @@ def test_gr_stale_flushed_at_restart_timer_expiry(scheduler):
     assert a.best_route(DEST) is not None  # retained …
     scheduler.run_for(6)
     # … but the peer never came back: fail closed at timer expiry.
-    assert not a.neighbors["b"].stale_keys
+    assert not a.neighbors["b"].adj_rib_in.stale_count
     assert a.best_route(DEST) is None
 
 
@@ -208,13 +210,13 @@ def test_upstream_reset_with_gr_sends_zero_withdrawals(scheduler):
     # Retained: the experiment still sees the route mid-outage …
     assert client.routes(DEST, "p0")
     upstream = pop.node.upstreams["n1"]
-    assert upstream.stale_keys
+    assert upstream.rib.stale_count
     scheduler.run_for(30)
     # … the supervisor re-dialed within the restart window, End-of-RIB
     # flushed the stale marks, and not one withdrawal reached the
     # experiment (asserted against the BMP-style station feed).
     assert upstream.session.established
-    assert not upstream.stale_keys
+    assert not upstream.rib.stale_count
     assert client.routes(DEST, "p0")
     assert client_withdrawals_since(hub, fault_time) == []
     assert pop.node.counters["gr_routes_retained"] >= 1
@@ -244,3 +246,102 @@ def test_upstream_reset_without_return_flushes_at_expiry(scheduler):
     ]
     assert "gr-stale" in events
     assert "gr-flush-expired" in events
+
+
+# ----------------------------------------------------------------------
+# One receiver, two owners: the same retained and flushed counts
+# ----------------------------------------------------------------------
+
+def gr_peer(scheduler, channel, asn, router_id):
+    """A bare GR-capable session the test drives message by message."""
+    session = BgpSession(scheduler, SessionConfig(
+        local_asn=asn, local_id=router_id,
+        graceful_restart=True, restart_time=60,
+    ), channel, on_update=lambda _session, _update: None)
+    session.start()
+    return session
+
+
+def restart_and_withdraw_one(scheduler, first_peer, redialed):
+    """The peer announces DEST and DEST2, its transport dies, and over
+    the new session it withdraws DEST2 explicitly before End-of-RIB:
+    only DEST is still stale when End-of-RIB arrives."""
+    nh = IPv4Address.parse("2.2.2.2")
+    first_peer.send_update(UpdateMessage.announce([
+        local_route(DEST, next_hop=nh), local_route(DEST2, next_hop=nh),
+    ]))
+    scheduler.run_for(1)
+    first_peer.channel.close()
+    scheduler.run_for(5)
+    peer = redialed()
+    assert peer.established
+    peer.send_update(UpdateMessage.withdraw([local_route(DEST2)]))
+    peer.send_end_of_rib()
+    scheduler.run_for(1)
+
+
+def gr_details(hub, peer):
+    return [
+        (message.event, message.detail) for message in hub.station.history
+        if message.kind == "resilience" and message.peer == peer
+        and message.event.startswith("gr-")
+    ]
+
+
+RETAINED_TWO_FLUSHED_ONE = [
+    ("gr-stale", "2 routes retained for 60s"),
+    ("gr-flush-eor", "1 stale routes flushed"),
+]
+
+
+def test_speaker_gr_flush_counts_only_paths_still_held(scheduler):
+    hub = TelemetryHub(scheduler)
+    a = BgpSpeaker(scheduler, SpeakerConfig(
+        asn=65001, router_id=IPv4Address.parse("1.1.1.1")), telemetry=hub)
+    router_id = IPv4Address.parse("2.2.2.2")
+    channel_a, channel_b = connect_pair(scheduler, rtt=0.02)
+    a.attach_neighbor(NeighborConfig(name="b", graceful_restart=True),
+                      channel_a)
+    first = gr_peer(scheduler, channel_b, 65002, router_id)
+    scheduler.run_for(2)
+
+    def redialed():
+        channel_a, channel_b = connect_pair(scheduler, rtt=0.02)
+        a.reattach_neighbor("b", channel_a)
+        peer = gr_peer(scheduler, channel_b, 65002, router_id)
+        scheduler.run_for(2)
+        return peer
+
+    restart_and_withdraw_one(scheduler, first, redialed)
+    assert gr_details(hub, "b") == RETAINED_TWO_FLUSHED_ONE
+    assert a.best_route(DEST) is None and a.best_route(DEST2) is None
+    assert len(a.neighbors["b"].adj_rib_in) == 0
+
+
+def test_node_gr_flush_counts_only_paths_still_held(scheduler):
+    hub = TelemetryHub(scheduler)
+    platform = PeeringPlatform(
+        scheduler,
+        pop_configs=[PopConfig(name="p0", pop_id=0, kind="ixp")],
+        telemetry=hub,
+    )
+    pop = platform.pops["p0"]
+    port = pop.provision_neighbor(
+        "n1", 65010, kind="transit", resilient=True,
+        graceful_restart=True, restart_time=60,
+        supervisor_config=SupervisorConfig(min_backoff=0.5, seed=9),
+    )
+    peers = []
+    port.on_redial = lambda channel: peers.append(
+        gr_peer(scheduler, channel, 65010, port.address))
+    first = gr_peer(scheduler, port.channel, 65010, port.address)
+    scheduler.run_for(2)
+
+    restart_and_withdraw_one(scheduler, first, lambda: peers[-1])
+    assert gr_details(hub, "n1") == RETAINED_TWO_FLUSHED_ONE
+    counters = pop.node.counters
+    assert (counters["gr_routes_retained"],
+            counters["gr_routes_flushed"]) == (2, 1)
+    upstream = pop.node.upstreams["n1"]
+    assert len(upstream.rib) == 0
+    assert len(pop.stack.tables[upstream.virtual.table_id]) == 0

@@ -7,12 +7,13 @@ from repro.netsim.addr import IPv4Address, IPv4Prefix
 
 P1 = IPv4Prefix.parse("10.0.0.0/8")
 P2 = IPv4Prefix.parse("20.0.0.0/8")
+P3 = IPv4Prefix.parse("30.0.0.0/8")
 NH = IPv4Address.parse("1.1.1.1")
 
 
 class TestAdjRibIn:
     def test_update_and_withdraw(self):
-        rib = AdjRibIn("peer")
+        rib = AdjRibIn()
         route = originate(P1, 100, NH)
         assert rib.update(route) is None
         assert len(rib) == 1
@@ -21,7 +22,7 @@ class TestAdjRibIn:
         assert rib.withdraw(P1) is None
 
     def test_implicit_replacement(self):
-        rib = AdjRibIn("peer")
+        rib = AdjRibIn()
         rib.update(originate(P1, 100, NH))
         replaced = rib.update(originate(P1, 200, NH))
         assert replaced is not None
@@ -29,16 +30,16 @@ class TestAdjRibIn:
         assert len(rib) == 1
 
     def test_addpath_multiple_paths(self):
-        rib = AdjRibIn("peer")
+        rib = AdjRibIn()
         rib.update(originate(P1, 100, NH).with_path_id(1))
         rib.update(originate(P1, 200, NH).with_path_id(2))
         assert len(rib) == 2
-        assert len(rib.routes_for(P1)) == 2
+        assert sorted(rib.keys()) == [(P1, 1), (P1, 2)]
         rib.withdraw(P1, 1)
-        assert len(rib.routes_for(P1)) == 1
+        assert list(rib.keys()) == [(P1, 2)]
 
     def test_clear_returns_dropped(self):
-        rib = AdjRibIn("peer")
+        rib = AdjRibIn()
         rib.update(originate(P1, 100, NH))
         rib.update(originate(P2, 100, NH))
         dropped = rib.clear()
@@ -48,7 +49,7 @@ class TestAdjRibIn:
         assert len(rib) == 1
 
     def test_len_is_kept_through_replace_and_missed_withdraw(self):
-        rib = AdjRibIn("peer")
+        rib = AdjRibIn()
         rib.update(originate(P1, 100, NH).with_path_id(1))
         rib.update(originate(P1, 200, NH).with_path_id(1))   # replace
         rib.update(originate(P1, 300, NH).with_path_id(2))
@@ -57,6 +58,63 @@ class TestAdjRibIn:
         assert len(rib) == 2 == len(list(rib.routes()))
         rib.withdraw(P1, 1)
         assert len(rib) == 1 == len(list(rib.routes()))
+
+
+    def test_has_prefix_through_replace_missed_withdraw_and_clear(self):
+        rib = AdjRibIn()
+        rib.update(originate(P1, 100, NH).with_path_id(1))
+        rib.update(originate(P1, 200, NH).with_path_id(1))   # replace
+        rib.update(originate(P1, 300, NH).with_path_id(2))
+        rib.withdraw(P1, 1)
+        assert rib.has_prefix(P1)
+        assert rib.withdraw(P1, 7) is None   # missed withdraws
+        assert rib.withdraw(P2) is None
+        assert rib.has_prefix(P1) and not rib.has_prefix(P2)
+        rib.withdraw(P1, 2)
+        assert not rib.has_prefix(P1)
+        rib.update(originate(P1, 100, NH))
+        rib.update(originate(P2, 100, NH))
+        assert rib.clear() == [(P1, None), (P2, None)]
+        assert not rib.has_prefix(P1) and not rib.has_prefix(P2)
+        assert list(rib.prefixes()) == []
+
+    def test_flush_stale_removes_only_paths_still_held(self, scheduler):
+        rib = AdjRibIn()
+        for prefix in (P1, P2, P3):
+            rib.update(originate(prefix, 100, NH))
+        expired = []
+        assert rib.retain_stale(scheduler, 5, lambda: expired.append(1)) == 3
+        rib.update(originate(P1, 200, NH))   # refreshed: no longer stale
+        rib.withdraw(P2)                     # withdrawn while stale
+        assert rib.stale_count == 1
+        assert rib.flush_stale() == [(P3, None)]
+        assert list(rib.keys()) == [(P1, None)]
+        assert rib.stale_count == 0
+        scheduler.run_for(10)
+        assert expired == []   # the flush cancelled the restart timer
+
+    def test_restart_timer_fires_unless_cleared(self, scheduler):
+        rib = AdjRibIn()
+        rib.update(originate(P1, 100, NH))
+        expired = []
+        assert rib.retain_stale(scheduler, 5, lambda: expired.append(1)) == 1
+        scheduler.run_for(10)
+        assert expired == [1]
+        rib.flush_stale()
+        rib.update(originate(P1, 100, NH))
+        rib.retain_stale(scheduler, 5, lambda: expired.append(2))
+        assert rib.clear() == [(P1, None)]
+        assert rib.stale_count == 0
+        scheduler.run_for(10)
+        assert expired == [1]
+
+    def test_retain_stale_needs_paths_and_a_restart_time(self, scheduler):
+        rib = AdjRibIn()
+        assert rib.retain_stale(scheduler, 5, lambda: None) == 0
+        rib.update(originate(P1, 100, NH))
+        assert rib.retain_stale(scheduler, 0, lambda: None) == 0
+        assert rib.stale_count == 0
+        assert scheduler.pending() == 0
 
 
 class TestLocRib:

@@ -128,3 +128,88 @@ def test_experiment_announcement_crosses_backbone(figure5):
     assert 47065 in best.as_path.asns
     # Control communities stripped before reaching the neighbor.
     assert announce_to_neighbor(port.global_id) not in best.communities
+
+
+def test_remote_withdraw_counts_the_kernel_removal(figure5):
+    """A backbone-learned path installs one kernel route and its
+    withdrawal removes it: both counters move, exactly once."""
+    scheduler, platform, n2, port, client = figure5
+    e1 = platform.pops["e1"]
+    counters = e1.node.counters
+    assert (counters["routes_installed"], counters["routes_removed"]) == (1, 0)
+    n2.withdraw(DEST)
+    scheduler.run_for(5)
+    remote = e1.node.remote_neighbors[port.global_id]
+    assert len(e1.stack.tables[remote.virtual.table_id]) == 0
+    assert (counters["routes_installed"], counters["routes_removed"]) == (1, 1)
+
+
+def _announce_from_e2_to_n1(scheduler, platform, client):
+    """Attach neighbor N1 at E1 and announce the experiment's prefix at
+    E2 with a whitelist community that sends it out through N1."""
+    from repro.vbgp.communities import announce_to_neighbor
+
+    e1 = platform.pops["e1"]
+    n1_port = e1.provision_neighbor("n1", 65010, kind="transit")
+    n1 = BgpSpeaker(
+        scheduler, SpeakerConfig(asn=65010, router_id=n1_port.address)
+    )
+    n1.attach_neighbor(
+        NeighborConfig(name="to-e1", peer_asn=None,
+                       local_address=n1_port.address),
+        n1_port.channel,
+    )
+    client.openvpn_up("e2")
+    client.bird_start("e2")
+    scheduler.run_for(10)
+    prefix = client.profile.prefixes[0]
+    client.announce(prefix, pops=["e2"], communities=(
+        announce_to_neighbor(n1_port.global_id),))
+    scheduler.run_for(10)
+    return n1, prefix
+
+
+def test_backbone_loss_fails_closed(figure5):
+    """When E1 loses its mesh session to E2, everything E2 told it goes:
+    N2's path (remote Adj-RIB-In, kernel table, the experiment's view)
+    and the experiment route E2 carried, which N1 stops hearing."""
+    scheduler, platform, n2, port, client = figure5
+    e1, e2 = platform.pops["e1"], platform.pops["e2"]
+    n1, prefix = _announce_from_e2_to_n1(scheduler, platform, client)
+    remote = e1.node.remote_neighbors[port.global_id]
+    table = e1.stack.tables[remote.virtual.table_id]
+    assert len(remote.rib) == 1 and len(table) == 1
+    assert client.routes(DEST, "e1")
+    assert prefix in e1.node.remote_exp_routes
+    assert n1.best_route(prefix) is not None
+
+    e2.node.backbone_peers["e1"].shutdown()
+    scheduler.run_for(600)
+    assert len(remote.rib) == 0
+    assert len(table) == 0
+    assert client.routes(DEST, "e1") == []
+    assert e1.node.remote_exp_routes == {}
+    assert "__remote__" not in e1.node.exp_prefixes.get(prefix)
+    assert n1.best_route(prefix) is None
+    # e2 is unaffected: its own neighbor and experiment stay.
+    assert client.routes(DEST, "e2")
+
+
+def test_replaced_backbone_session_close_is_ignored(figure5):
+    """A mesh session that was already replaced closes late: the state
+    its successor re-learned stays in place."""
+    from repro.bgp.transport import connect_pair
+
+    scheduler, platform, n2, port, client = figure5
+    e1, e2 = platform.pops["e1"], platform.pops["e2"]
+    old = e1.node.backbone_peers["e2"]
+    a, b = connect_pair(scheduler, rtt=0.01)
+    e1.node.attach_backbone_peer("e2", a)
+    e2.node.attach_backbone_peer("e1", b)
+    scheduler.run_for(5)
+    old.shutdown()
+    scheduler.run_for(5)
+    remote = e1.node.remote_neighbors[port.global_id]
+    assert len(remote.rib) == 1
+    assert len(e1.stack.tables[remote.virtual.table_id]) == 1
+    assert client.routes(DEST, "e1")

@@ -220,7 +220,7 @@ def test_vbgp_kernel_state_mirrors_rib_under_churn():
         scheduler.run_for(1)
         for check_name in ("n1", "n2"):
             neighbor = pop.node.upstreams[check_name]
-            rib_prefixes = {key[0] for key in neighbor.rib}
+            rib_prefixes = {key[0] for key in neighbor.rib.keys()}
             table = pop.stack.tables[neighbor.virtual.table_id]
             fib_prefixes = {entry.prefix for entry in table.entries()}
             assert rib_prefixes == fib_prefixes == announced[check_name]

@@ -187,7 +187,7 @@ class TestBuildInternet:
         assert len(rs_neighbor.rib) > 0
         # RS routes keep members' next hops (transparent).
         next_hops = {
-            str(route.next_hop) for route in rs_neighbor.rib.values()
+            str(route.next_hop) for route in rs_neighbor.rib.routes()
         }
         assert all(nh.startswith("100.66.") for nh in next_hops)
 
