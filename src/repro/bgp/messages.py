@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.bgp.attributes import (
     AsPath,
@@ -404,10 +404,7 @@ class UpdateMessage:
         if not routes:
             raise ValueError("announce() needs at least one route")
         attrs = routes[0].attributes
-        # Identity-first comparison: batched fan-out passes routes that
-        # share one attribute object (decoded once per wire block, see
-        # ``_decode_attributes``), so the common case skips the
-        # field-by-field dataclass equality entirely.
+        # Identity first: routes of one group usually share one object.
         if any(
             route.attributes is not attrs and route.attributes != attrs
             for route in routes
@@ -449,12 +446,12 @@ class UpdateMessage:
     def encode(self, addpath: bool = False) -> bytes:
         """Encode to wire bytes; memoized per (message, addpath).
 
-        The vBGP fan-out (``VbgpNode._fanout``) and the experiment export
-        (``_export_experiment``) hand the *same* UpdateMessage object to
+        The vBGP fan-out and backbone export (:func:`pack_updates`) and
+        the experiment export hand the *same* UpdateMessage object to
         every session that should get it, so the bytes are computed once.
         The cache lives in the (frozen) instance's ``__dict__`` so it is
         garbage-collected with the message and invisible to
-        ``__eq__``/``__hash__``.
+        ``__eq__``/``__hash__``.  Over ``MAX_MESSAGE_SIZE`` it raises.
         """
         cached = self.__dict__.get("_wire_cache")
         if cached is not None:
@@ -546,6 +543,39 @@ class UpdateMessage:
 
 BgpMessage = Union[OpenMessage, UpdateMessage, NotificationMessage,
                    KeepaliveMessage, RouteRefreshMessage]
+
+
+# ---------------------------------------------------------------------------
+# UPDATE packing
+# ---------------------------------------------------------------------------
+
+
+def group_by_attributes(routes: Iterable[Route]) -> dict:
+    """Group routes by their (hashable) attribute set, preserving order."""
+    groups: dict[PathAttributes, list[Route]] = {}
+    for route in routes:
+        groups.setdefault(route.attributes, []).append(route)
+    return groups
+
+
+def pack_updates(withdrawn: Sequence, groups: Iterable[tuple],
+                 addpath: bool) -> list[UpdateMessage]:
+    """The UPDATEs carrying the ``(prefix, path_id)`` pairs ``withdrawn``
+    and then each ``(attributes, nlri)`` group, in order, none over
+    ``MAX_MESSAGE_SIZE``.  A chunk holds as many NLRI as fit beside the
+    attribute block and the two length fields at the worst case of 5
+    bytes each, 9 with a path id (``addpath``: the session's
+    ``addpath_active``)."""
+    updates = []
+    for attributes, nlri in ((None, withdrawn), *groups):
+        room = (MAX_MESSAGE_SIZE - HEADER_SIZE - 4
+                - len(_encode_attributes(attributes)))
+        limit = max(1, room // (9 if addpath else 5))
+        for start in range(0, len(nlri), limit):
+            chunk = tuple(nlri[start:start + limit])
+            updates.append(UpdateMessage(withdrawn=chunk) if attributes is None
+                           else UpdateMessage(attributes, chunk))
+    return updates
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +685,6 @@ def _encode_attributes(attributes: Optional[PathAttributes]) -> bytes:
         wire = _encode_attributes_uncached(attributes)
         object.__setattr__(attributes, "_wire", wire)
     return wire
-
-
-def attributes_wire_length(attributes: Optional[PathAttributes]) -> int:
-    """Encoded length of an attribute set (used for UPDATE packing)."""
-    return len(_encode_attributes(attributes))
 
 
 def _encode_attributes_uncached(attributes: PathAttributes) -> bytes:

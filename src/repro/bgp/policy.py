@@ -11,11 +11,11 @@ that split exists; :mod:`repro.security` implements it).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.bgp.attributes import Community, LargeCommunity, Route
-from repro.netsim.addr import Prefix
+from repro.netsim.addr import IPv4Address, Prefix
 
 
 class PolicyResult(enum.Enum):
@@ -198,3 +198,41 @@ def chain(route: Route, *maps: Optional[RouteMap]) -> Optional[Route]:
             continue
         current = route_map.apply(current)
     return current
+
+
+def export_transform(
+    route: Route, *, policy: Optional[RouteMap] = None,
+    asn: Optional[int] = None, next_hop: Optional[IPv4Address] = None,
+    next_hop_self: bool = True, path_id: Optional[Callable[[], int]] = None,
+    drop_community: Optional[Callable[[Community], bool]] = None,
+) -> Optional[Route]:
+    """The one export step (§3.2.1): ``route`` as a neighbor gets it, or
+    ``None`` when ``policy`` rejects it.
+
+    Stages in order: ``policy``; drop the communities ``drop_community``
+    matches; prepend ``asn`` and drop LOCAL_PREF; set ``next_hop`` where
+    the route has none or ``next_hop_self`` holds; set the path id to
+    ``path_id()`` (called only for an accepted route), else to none.  It
+    builds at most one attribute set, and none when no stage changes it.
+    """
+    if policy is not None and (route := policy.apply(route)) is None:
+        return None
+    attrs = route.attributes
+    changes = {}
+    if drop_community is not None:
+        kept = frozenset(c for c in attrs.communities if not drop_community(c))
+        if len(kept) != len(attrs.communities):
+            changes["communities"] = kept
+    if asn is not None:
+        changes.update(as_path=attrs.as_path.prepended(asn), local_pref=None)
+    if next_hop is not None and attrs.next_hop != next_hop and (
+            attrs.next_hop is None or next_hop_self):
+        changes["next_hop"] = next_hop
+    if changes.keys() == {"next_hop"}:
+        exported = attrs.with_next_hop(next_hop)  # memoized per next hop
+    else:
+        exported = replace(attrs, **changes) if changes else attrs
+    exported_id = path_id() if path_id is not None else None
+    if exported is attrs and exported_id == route.path_id:
+        return route
+    return Route(route.prefix, exported, exported_id)

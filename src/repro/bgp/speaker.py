@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.bgp.attributes import PathAttributes, Route
 from repro.bgp.decision import PeerContext, best_path
 from repro.bgp.errors import CeaseSubcode, ErrorCode, NotificationError
-from repro.bgp.messages import UpdateMessage
-from repro.bgp.policy import RouteMap
+from repro.bgp.messages import UpdateMessage, pack_updates
+from repro.bgp.policy import RouteMap, export_transform
 from repro.bgp.rib import AdjRibIn, AdjRibOut, ColumnarLocRib, RibEntry
 from repro.bgp.session import BgpSession, SessionConfig, SessionState
 from repro.bgp.supervisor import SessionSupervisor, SupervisorConfig
@@ -542,9 +543,10 @@ class BgpSpeaker:
         """Diff the post-policy routes ``neighbor`` should hold for one
         prefix against what it holds, replacing whatever was pending for
         that prefix; costs that prefix's paths."""
+        config = neighbor.config
         held = neighbor.adj_rib_out.paths(prefix)
         pending = neighbor.pending_announce
-        if neighbor.config.addpath:
+        if config.addpath:
             candidates = self.loc_rib.candidates_except(prefix, neighbor.name)
         else:
             best = self.loc_rib.best(prefix)
@@ -560,10 +562,20 @@ class BgpSpeaker:
             if (
                 source is not None
                 and source.config.is_ibgp
-                and neighbor.config.is_ibgp
+                and config.is_ibgp
             ):
                 continue  # no iBGP reflection (full mesh assumed)
-            route = self._export_transform(neighbor, entry)
+            route = export_transform(
+                entry.route,
+                policy=config.export_policy,
+                asn=(None if config.is_ibgp or config.transparent
+                     else self.config.asn),
+                next_hop=config.local_address,
+                next_hop_self=config.next_hop_self and not config.transparent,
+                path_id=partial(neighbor.path_id_for, prefix, entry.peer,
+                                entry.route.path_id)
+                if config.addpath else None,
+            )
             if route is not None:
                 desired[route.path_id] = route
         for path_id in held:
@@ -581,30 +593,6 @@ class BgpSpeaker:
                 neighbor.release_path_id(path_id)
         if announce:
             pending[prefix] = announce
-
-    def _export_transform(self, neighbor: Neighbor,
-                          entry: RibEntry) -> Optional[Route]:
-        route = entry.route
-        if neighbor.config.export_policy is not None:
-            maybe = neighbor.config.export_policy.apply(route)
-            if maybe is None:
-                return None
-            route = maybe
-        if not neighbor.config.is_ibgp and not neighbor.config.transparent:
-            route = route.prepended(self.config.asn)
-            route = route.with_attributes(local_pref=None)
-        if route.next_hop is None or (
-            neighbor.config.next_hop_self and not neighbor.config.transparent
-        ):
-            route = route.with_next_hop(neighbor.config.local_address)
-        if neighbor.config.addpath:
-            route = route.with_path_id(
-                neighbor.path_id_for(entry.prefix, entry.peer,
-                                     entry.route.path_id)
-            )
-        else:
-            route = route.with_path_id(None)
-        return route
 
     def _arm_mrai(self, neighbor: Neighbor) -> None:
         if neighbor.mrai_event is not None:
@@ -624,31 +612,31 @@ class BgpSpeaker:
         """Emit the minimal announce/withdraw set for a neighbor."""
         if not neighbor.pending_announce and not neighbor.pending_withdraw:
             return
-        if not neighbor.established or neighbor.session is None:
+        session = neighbor.session
+        if not neighbor.established or session is None:
             return
-        withdrawals = []
+        withdrawn = []
         for prefix, path_id in sorted(neighbor.pending_withdraw,
                                       key=_pending_order):
-            removed = neighbor.adj_rib_out.record_withdraw(prefix, path_id)
-            if removed is not None:
-                withdrawals.append(removed)
+            if neighbor.adj_rib_out.record_withdraw(
+                    prefix, path_id) is not None:
+                withdrawn.append((prefix, path_id))
                 neighbor.release_path_id(path_id)
         neighbor.pending_withdraw.clear()
-        if withdrawals:
-            neighbor.session.send_update(UpdateMessage.withdraw(withdrawals))
-        # Group announcements by attribute set to pack NLRI efficiently;
-        # the dict keeps the groups in first-seen order.
-        groups: dict[PathAttributes, list[Route]] = {}
+        # Announcements grouped by attribute set, in first-seen order.
+        groups: dict[PathAttributes, list] = {}
         pending = neighbor.pending_announce
         keys = [(prefix, path_id)
                 for prefix, paths in pending.items() for path_id in paths]
         for prefix, path_id in sorted(keys, key=_pending_order):
             route = pending[prefix][path_id]
             if neighbor.adj_rib_out.record_announce(route):
-                groups.setdefault(route.attributes, []).append(route)
-        neighbor.pending_announce.clear()
-        for routes in groups.values():
-            neighbor.session.send_update(UpdateMessage.announce(routes))
+                groups.setdefault(route.attributes, []).append(
+                    (prefix, path_id))
+        pending.clear()
+        for update in pack_updates(withdrawn, groups.items(),
+                                   session.addpath_active):
+            session.send_update(update)
 
 
 def _pending_order(key: tuple[Prefix, Optional[int]]) -> tuple:

@@ -20,20 +20,21 @@ by destination MAC into the matching per-neighbor table (a policy-routing
 rule per neighbor), and (c) intercepts traffic destined to experiment
 prefixes, rewriting the source MAC to the delivering neighbor's virtual
 MAC before handing the frame to the experiment's tunnel (§3.2.2).
+
+The export step is shared with ``BgpSpeaker``: experiment announcements
+go through :func:`repro.bgp.policy.export_transform`, and fan-out and
+backbone UPDATEs are packed by :func:`repro.bgp.messages.pack_updates`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
+from repro.bgp import messages
 from repro.bgp.attributes import PathAttributes, Route
-from repro.bgp.messages import (
-    HEADER_SIZE,
-    MAX_MESSAGE_SIZE,
-    UpdateMessage,
-    attributes_wire_length,
-)
+from repro.bgp.messages import UpdateMessage, pack_updates
+from repro.bgp.policy import export_transform
 from repro.bgp.rib import AdjRibIn
 from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.supervisor import SessionSupervisor, SupervisorConfig
@@ -56,11 +57,9 @@ from repro.vbgp.allocator import (
     neighbor_mac_global_id,
     virtual_neighbor,
 )
-from repro.vbgp.communities import (
-    ANNOUNCE_ASN,
-    select_targets,
-    strip_control,
-)
+from repro.vbgp.communities import ANNOUNCE_ASN, is_control, select_targets
+# benchmarks/e2e/trace.py times the community layer by patching this name.
+from repro.vbgp.communities import strip_control  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import TelemetryHub
@@ -644,9 +643,8 @@ class VbgpNode:
         heard every id the node holds.
 
         Announced routes sharing one attribute set are coalesced into
-        multi-NLRI UPDATEs (one message per batch instead of per route).
-        Withdrawals carry no attributes and are always chunked to respect
-        the 4096-byte message ceiling.
+        multi-NLRI UPDATEs, packed under the 4096-byte message ceiling
+        by :func:`~repro.bgp.messages.pack_updates`.
         """
         node_ids = self._path_ids
         # ``removed`` paths have left the neighbor's rib: their ids go
@@ -662,12 +660,8 @@ class VbgpNode:
         ]
         if not sessions:
             return
-        updates = [
-            UpdateMessage(withdrawn=tuple(chunk))
-            for chunk in _chunk_routes(withdrawn, _MAX_WITHDRAW_PER_UPDATE)
-        ]
-        for attrs, group in _group_by_attributes(announced).items():
-            rewritten_attrs = attrs.with_next_hop(local_vip)
+        groups = []
+        for attrs, group in messages.group_by_attributes(announced).items():
             nlri = []
             for route in group:
                 key = (gid, route.prefix, route.path_id)
@@ -676,11 +670,9 @@ class VbgpNode:
                     path_id = node_ids[key] = self._next_path_id
                     self._next_path_id += 1
                 nlri.append((route.prefix, path_id))
-            limit = _max_nlri_per_update(rewritten_attrs)
-            updates.extend(
-                UpdateMessage(attributes=rewritten_attrs, nlri=tuple(chunk))
-                for chunk in _chunk_routes(nlri, limit)
-            )
+            groups.append((attrs.with_next_hop(local_vip), nlri))
+        addpath = any(session.addpath_active for session in sessions)
+        updates = pack_updates(withdrawn, groups, addpath)
         for session in sessions:
             for update in updates:
                 session.send_update(update)
@@ -794,7 +786,8 @@ class VbgpNode:
         return select_targets(route, self._target_candidates)
 
     def export_transform(self, route: Route) -> Route:
-        """The §3.2.1 export rewrite for an experiment announcement.
+        """The §3.2.1 export rewrite for an experiment announcement: the
+        shared :func:`~repro.bgp.policy.export_transform`, bound to this PoP.
 
         Pure (no node state is mutated): control communities are
         consumed, the platform ASN is prepended, the next hop becomes
@@ -804,16 +797,9 @@ class VbgpNode:
         function, so a predicted export diff cannot drift from what the
         wire would carry.
         """
-        attrs = route.attributes
-        return Route(
-            prefix=route.prefix,
-            attributes=replace(
-                attrs,
-                communities=strip_control(route).communities,
-                as_path=attrs.as_path.prepended(self.platform_asn),
-                next_hop=self._upstream_address(),
-                local_pref=None,
-            ),
+        return export_transform(
+            route, asn=self.platform_asn, next_hop=self._upstream_address(),
+            path_id=None, drop_community=is_control,
         )
 
     def _export_experiment(
@@ -893,13 +879,15 @@ class VbgpNode:
         session = self.backbone_peers.get(node_name)
         if session is None or not session.established:
             return
-        for neighbor in self.upstreams.values():
-            for group in _group_by_attributes(neighbor.rib.routes()).values():
-                carried = self._backbone_batch(neighbor.virtual, group)
-                limit = _max_nlri_per_update(carried[0].attributes)
-                for chunk in _chunk_routes(carried, limit):
-                    session.send_update(UpdateMessage.announce(chunk))
-                    self.counters["updates_to_backbone"] += 1
+        groups = [
+            self._backbone_group(neighbor.virtual, group)
+            for neighbor in self.upstreams.values()
+            for group in messages.group_by_attributes(
+                neighbor.rib.routes()).values()
+        ]
+        for update in pack_updates((), groups, session.addpath_active):
+            session.send_update(update)
+            self.counters["updates_to_backbone"] += 1
         for exp in self.experiments.values():
             for route in exp.announced.values():
                 session.send_update(UpdateMessage.announce([
@@ -907,20 +895,14 @@ class VbgpNode:
                 ]))
                 self.counters["updates_to_backbone"] += 1
 
-    def _backbone_batch(self, virtual: VirtualNeighbor,
-                        group: list[Route]) -> list[Route]:
+    def _backbone_group(self, virtual: VirtualNeighbor,
+                        group: list[Route]) -> tuple[PathAttributes, list]:
         """Neighbor routes sharing one attribute set as carried on the
         mesh: the set rewritten once to the global-IP next hop, each route
         with its stable path id."""
-        carried_attrs = group[0].attributes.with_next_hop(virtual.global_ip)
         base = virtual.global_id * _GID_PATH_ID_BASE
-        return [
-            Route(
-                prefix=route.prefix,
-                attributes=carried_attrs,
-                path_id=base + _stable_id(route),
-            )
-            for route in group
+        return group[0].attributes.with_next_hop(virtual.global_ip), [
+            (route.prefix, base + _stable_id(route)) for route in group
         ]
 
     def _backbone_experiment_route(self, route: Route) -> Route:
@@ -942,21 +924,14 @@ class VbgpNode:
             return
         # The messages read no per-peer state: build them once.
         base = neighbor.virtual.global_id * _GID_PATH_ID_BASE
-        fakes = []
-        for prefix, _source_id in removed:
-            fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
-            fakes.append(fake.with_path_id(base + _stable_id(fake)))
-        updates = [
-            UpdateMessage.withdraw(chunk)
-            for chunk in _chunk_routes(fakes, _MAX_WITHDRAW_PER_UPDATE)
+        withdrawn = [(prefix, base + _stable_id(Route(prefix, _EMPTY_ATTRS)))
+                     for prefix, _source_id in removed]
+        groups = [
+            self._backbone_group(neighbor.virtual, group)
+            for group in messages.group_by_attributes(announced).values()
         ]
-        for group in _group_by_attributes(announced).values():
-            carried = self._backbone_batch(neighbor.virtual, group)
-            limit = _max_nlri_per_update(carried[0].attributes)
-            updates.extend(
-                UpdateMessage.announce(chunk)
-                for chunk in _chunk_routes(carried, limit)
-            )
+        addpath = any(session.addpath_active for session in sessions)
+        updates = pack_updates(withdrawn, groups, addpath)
         for session in sessions:
             for update in updates:
                 session.send_update(update)
@@ -1222,38 +1197,6 @@ _EMPTY_ATTRS = PathAttributes()
 # phantom neighbor with the wrong gid — caught by the full-catalog
 # vmac_bijectivity check.
 _GID_PATH_ID_BASE = 1 << 20
-
-# An ADD-PATH IPv4 NLRI is at most 4 (path id) + 1 (length) + 4 (prefix)
-# bytes; a withdrawal-only UPDATE has 4 bytes of fixed body overhead.
-_NLRI_MAX_BYTES = 9
-_MAX_WITHDRAW_PER_UPDATE = (
-    (MAX_MESSAGE_SIZE - HEADER_SIZE - 4) // _NLRI_MAX_BYTES
-)
-
-
-def _max_nlri_per_update(attributes: PathAttributes) -> int:
-    """How many NLRI fit in one UPDATE carrying ``attributes``."""
-    budget = (
-        MAX_MESSAGE_SIZE - HEADER_SIZE - 4
-        - attributes_wire_length(attributes)
-    )
-    return max(1, budget // _NLRI_MAX_BYTES)
-
-
-def _chunk_routes(routes: list, size: int) -> Iterator[list]:
-    for start in range(0, len(routes), size):
-        yield routes[start:start + size]
-
-
-def _group_by_attributes(
-    routes: Iterable[Route],
-) -> dict[PathAttributes, list[Route]]:
-    """Group routes by their (hashable) attribute set, preserving order."""
-    groups: dict[PathAttributes, list[Route]] = {}
-    for route in routes:
-        groups.setdefault(route.attributes, []).append(route)
-    return groups
-
 
 def _stable_id(route: Route) -> int:
     """A deterministic per-route id usable as an ADD-PATH path id.

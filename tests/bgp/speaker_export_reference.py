@@ -11,7 +11,9 @@ a linear scan over the groups. Two bug fixes are carried over, because
 they are not part of the restructure and keeping them lets wire bytes be
 compared exactly: the outbound ADD-PATH id release when a path is
 withdrawn, and pending announcements kept by prefix so that one no longer
-wanted when the MRAI timer fires is dropped unsent.
+wanted when the MRAI timer fires is dropped unsent.  ``export_transform``
+is the speaker's own export chain from before it shared
+``repro.bgp.policy.export_transform`` with the vBGP node.
 """
 
 from __future__ import annotations
@@ -69,11 +71,39 @@ def desired_routes(self: BgpSpeaker, neighbor: Neighbor,
             and neighbor.config.is_ibgp
         ):
             continue  # no iBGP reflection (full mesh assumed)
-        route = self._export_transform(neighbor, entry)
+        route = export_transform(self, neighbor, entry)
         if route is None:
             continue
         desired.append(route)
     return desired
+
+
+def export_transform(self: BgpSpeaker, neighbor: Neighbor,
+                     entry: RibEntry) -> Optional[Route]:
+    """The speaker's own four-step export chain, before it shared the one
+    transform in ``repro.bgp.policy``: policy, then prepend and drop
+    local-pref on eBGP, then next hop, then path id."""
+    route = entry.route
+    if neighbor.config.export_policy is not None:
+        maybe = neighbor.config.export_policy.apply(route)
+        if maybe is None:
+            return None
+        route = maybe
+    if not neighbor.config.is_ibgp and not neighbor.config.transparent:
+        route = route.prepended(self.config.asn)
+        route = route.with_attributes(local_pref=None)
+    if route.next_hop is None or (
+        neighbor.config.next_hop_self and not neighbor.config.transparent
+    ):
+        route = route.with_next_hop(neighbor.config.local_address)
+    if neighbor.config.addpath:
+        route = route.with_path_id(
+            neighbor.path_id_for(entry.prefix, entry.peer,
+                                 entry.route.path_id)
+        )
+    else:
+        route = route.with_path_id(None)
+    return route
 
 
 def select(self: BgpSpeaker, entries: list[RibEntry]) -> Optional[RibEntry]:

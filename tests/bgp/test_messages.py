@@ -16,6 +16,8 @@ from repro.bgp.attributes import (
 )
 from repro.bgp.errors import ErrorCode, NotificationError, UpdateSubcode
 from repro.bgp.messages import (
+    HEADER_SIZE,
+    MAX_MESSAGE_SIZE,
     AddPathCapability,
     FourOctetAsCapability,
     KeepaliveMessage,
@@ -24,6 +26,8 @@ from repro.bgp.messages import (
     NotificationMessage,
     OpenMessage,
     UpdateMessage,
+    _encode_attributes_uncached,
+    pack_updates,
 )
 from repro.netsim.addr import IPv4Address, IPv4Prefix
 
@@ -274,6 +278,87 @@ class TestFraming:
         decoder.feed(bytes(data))
         with pytest.raises(NotificationError):
             decoder.next_message()
+
+
+# ---------------------------------------------------------------------------
+# UPDATE packing
+# ---------------------------------------------------------------------------
+
+PACK_ATTRS = {
+    "short": PathAttributes(next_hop=IPv4Address.parse("100.64.0.1")),
+    "long": PathAttributes(
+        as_path=AsPath.from_asns(*range(64500, 64560)),
+        next_hop=IPv4Address.parse("100.64.0.1"),
+        communities=frozenset(Community(65000, i) for i in range(300)),
+    ),
+}
+# /32s: the widest IPv4 NLRI, so a message at the limit is as full as
+# the packer ever makes one.
+HOSTS = tuple(IPv4Prefix.parse("10.0.0.0/20").subnets(32))
+
+
+def pack_limit(attributes, addpath: bool) -> int:
+    """NLRI per UPDATE: header and the two length fields, the attribute
+    block, then 5 worst-case bytes per NLRI (9 with a path id)."""
+    attrs = (len(_encode_attributes_uncached(attributes))
+             if attributes is not None else 0)
+    return (MAX_MESSAGE_SIZE - HEADER_SIZE - 4 - attrs) // (
+        9 if addpath else 5)
+
+
+def nlri(count: int, start: int = 0):
+    return [(prefix, start + i + 1)
+            for i, prefix in enumerate(HOSTS[start:start + count])]
+
+
+@pytest.mark.parametrize("addpath", [False, True], ids=["plain", "addpath"])
+@pytest.mark.parametrize("name", sorted(PACK_ATTRS))
+class TestPackUpdates:
+    def sizes(self, updates, addpath):
+        frames = [update.encode(addpath) for update in updates]
+        assert max(map(len, frames)) <= MAX_MESSAGE_SIZE
+        return [len(update.nlri) + len(update.withdrawn)
+                for update in updates]
+
+    def test_a_group_of_exactly_limit_is_one_message(self, name, addpath):
+        attrs = PACK_ATTRS[name]
+        limit = pack_limit(attrs, addpath)
+        updates = pack_updates((), [(attrs, nlri(limit))], addpath)
+        assert self.sizes(updates, addpath) == [limit]
+        # The limit is tight: one more worst-case NLRI does not fit.
+        with pytest.raises(NotificationError):
+            UpdateMessage(attributes=attrs,
+                          nlri=tuple(nlri(limit + 1))).encode(addpath)
+
+    def test_limit_plus_one_is_two_messages(self, name, addpath):
+        attrs = PACK_ATTRS[name]
+        limit = pack_limit(attrs, addpath)
+        pairs = nlri(limit + 1)
+        updates = pack_updates((), [(attrs, pairs)], addpath)
+        assert self.sizes(updates, addpath) == [limit, 1]
+        assert [pair for update in updates for pair in update.nlri] == pairs
+
+    def test_withdrawals_are_chunked_the_same_way(self, name, addpath):
+        limit = pack_limit(None, addpath)
+        gone = nlri(limit + 1)
+        updates = pack_updates(gone, (), addpath)
+        assert self.sizes(updates, addpath) == [limit, 1]
+        assert [pair for update in updates
+                for pair in update.withdrawn] == gone
+
+    def test_withdrawals_first_then_groups_in_order(self, name, addpath):
+        attrs = PACK_ATTRS[name]
+        other = PathAttributes(next_hop=IPv4Address.parse("100.64.0.2"),
+                               med=5)
+        gone = nlri(3, start=900)
+        groups = [(other, nlri(2, start=10)), (attrs, nlri(4, start=20)),
+                  (other, nlri(1, start=30))]
+        updates = pack_updates(gone, groups, addpath)
+        self.sizes(updates, addpath)
+        assert updates[0] == UpdateMessage(withdrawn=tuple(gone))
+        assert [(u.attributes, list(u.nlri)) for u in updates[1:]] == [
+            (group_attrs, pairs) for group_attrs, pairs in groups
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Speaker integration tests: propagation, policy, ADD-PATH export,
-split horizon, iBGP rules, max-prefix protection."""
+split horizon, iBGP rules, max-prefix protection, UPDATE size."""
 
 import pytest
 
 from repro.bgp.attributes import Community, local_route, originate
 from repro.bgp.decision import best_path
+from repro.bgp.messages import MAX_MESSAGE_SIZE
 from repro.bgp.policy import (
     Match,
     PolicyAction,
@@ -14,9 +15,13 @@ from repro.bgp.policy import (
 )
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
 from repro.bgp.transport import connect_pair
+from repro.conformance.state import WireTap
 from repro.netsim.addr import IPv4Address, IPv4Prefix
 
 P1 = IPv4Prefix.parse("10.10.0.0/16")
+# 2,000 /24s: one attribute set's worth is ~8 kB of NLRI, twice the
+# 4096-byte UPDATE ceiling.
+TABLE = tuple(IPv4Prefix.parse("20.0.0.0/8").subnets(24))[:2000]
 
 
 def make_speaker(scheduler, asn, router_id, **kwargs):
@@ -388,3 +393,47 @@ def test_mrai_keeps_a_route_restored_inside_the_window(scheduler):
     scheduler.run_for(2)
     assert a.best_route(P1) is not None
     assert b.best_route(P1) is not None
+
+
+def test_late_join_receives_a_table_larger_than_one_update(scheduler):
+    """A neighbor that attaches after the table is built gets it as
+    several UPDATEs, none over the ceiling (one 8 kB UPDATE would be
+    refused by the encoder and the session closed)."""
+    a = make_speaker(scheduler, 1, "1.1.1.1")
+    for prefix in TABLE:
+        a.originate(local_route(prefix, next_hop=a.config.router_id))
+    scheduler.run_for(1)
+    b = make_speaker(scheduler, 2, "2.2.2.2")
+    connect(scheduler, a, b)
+    tap = WireTap(b.neighbors["to-1"].session.channel)
+    scheduler.run_for(5)
+    assert b.neighbors["to-1"].established
+    assert len(b.neighbors["to-1"].adj_rib_in) == len(TABLE)
+    assert len(tap.frames) >= 2
+    assert max(map(len, tap.frames)) <= MAX_MESSAGE_SIZE
+
+
+def test_mrai_withdrawal_burst_is_split_under_the_ceiling(scheduler):
+    """Losing an upstream that carried 2,000 prefixes (8 MED groups)
+    withdraws all of them in one MRAI flush: several UPDATEs, and the
+    downstream ends empty."""
+    up = make_speaker(scheduler, 1, "1.1.1.1")
+    hub = make_speaker(scheduler, 2, "2.2.2.2", mrai=0.5)
+    down = make_speaker(scheduler, 3, "3.3.3.3")
+    for index, prefix in enumerate(TABLE):
+        up.originate(local_route(
+            prefix, next_hop=up.config.router_id,
+        ).with_attributes(med=index % 8))
+    connect(scheduler, up, hub)
+    connect(scheduler, hub, down)
+    tap = WireTap(down.neighbors["to-2"].session.channel)
+    scheduler.run_for(5)
+    assert len(down.neighbors["to-2"].adj_rib_in) == len(TABLE)
+    announced = len(tap.frames)
+    up.remove_neighbor("to-2")
+    scheduler.run_for(5)
+    assert hub.neighbors["to-3"].established
+    assert len(tap.frames) - announced >= 2
+    assert len(down.neighbors["to-2"].adj_rib_in) == 0
+    assert down.best_route(TABLE[0]) is None
+    assert max(map(len, tap.frames)) <= MAX_MESSAGE_SIZE

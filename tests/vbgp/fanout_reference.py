@@ -11,15 +11,49 @@ reference world can be driven beside the live one and their wire compared.
 
 from __future__ import annotations
 
-from repro.bgp.attributes import Route
-from repro.bgp.messages import UpdateMessage
-from repro.vbgp.node import (
-    _EMPTY_ATTRS,
-    _MAX_WITHDRAW_PER_UPDATE,
-    _chunk_routes,
-    _group_by_attributes,
-    _max_nlri_per_update,
+from typing import Iterable, Iterator
+
+from repro.bgp.attributes import PathAttributes, Route
+from repro.bgp.messages import (
+    HEADER_SIZE,
+    MAX_MESSAGE_SIZE,
+    UpdateMessage,
+    _encode_attributes_uncached,
 )
+from repro.vbgp.node import _EMPTY_ATTRS
+
+# The node's own chunking helpers as they were when ``_fanout`` still
+# hand-rolled its packing.  An ADD-PATH IPv4 NLRI is at most 4 (path id)
+# + 1 (length) + 4 (prefix) bytes; a withdrawal-only UPDATE has 4 bytes
+# of fixed body overhead.
+_NLRI_MAX_BYTES = 9
+_MAX_WITHDRAW_PER_UPDATE = (
+    (MAX_MESSAGE_SIZE - HEADER_SIZE - 4) // _NLRI_MAX_BYTES
+)
+
+
+def _max_nlri_per_update(attributes: PathAttributes) -> int:
+    """How many NLRI fit in one UPDATE carrying ``attributes``."""
+    budget = (
+        MAX_MESSAGE_SIZE - HEADER_SIZE - 4
+        - len(_encode_attributes_uncached(attributes))
+    )
+    return max(1, budget // _NLRI_MAX_BYTES)
+
+
+def _chunk_routes(routes: list, size: int) -> Iterator[list]:
+    for start in range(0, len(routes), size):
+        yield routes[start:start + size]
+
+
+def _group_by_attributes(
+    routes: Iterable[Route],
+) -> dict[PathAttributes, list[Route]]:
+    """Group routes by their (hashable) attribute set, preserving order."""
+    groups: dict[PathAttributes, list[Route]] = {}
+    for route in routes:
+        groups.setdefault(route.attributes, []).append(route)
+    return groups
 
 
 class ReferenceFanout:

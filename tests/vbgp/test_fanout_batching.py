@@ -9,13 +9,13 @@ oracle by making every route its own attribute group.
 
 import pytest
 
+from repro.bgp import messages
 from repro.bgp.attributes import Community, local_route
 from repro.netsim.addr import IPv4Prefix
 from repro.platform.pop import PointOfPresence, PopConfig
 from repro.security.capabilities import ExperimentProfile
 from repro.security.state import EnforcerState
 from repro.sim import Scheduler
-from repro.vbgp import node as vbgp_node
 from repro.vbgp.allocator import GlobalNeighborRegistry
 
 from tests.vbgp.test_node import EXP_PREFIX, ExperimentEndpoint, add_neighbor
@@ -24,8 +24,8 @@ PREFIXES = tuple(IPv4Prefix.parse("70.0.0.0/8").subnets(24))[:64]
 
 
 class _OneRoutePerGroup:
-    """Stands in for ``_group_by_attributes``: every route is its own
-    group, so the node sends one UPDATE per announced route."""
+    """Stands in for ``messages.group_by_attributes``: every route is its
+    own group, so the node sends one UPDATE per announced route."""
 
     def __init__(self, routes):
         self._groups = [(route.attributes, [route]) for route in routes]
@@ -42,7 +42,7 @@ def _run_scenario(monkeypatch, batch: bool):
     then withdraw half; return what the experiment ended up with."""
     with monkeypatch.context() as patch:
         if not batch:
-            patch.setattr(vbgp_node, "_group_by_attributes",
+            patch.setattr(messages, "group_by_attributes",
                           _OneRoutePerGroup)
         scheduler = Scheduler()
         pop = PointOfPresence(

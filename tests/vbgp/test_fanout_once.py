@@ -9,7 +9,12 @@ ids everywhere else.
 import pytest
 
 from repro.bgp.attributes import Community, local_route
-from repro.bgp.messages import MAX_MESSAGE_SIZE, MSG_UPDATE, UpdateMessage
+from repro.bgp.messages import (
+    HEADER_SIZE,
+    MAX_MESSAGE_SIZE,
+    MSG_UPDATE,
+    UpdateMessage,
+)
 from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.transport import connect_pair
 from repro.netsim.addr import IPv4Address, IPv4Prefix, MacAddress
@@ -17,7 +22,6 @@ from repro.platform.pop import PointOfPresence, PopConfig
 from repro.security.state import EnforcerState
 from repro.sim import Scheduler
 from repro.vbgp.allocator import GlobalNeighborRegistry
-from repro.vbgp.node import _MAX_WITHDRAW_PER_UPDATE
 from tests.bgp.encode_reference import joined_encode
 from tests.vbgp import fanout_reference
 from tests.vbgp.test_export_once import (
@@ -27,6 +31,9 @@ from tests.vbgp.test_export_once import (
 )
 
 PREFIXES = tuple(IPv4Prefix.parse("70.0.0.0/8").subnets(24))[:1200]
+# Withdrawals per ADD-PATH UPDATE: 9 worst-case bytes per NLRI after the
+# header and the two length fields.
+_MAX_WITHDRAW_PER_UPDATE = (MAX_MESSAGE_SIZE - HEADER_SIZE - 4) // 9
 
 
 class Feeder:
