@@ -133,9 +133,9 @@ class PopView(NamedTuple):
     """One PoP's canonical §5 state (DESIGN.md §6e); see :func:`pop_view`."""
 
     upstreams: Dict[str, list]  # name -> Adj-RIB-In rows
-    remotes: Dict[int, list]  # gid -> backbone-learned Adj-RIB-In rows
+    remotes: Dict[int, tuple]  # gid -> backbone-learned paths
     experiments: Dict[str, list]  # name -> announced route fingerprints
-    remote_exp: list  # backbone-learned experiment route fingerprints
+    remote_exp: tuple  # backbone-learned experiment paths
     kernel: Dict[int, list]  # table id -> kernel rows
 
 
@@ -149,12 +149,14 @@ def _rib_rows(rib) -> list:
 def pop_view(pop) -> PopView:
     """Canonical state of ``pop`` (anything with ``.node`` and ``.stack``).
 
-    Adj-RIB-In rows are ``(prefix, source_id, attr_fingerprint)`` with the
-    raw source id: ``None`` on upstream sessions, an int on ADD-PATH
-    backbone sessions, never both in one RIB.  Kernel rows are ``(prefix,
-    next_hop, out_iface)``.  Counters are history, not state, and stay
-    out.  Mappings are filled in sorted key order, so their ``repr`` is as
-    canonical as their equality.
+    Upstream Adj-RIB-In rows are ``(prefix, source_id, attr_fingerprint)``
+    with the raw source id: ``None``, or the upstream's own ADD-PATH id.
+    Backbone-learned state is :func:`paths`, without ids: a mesh id is the
+    sending PoP's name for a path, allocated in the order it first sent
+    it, so a withdrawn and re-announced path comes back under a new one.
+    Kernel rows are ``(prefix, next_hop, out_iface)``.  Counters are
+    history, not state, and stay out.  Mappings are filled in sorted key
+    order, so their ``repr`` is as canonical as their equality.
     """
     node = pop.node
     tables = pop.stack.tables
@@ -164,7 +166,7 @@ def pop_view(pop) -> PopView:
             for name in sorted(node.upstreams)
         },
         remotes={
-            gid: _rib_rows(node.remote_neighbors[gid].rib)
+            gid: paths(node.remote_neighbors[gid].rib.routes())
             for gid in sorted(node.remote_neighbors)
         },
         experiments={
@@ -174,10 +176,7 @@ def pop_view(pop) -> PopView:
             )
             for name in sorted(node.experiments)
         },
-        remote_exp=sorted(
-            route_fingerprint(route)
-            for route in node.remote_exp_routes.values()
-        ),
+        remote_exp=paths(node.remote_exp_routes.values()),
         kernel={
             table_id: sorted(
                 (str(entry.prefix), str(entry.value.next_hop),

@@ -332,7 +332,8 @@ class DryRunEvaluator:
 
     def _carried_routes(self, origin_node, target_node, per_exp: dict,
                         detached, origin_name: str) -> list[Route]:
-        """Routes ``origin_node`` would carry to ``target_node`` (§4.4)."""
+        """Routes ``origin_node`` would carry to ``target_node`` (§4.4), as
+        announced: the mesh's next hop and id never reach an export."""
         if origin_node.backbone_address is None:
             return []
         session = origin_node.backbone_peers.get(target_node.name)
@@ -344,9 +345,7 @@ class DryRunEvaluator:
                 continue
             announced = per_exp[exp_name]
             for key in sorted(announced, key=lambda k: (k[0], repr(k[1]))):
-                carried.append(
-                    origin_node._backbone_experiment_route(announced[key])
-                )
+                carried.append(announced[key])
         return carried
 
     def _entry(self, node, route: Route) -> ExportEntry:
@@ -591,7 +590,10 @@ class DryRunEvaluator:
                 origin.node, node, state[origin_name], detached,
                 origin_name,
             ):
-                remote[route.prefix] = route
+                # The live node keeps the lowest (peer, mesh id) path.
+                # Per peer this is the first one here; among one peer's
+                # paths for a prefix, mesh ids follow send order instead.
+                remote.setdefault(route.prefix, route)
         return remote
 
     def _predicted_speakers(

@@ -37,6 +37,12 @@ def global_neighbor_ip(global_id: int) -> IPv4Address:
     return GLOBAL_POOL.address_at(global_id)
 
 
+def global_neighbor_id(address: IPv4Address) -> Optional[int]:
+    """Reverse of :func:`global_neighbor_ip`; None for any other address."""
+    global_id = address.value - GLOBAL_POOL.network.value
+    return global_id if 0 < global_id < GLOBAL_POOL.num_addresses - 1 else None
+
+
 def local_neighbor_ip(global_id: int) -> IPv4Address:
     """Node-local next-hop VIP for the neighbor (127.65.x.y)."""
     if not 0 < global_id < LOCAL_POOL.num_addresses - 1:

@@ -10,9 +10,10 @@ A node terminates three kinds of BGP sessions:
   announcements from experiments pass through the control-plane security
   enforcer and are exported to neighbors selected by control communities;
 * **backbone** — an iBGP-style mesh with other vBGP nodes over which both
-  neighbor routes (next hop = the neighbor's global 127.127/16 IP) and
-  experiment routes (next hop = the announcing node's backbone address)
-  propagate, extending per-packet neighbor selection platform-wide.
+  neighbor routes (next hop = the neighbor's global 127.127/16 IP, which
+  names the neighbor) and experiment routes (next hop = the announcing
+  node's backbone address) propagate under the sender's own ADD-PATH
+  ids, extending per-packet neighbor selection platform-wide.
 
 On the data plane the node (a) answers ARP for virtual IPs with the
 deterministic per-neighbor virtual MACs, (b) demultiplexes ingress frames
@@ -29,6 +30,7 @@ backbone UPDATEs are packed by :func:`repro.bgp.messages.pack_updates`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.bgp import messages
@@ -50,9 +52,9 @@ from repro.netsim.stack import (
 )
 from repro.sim.scheduler import Scheduler
 from repro.vbgp.allocator import (
-    GLOBAL_POOL,
     GlobalNeighborRegistry,
     VirtualNeighbor,
+    global_neighbor_id,
     global_neighbor_mac,
     neighbor_mac_global_id,
     virtual_neighbor,
@@ -111,9 +113,11 @@ class ExperimentAttachment:
     announced: dict[tuple[Prefix, Optional[int]], Route] = field(
         default_factory=dict
     )
-
-
-ControlEnforcer = Callable[..., object]
+    # The node's ADD-PATH id for each path it has put on the mesh, from the
+    # fan-out's counter; released when the path leaves ``announced``.
+    mesh_ids: dict[tuple[Prefix, Optional[int]], int] = field(
+        default_factory=dict
+    )
 
 
 class VbgpNode:
@@ -155,18 +159,25 @@ class VbgpNode:
         self._target_candidates: list[tuple[int, int]] = []
         self.remote_neighbors: dict[int, RemoteNeighbor] = {}
         self.experiments: dict[str, ExperimentAttachment] = {}
-        # Fan-out ADD-PATH ids, one per path for the whole node (paper
-        # §4.2): (gid, prefix, source path id) -> id.  Allocated on the
-        # first fan-out, released when the path leaves its neighbor's rib.
+        # ADD-PATH ids, one per path for the whole node (paper §4.2), on
+        # the experiment sessions and the mesh alike: (gid, prefix, source
+        # path id) -> id.  Allocated on the first send to any listener,
+        # released when the path leaves its neighbor's rib.
         self._path_ids: dict[tuple[int, Prefix, Optional[int]], int] = {}
-        self._next_path_id = 1
+        self._path_id_counter = count(1)
         self.backbone_peers: dict[str, BgpSession] = {}
+        # Backbone peer -> mesh id -> gid of the remote neighbor paths it
+        # carries: a withdrawal has no next hop to read the gid from.
+        self._mesh_gids: dict[str, dict[int, int]] = {}
         # Experiment prefixes (local and remote) for data-plane intercept.
         self.exp_prefixes: LpmTable[dict] = LpmTable()
-        # Remote experiments' routes learned over the backbone, by prefix,
-        # and the backbone peer each one came from.
+        # Paths local experiments announce, per prefix: while any is held,
+        # the prefix's tunnel route wins over the mesh.
+        self._local_exp_paths: dict[Prefix, int] = {}
+        # Remote experiments' paths by prefix and (backbone peer, mesh id),
+        # and the one chosen per prefix.
+        self._remote_exp_paths: dict[Prefix, dict[tuple[str, int], Route]] = {}
         self.remote_exp_routes: dict[Prefix, Route] = {}
-        self._remote_exp_peers: dict[Prefix, str] = {}
         # MAC -> upstream neighbor, to attribute ingress traffic.
         self._mac_to_gid: dict[MacAddress, int] = {}
         self.counters = {
@@ -288,8 +299,7 @@ class VbgpNode:
             graceful_restart=graceful_restart,
             restart_time=restart_time,
         )
-        self._provision_virtual(virtual, next_hop=peer_address,
-                                out_iface=self.upstream_iface)
+        self._provision_virtual(virtual)
         self._mac_to_gid[peer_mac] = global_id
         self.stack.add_static_arp(peer_address, peer_mac, self.upstream_iface)
         session = self._upstream_session(neighbor, channel)
@@ -343,8 +353,7 @@ class VbgpNode:
             session.set_ingress_queue(self.overload.queue_for(name))
         return session
 
-    def _provision_virtual(self, virtual: VirtualNeighbor,
-                           next_hop: IPv4Address, out_iface: str) -> None:
+    def _provision_virtual(self, virtual: VirtualNeighbor) -> None:
         """Install the data-plane plumbing for one (possibly remote)
         neighbor: extra MAC, proxy-ARP, and the dMAC-keyed table rule."""
         exp = self.stack.interfaces.get(self.exp_iface)
@@ -370,55 +379,52 @@ class VbgpNode:
         self.stack.table(virtual.table_id)
 
     def _upstream_update(self, name: str, update: UpdateMessage) -> None:
+        """One upstream UPDATE, applied directly in ingress order."""
+        neighbor = self.upstreams.get(name)
+        if neighbor is None:
+            return
+        self.counters["updates_from_upstream"] += 1
         tele = self.telemetry
         if tele is None:
-            self._apply_upstream_update(name, update)
+            self._apply_paths(neighbor, update.withdrawn, update.routes())
             return
         token = tele.tracer.begin(
             "vbgp.upstream_update", node=self.name, neighbor=name
         )
         try:
-            self._apply_upstream_update(name, update)
+            self._apply_paths(neighbor, update.withdrawn, update.routes())
         finally:
             tele.tracer.end(token)
 
-    def _apply_upstream_update(self, name: str,
-                               update: UpdateMessage) -> None:
-        """One upstream UPDATE: Adj-RIB-In, kernel table, fan-out —
-        every effect applied directly, in ingress order."""
-        neighbor = self.upstreams.get(name)
-        if neighbor is None:
-            return
-        self.counters["updates_from_upstream"] += 1
+    def _apply_paths(self, neighbor, withdrawn, announced: list[Route]
+                     ) -> None:
+        """The one neighbor-path step, for an upstream's UPDATE and for a
+        remote neighbor's share of a mesh UPDATE: Adj-RIB-In, kernel
+        table, then the id step's sends (:meth:`_send_paths`)."""
         rib = neighbor.rib
         removed = [
-            (prefix, path_id) for prefix, path_id in update.withdrawn
+            (prefix, path_id) for prefix, path_id in withdrawn
             if rib.withdraw(prefix, path_id) is not None
         ]
         self._remove_kernel_routes(neighbor, removed)
-        table_id = neighbor.virtual.table_id
-        announced = update.routes()
-        for route in announced:
-            rib.update(route)
+        if isinstance(neighbor, UpstreamNeighbor):
+            out_iface, next_hop = self.upstream_iface, neighbor.peer_address
             # Route servers are transparent (RFC 7947): the next hop is the
             # member router on the IXP LAN, not the server itself.
-            next_hop = neighbor.peer_address
-            if neighbor.kind == "route-server" and route.next_hop is not None:
-                next_hop = route.next_hop
-            self.stack.add_route(
-                KernelRoute(
-                    prefix=route.prefix,
-                    out_iface=self.upstream_iface,
-                    next_hop=next_hop,
-                ),
-                table_id=table_id,
-            )
+            transparent = neighbor.kind == "route-server"
+        else:  # a remote neighbor's path already carries its global IP
+            out_iface, next_hop, transparent = self.backbone_iface, None, True
+        table_id = neighbor.virtual.table_id
+        for route in announced:
+            rib.update(route)
+            hop = next_hop
+            if transparent and route.next_hop is not None:
+                hop = route.next_hop
+            self.stack.add_route(KernelRoute(
+                prefix=route.prefix, out_iface=out_iface, next_hop=hop,
+            ), table_id=table_id)
             self.counters["routes_installed"] += 1
-        # Fan out to experiments with the local virtual IP as next hop.
-        self._fanout(self.experiments.values(), neighbor.virtual.global_id,
-                     neighbor.virtual.local_ip, announced, removed)
-        # Propagate over the backbone with the neighbor's global IP.
-        self._backbone_export(neighbor, announced, removed)
+        self._send_paths(neighbor, announced, removed)
 
     def _upstream_established(self, name: str) -> None:
         """A (re-)established upstream: re-export experiment state to it."""
@@ -484,15 +490,11 @@ class VbgpNode:
 
     def _drop_paths(self, neighbor, keys: list) -> None:
         """``keys`` have left ``neighbor.rib``: update its kernel table and
-        withdraw them from the experiments and, for an upstream, from the
-        backbone (remote neighbors' paths never go back onto the mesh)."""
+        withdraw them wherever they were sent."""
         if not keys:
             return
         self._remove_kernel_routes(neighbor, keys)
-        self._fanout(self.experiments.values(), neighbor.virtual.global_id,
-                     neighbor.virtual.local_ip, [], keys)
-        if isinstance(neighbor, UpstreamNeighbor):
-            self._backbone_export(neighbor, [], keys)
+        self._send_paths(neighbor, [], keys)
 
     def _remove_kernel_routes(self, neighbor, keys: list) -> None:
         """Take each prefix of ``keys`` out of ``neighbor``'s kernel table
@@ -597,14 +599,15 @@ class VbgpNode:
         exp = self.experiments.get(name)
         if exp is None:
             return
+        listeners = _established((exp.session,))
+        if not listeners:
+            return
         for neighbor in (*self.upstreams.values(),
                          *self.remote_neighbors.values()):
-            routes = list(neighbor.rib.routes())
-            if routes:
-                self._fanout(
-                    (exp,), neighbor.virtual.global_id,
-                    neighbor.virtual.local_ip, routes, [],
-                )
+            virtual = neighbor.virtual
+            self._send(listeners, (), self._name_paths(
+                virtual.global_id, neighbor.rib.routes(),
+            ), virtual.local_ip, "updates_to_experiments")
 
     def _experiment_closed(self, name: str, _reason: str) -> None:
         exp = self.experiments.pop(name, None)
@@ -622,30 +625,22 @@ class VbgpNode:
         for key in list(exp.announced):
             self._retract_experiment_route(exp, exp.announced.pop(key))
 
-    def _fanout(
-        self,
-        experiments: Iterable[ExperimentAttachment],
-        gid: int,
-        local_vip: IPv4Address,
-        announced: list[Route],
-        removed: list[tuple[Prefix, Optional[int]]],
-    ) -> None:
-        """Send neighbor-route changes to ``experiments`` (Figure 2a).
+    def _send_paths(self, neighbor, announced: list[Route],
+                    removed: list[tuple[Prefix, Optional[int]]]) -> None:
+        """The one id step (Figure 2a, §4.4): name one neighbor's path
+        change once and send it to the experiments with the neighbor's
+        local VIP as next hop and, for an upstream, to the backbone peers
+        with its global IP.
 
         The "fan-out compile": a path's ADD-PATH id belongs to the node,
-        not to the listener, so nothing in the messages depends on who
-        receives them.  They are built once and the same
-        :class:`UpdateMessage` objects go to every established session;
-        the message's wire memo makes that one encode.  Nothing is kept
-        per listener: an experiment is sent fan-out only while
-        established, and ``_experiment_up`` gives it the full table on
-        establishment and on ROUTE-REFRESH, so every live session has
-        heard every id the node holds.
-
-        Announced routes sharing one attribute set are coalesced into
-        multi-NLRI UPDATEs, packed under the 4096-byte message ceiling
-        by :func:`~repro.bgp.messages.pack_updates`.
+        not to the listener, so each kind of listener gets the same
+        :class:`UpdateMessage` objects (one encode, by the wire memo),
+        packed by :func:`~repro.bgp.messages.pack_updates`.  Nothing is
+        kept per listener: sessions hear paths only while established,
+        and ``_experiment_up`` / ``_backbone_up`` give them the full table
+        on establishment, so every live session has heard every id.
         """
+        gid = neighbor.virtual.global_id
         node_ids = self._path_ids
         # ``removed`` paths have left the neighbor's rib: their ids go
         # back whether or not anyone is listening.
@@ -654,29 +649,52 @@ class VbgpNode:
             path_id = node_ids.pop((gid, prefix, source_id), None)
             if path_id is not None:
                 withdrawn.append((prefix, path_id))
-        sessions = [
-            exp.session for exp in experiments
-            if exp.session is not None and exp.session.established
-        ]
-        if not sessions:
+        listeners = _established(
+            exp.session for exp in self.experiments.values()
+        )
+        mesh = []
+        if self.backbone_peers and isinstance(neighbor, UpstreamNeighbor):
+            mesh = _established(self.backbone_peers.values())
+        if not listeners and not mesh:
             return
-        groups = []
-        for attrs, group in messages.group_by_attributes(announced).items():
+        named = self._name_paths(gid, announced)
+        virtual = neighbor.virtual
+        if listeners:
+            self._send(listeners, withdrawn, named, virtual.local_ip,
+                       "updates_to_experiments")
+        if mesh:
+            self._send(mesh, withdrawn, named, virtual.global_ip,
+                       "updates_to_backbone")
+
+    def _name_paths(self, gid: int, routes: Iterable[Route]
+                    ) -> list[tuple[PathAttributes, list]]:
+        """``routes`` of neighbor ``gid`` grouped by attribute set, each
+        as ``(prefix, node id)``; a path gets its id on first use."""
+        node_ids = self._path_ids
+        named = []
+        for attrs, group in messages.group_by_attributes(routes).items():
             nlri = []
             for route in group:
                 key = (gid, route.prefix, route.path_id)
                 path_id = node_ids.get(key)
                 if path_id is None:
-                    path_id = node_ids[key] = self._next_path_id
-                    self._next_path_id += 1
+                    path_id = node_ids[key] = next(self._path_id_counter)
                 nlri.append((route.prefix, path_id))
-            groups.append((attrs.with_next_hop(local_vip), nlri))
+            named.append((attrs, nlri))
+        return named
+
+    def _send(self, sessions: list[BgpSession], withdrawn, named: list,
+              next_hop: IPv4Address, counter: str) -> None:
+        """Pack one named change, sent with ``next_hop``, once and put it
+        on every one of ``sessions``."""
+        groups = [(attrs.with_next_hop(next_hop), nlri)
+                  for attrs, nlri in named]
         addpath = any(session.addpath_active for session in sessions)
         updates = pack_updates(withdrawn, groups, addpath)
         for session in sessions:
             for update in updates:
                 session.send_update(update)
-        self.counters["updates_to_experiments"] += len(sessions) * len(updates)
+        self.counters[counter] += len(sessions) * len(updates)
 
     # -- announcements from experiments ---------------------------------
 
@@ -723,9 +741,12 @@ class VbgpNode:
                 governor.record_violations(f"exp:{name}", blocked)
             elif allowed:
                 breaker.record_success()
+        local = self._local_exp_paths
         for route in allowed:
             previous = exp.announced.get((route.prefix, route.path_id))
             exp.announced[(route.prefix, route.path_id)] = route
+            if previous is None:
+                local[route.prefix] = local.get(route.prefix, 0) + 1
             self._propagate_experiment_route(exp, route, previous)
 
     def _enforce_control(self, exp: ExperimentAttachment,
@@ -760,27 +781,30 @@ class VbgpNode:
         targets = self._neighbor_targets(route)
         if previous is not None:
             # RFC 4271 implicit replace: neighbors that keep the route get
-            # the announce alone.  The mesh keeps its explicit withdraw:
-            # a receiving PoP's ``_remote_experiment_route`` does not
-            # retract the old exit neighbors on an implicit replace.
+            # the announce alone.  The mesh keeps its explicit withdraw.
             self._export_experiment(
                 previous, self._neighbor_targets(previous) - targets,
                 withdraw=True,
             )
-            self._backbone_export_experiment(previous, withdraw=True)
+            self._backbone_export_experiment(exp, previous, withdraw=True)
         self._export_experiment(route, targets)
-        self._backbone_export_experiment(route, withdraw=False)
+        self._backbone_export_experiment(exp, route, withdraw=False)
 
     def _retract_experiment_route(self, exp: ExperimentAttachment,
                                   route: Route) -> None:
-        still_announced = any(
-            r.prefix == route.prefix for r in exp.announced.values()
-        )
-        if not still_announced:
-            self.stack.remove_route(route.prefix)
+        """``route`` has left ``exp.announced``: withdraw it everywhere
+        and release its mesh id.  The last local announcement of its
+        prefix hands the kernel route to the path the mesh still carries,
+        if any."""
+        local = self._local_exp_paths
+        local[route.prefix] -= 1
+        if not local[route.prefix]:
+            del local[route.prefix]
+            self._route_remote(route.prefix)
         self._export_experiment(route, self._neighbor_targets(route),
                                 withdraw=True)
-        self._backbone_export_experiment(route, withdraw=True)
+        self._backbone_export_experiment(exp, route, withdraw=True)
+        exp.mesh_ids.pop((route.prefix, route.path_id), None)
 
     def _neighbor_targets(self, route: Route) -> set[int]:
         return select_targets(route, self._target_candidates)
@@ -879,101 +903,89 @@ class VbgpNode:
         session = self.backbone_peers.get(node_name)
         if session is None or not session.established:
             return
-        groups = [
-            self._backbone_group(neighbor.virtual, group)
-            for neighbor in self.upstreams.values()
-            for group in messages.group_by_attributes(
-                neighbor.rib.routes()).values()
-        ]
-        for update in pack_updates((), groups, session.addpath_active):
-            session.send_update(update)
-            self.counters["updates_to_backbone"] += 1
+        for neighbor in self.upstreams.values():
+            virtual = neighbor.virtual
+            self._send([session], (), self._name_paths(
+                virtual.global_id, neighbor.rib.routes(),
+            ), virtual.global_ip, "updates_to_backbone")
         for exp in self.experiments.values():
             for route in exp.announced.values():
                 session.send_update(UpdateMessage.announce([
-                    self._backbone_experiment_route(route)
+                    self._mesh_route(exp, route)
                 ]))
                 self.counters["updates_to_backbone"] += 1
 
-    def _backbone_group(self, virtual: VirtualNeighbor,
-                        group: list[Route]) -> tuple[PathAttributes, list]:
-        """Neighbor routes sharing one attribute set as carried on the
-        mesh: the set rewritten once to the global-IP next hop, each route
-        with its stable path id."""
-        base = virtual.global_id * _GID_PATH_ID_BASE
-        return group[0].attributes.with_next_hop(virtual.global_ip), [
-            (route.prefix, base + _stable_id(route)) for route in group
-        ]
-
-    def _backbone_experiment_route(self, route: Route) -> Route:
+    def _mesh_route(self, exp: ExperimentAttachment, route: Route) -> Route:
+        """An experiment path as the mesh carries it: this node's backbone
+        address as next hop, the node's id for the path as path id."""
         assert self.backbone_address is not None
+        key = (route.prefix, route.path_id)
+        mesh_id = exp.mesh_ids.get(key)
+        if mesh_id is None:
+            mesh_id = exp.mesh_ids[key] = next(self._path_id_counter)
         return route.with_next_hop(self.backbone_address).with_path_id(
-            _stable_id(route)
+            mesh_id
         )
 
-    def _backbone_export(self, neighbor: UpstreamNeighbor,
-                         announced: list[Route],
-                         removed: list[tuple[Prefix, Optional[int]]]
-                         ) -> None:
-        if not self.backbone_peers:
-            return
-        sessions = [
-            s for s in self.backbone_peers.values() if s.established
-        ]
-        if not sessions:
-            return
-        # The messages read no per-peer state: build them once.
-        base = neighbor.virtual.global_id * _GID_PATH_ID_BASE
-        withdrawn = [(prefix, base + _stable_id(Route(prefix, _EMPTY_ATTRS)))
-                     for prefix, _source_id in removed]
-        groups = [
-            self._backbone_group(neighbor.virtual, group)
-            for group in messages.group_by_attributes(announced).values()
-        ]
-        addpath = any(session.addpath_active for session in sessions)
-        updates = pack_updates(withdrawn, groups, addpath)
-        for session in sessions:
-            for update in updates:
-                session.send_update(update)
-                self.counters["updates_to_backbone"] += 1
-
-    def _backbone_export_experiment(self, route: Route,
-                                    withdraw: bool) -> None:
+    def _backbone_export_experiment(self, exp: ExperimentAttachment,
+                                    route: Route, withdraw: bool) -> None:
         if not self.backbone_peers or self.backbone_address is None:
             return
-        carried = [self._backbone_experiment_route(route)]
-        update = (UpdateMessage.withdraw(carried) if withdraw
-                  else UpdateMessage.announce(carried))
-        for session in self.backbone_peers.values():
-            if session.established:
-                session.send_update(update)
-                self.counters["updates_to_backbone"] += 1
+        sessions = _established(self.backbone_peers.values())
+        if withdraw:
+            mesh_id = exp.mesh_ids.get((route.prefix, route.path_id))
+            if mesh_id is None or not sessions:
+                return
+            update = UpdateMessage.withdraw([route.with_path_id(mesh_id)])
+        elif sessions:
+            update = UpdateMessage.announce([self._mesh_route(exp, route)])
+        else:
+            return
+        for session in sessions:
+            session.send_update(update)
+        self.counters["updates_to_backbone"] += len(sessions)
 
     def _backbone_update(self, node_name: str, update: UpdateMessage) -> None:
-        """Process mesh routes: remote-neighbor or remote-experiment."""
-        removed: dict[int, list[tuple[Prefix, Optional[int]]]] = {}
-        for prefix, path_id in update.withdrawn:
-            gid = (path_id or 0) // _GID_PATH_ID_BASE
-            if not gid:
-                self._remote_experiment_withdraw(prefix)
-                continue
-            remote = self.remote_neighbors.get(gid)
-            if remote is not None and remote.rib.withdraw(
-                    prefix, path_id) is not None:
-                removed.setdefault(gid, []).append((prefix, path_id))
-        for gid, keys in removed.items():
-            self._drop_paths(self.remote_neighbors[gid], keys)
+        """One mesh UPDATE.  A neighbor path names its gid in its next hop
+        (the neighbor's global IP), and a withdrawal finds it through
+        ``_mesh_gids``: each remote neighbor's share goes through the
+        upstream path step as one change.  Every other path is an
+        experiment's."""
+        gids = self._mesh_gids.setdefault(node_name, {})
+        changes: dict[int, tuple[list, list]] = {}
+        for prefix, mesh_id in update.withdrawn:
+            gid = gids.pop(mesh_id, None)
+            if gid is not None:
+                changes.setdefault(gid, ([], []))[0].append((prefix, mesh_id))
+            elif self._remote_exp_paths.get(prefix, {}).pop(
+                    (node_name, mesh_id), None) is not None:
+                self._choose_remote_experiment(prefix)
         for route in update.routes():
             next_hop = route.next_hop
-            if next_hop is not None and GLOBAL_POOL.contains_address(next_hop):
-                self._remote_neighbor_route(node_name, route)
+            if next_hop is None or self.backbone_iface is None:
+                continue
+            gid = global_neighbor_id(next_hop)
+            if gid is not None:
+                gids[route.path_id] = gid
+                changes.setdefault(gid, ([], []))[1].append(route)
             else:
-                self._remote_experiment_route(node_name, route)
+                self._remote_exp_paths.setdefault(route.prefix, {})[
+                    (node_name, route.path_id)] = route
+                self._choose_remote_experiment(route.prefix)
+        for gid, (withdrawn, announced) in changes.items():
+            remote = self.remote_neighbors.get(gid)
+            if remote is None:
+                remote = self.remote_neighbors[gid] = RemoteNeighbor(
+                    global_id=gid, virtual=virtual_neighbor(gid),
+                    peer=node_name,
+                )
+                self._provision_virtual(remote.virtual)
+            self._apply_paths(remote, withdrawn, announced)
 
     def _backbone_closed(self, node_name: str, session: BgpSession) -> None:
         """A backbone session went down: fail closed on what it carried.
 
-        Every remote neighbor and remote experiment route learned from
+        Every remote neighbor and remote experiment path learned from
         ``node_name`` is dropped (kernel tables, experiments, upstream
         exports) and learned again when the mesh session is re-dialed.
         A close from a session that was already replaced is ignored: its
@@ -984,60 +996,56 @@ class VbgpNode:
         for remote in self.remote_neighbors.values():
             if remote.peer == node_name:
                 self._drop_paths(remote, remote.rib.clear())
-        for prefix, peer in list(self._remote_exp_peers.items()):
-            if peer == node_name:
-                self._remote_experiment_withdraw(prefix)
+        self._mesh_gids.pop(node_name, None)
+        for prefix, paths in list(self._remote_exp_paths.items()):
+            for key in [key for key in paths if key[0] == node_name]:
+                del paths[key]
+            self._choose_remote_experiment(prefix)
 
-    def _remote_neighbor_route(self, node_name: str, route: Route) -> None:
-        gid = (route.path_id or 0) // _GID_PATH_ID_BASE
-        if not gid:
+    def _choose_remote_experiment(self, prefix: Prefix) -> None:
+        """Make ``remote_exp_routes[prefix]`` the held path with the lowest
+        (backbone peer, mesh id) and apply the difference: kernel route,
+        intercept marker and upstream exports.  Across peers the choice
+        does not depend on arrival order; within one peer, mesh ids
+        follow the order the origin first sent its paths."""
+        paths = self._remote_exp_paths.get(prefix)
+        old = self.remote_exp_routes.get(prefix)
+        new = paths[min(paths)] if paths else None
+        if new is old:
             return
-        remote = self.remote_neighbors.get(gid)
-        if remote is None:
-            virtual = virtual_neighbor(gid)
-            remote = RemoteNeighbor(
-                global_id=gid, virtual=virtual, peer=node_name)
-            self.remote_neighbors[gid] = remote
-            assert self.backbone_iface is not None
-            self._provision_virtual(
-                virtual, next_hop=virtual.global_ip,
-                out_iface=self.backbone_iface,
-            )
-        remote.rib.update(route)
-        self.stack.add_route(
-            KernelRoute(
-                prefix=route.prefix,
-                out_iface=self.backbone_iface or self.upstream_iface,
-                next_hop=remote.virtual.global_ip,
-            ),
-            table_id=remote.virtual.table_id,
-        )
-        self.counters["routes_installed"] += 1
-        self._fanout(self.experiments.values(), gid,
-                     remote.virtual.local_ip, [route], [])
-
-    def _remote_experiment_route(self, node_name: str, route: Route) -> None:
-        """A remote experiment's prefix: route it across the backbone."""
-        if route.next_hop is None or self.backbone_iface is None:
-            return
-        self.stack.add_route(
-            KernelRoute(
-                prefix=route.prefix,
-                out_iface=self.backbone_iface,
-                next_hop=route.next_hop,
-            )
-        )
-        self.remote_exp_routes[route.prefix] = route
-        self._remote_exp_peers[route.prefix] = node_name
-        marker = self.exp_prefixes.get(route.prefix) or {}
-        marker["__remote__"] = route.next_hop
-        self.exp_prefixes.insert(route.prefix, marker)
+        marker = self.exp_prefixes.get(prefix) or {}
+        if new is None:
+            del self._remote_exp_paths[prefix], self.remote_exp_routes[prefix]
+            marker.pop("__remote__", None)
+        else:
+            self.remote_exp_routes[prefix] = new
+            marker["__remote__"] = new.next_hop
+        if marker:
+            self.exp_prefixes.insert(prefix, marker)
+        else:
+            self.exp_prefixes.remove(prefix)
+        if prefix not in self._local_exp_paths:
+            self._route_remote(prefix)
         # A remote experiment announcement only exits via *this* PoP's
-        # neighbors when whitelist communities direct it here (§4.4:
-        # experiments "direct announcements … across the backbone to BGP
-        # neighbors at any of the PoPs"); a plain announcement stays at
-        # the PoP where it was made.
-        self._export_experiment(route, self._remote_targets(route))
+        # neighbors when whitelist communities direct it here (§4.4); a
+        # plain announcement stays at the PoP where it was made.
+        targets = set() if new is None else self._remote_targets(new)
+        if old is not None:
+            self._export_experiment(old, self._remote_targets(old) - targets,
+                                    withdraw=True)
+        self._export_experiment(new, targets)  # no targets when withdrawn
+
+    def _route_remote(self, prefix: Prefix) -> None:
+        """No local experiment announces ``prefix``: route it across the
+        backbone to the chosen remote path's PoP, or nowhere."""
+        route = self.remote_exp_routes.get(prefix)
+        if route is None:
+            self.stack.remove_route(prefix)
+        else:
+            self.stack.add_route(KernelRoute(
+                prefix=prefix, out_iface=self.backbone_iface,
+                next_hop=route.next_hop,
+            ))
 
     def _remote_targets(self, route: Route) -> set[int]:
         """Local neighbors a backbone-learned experiment route may exit
@@ -1045,20 +1053,6 @@ class VbgpNode:
         if not any(c.asn == ANNOUNCE_ASN for c in route.communities):
             return set()
         return self._neighbor_targets(route)
-
-    def _remote_experiment_withdraw(self, prefix: Prefix) -> None:
-        route = self.remote_exp_routes.pop(prefix, None)
-        if route is None:
-            return
-        del self._remote_exp_peers[prefix]
-        self.stack.remove_route(prefix)
-        marker = self.exp_prefixes.get(prefix)
-        if marker is not None:
-            marker.pop("__remote__", None)
-            if not marker:
-                self.exp_prefixes.remove(prefix)
-        self._export_experiment(route, self._remote_targets(route),
-                                withdraw=True)
 
     # ==================================================================
     # Data plane interposition
@@ -1190,26 +1184,10 @@ class VbgpNode:
 # A placeholder attribute set used in withdrawals (attributes are ignored).
 _EMPTY_ATTRS = PathAttributes()
 
-# Backbone path ids pack ``(neighbor gid, per-route stable id)`` into one
-# integer.  ``_stable_id`` is 20 bits (1..0xFFFFF), so the base must be
-# 2**20: the previous base of 1_000_000 (< 2**20) let large stable ids
-# bleed into the next gid's range, making the receiving node decode a
-# phantom neighbor with the wrong gid — caught by the full-catalog
-# vmac_bijectivity check.
-_GID_PATH_ID_BASE = 1 << 20
 
-def _stable_id(route: Route) -> int:
-    """A deterministic per-route id usable as an ADD-PATH path id.
-
-    Mixed explicitly rather than via ``hash()``: on Python < 3.12
-    ``hash(None)`` is id-based, which made the "stable" id vary between
-    runs (and its 20-bit truncation collide run-dependently) for routes
-    without a source path id.
-    """
-    network, length = route.prefix.key()
-    source = -1 if route.path_id is None else route.path_id
-    mixed = (
-        network * 0x9E3779B1 + length * 0x85EBCA77 + source * 0xC2B2AE3D
-    )
-    mixed ^= mixed >> 17
-    return (mixed & 0xFFFFF) or 1
+def _established(sessions: Iterable[Optional[BgpSession]]
+                 ) -> list[BgpSession]:
+    return [
+        session for session in sessions
+        if session is not None and session.established
+    ]

@@ -213,3 +213,188 @@ def test_replaced_backbone_session_close_is_ignored(figure5):
     assert len(remote.rib) == 1
     assert len(e1.stack.tables[remote.virtual.table_id]) == 1
     assert client.routes(DEST, "e1")
+
+
+def _addpath_route_server(scheduler, pop, name="rs2", asn=65030):
+    """An ADD-PATH route server at ``pop`` (RFC 7947: member next hops)
+    and the raw session that speaks for it."""
+    from repro.bgp.session import BgpSession, SessionConfig
+    from repro.bgp.transport import connect_pair
+
+    address, mac, _lan_port = pop.provision_lan_host(name)
+    ours, theirs = connect_pair(scheduler, rtt=0.01)
+    neighbor = pop.node.attach_upstream(
+        name, asn, address, mac, ours, kind="route-server", addpath=True,
+    )
+    session = BgpSession(
+        scheduler,
+        SessionConfig(local_asn=asn, local_id=address, peer_asn=47065,
+                      addpath=True),
+        theirs,
+        on_update=lambda _session, _update: None,
+    )
+    session.start()
+    scheduler.run_for(5)
+    return neighbor, session
+
+
+def test_addpath_route_server_withdrawals_cross_the_backbone(figure5):
+    """A route server at e2 announces one /24 under ids 7 and 8 and then
+    withdraws them one at a time: e1 holds 2, 1, then 0 paths, and its
+    kernel table for the route server ends empty."""
+    from repro.bgp.messages import UpdateMessage
+    from repro.netsim.addr import IPv4Address
+
+    scheduler, platform, n2, port, client = figure5
+    e1, e2 = platform.pops["e1"], platform.pops["e2"]
+    neighbor, session = _addpath_route_server(scheduler, e2)
+    prefix = IPv4Prefix.parse("192.168.7.0/24")
+    paths = [
+        local_route(prefix, next_hop=IPv4Address.parse(f"10.7.0.{pid}"))
+        .with_path_id(pid)
+        for pid in (7, 8)
+    ]
+    for path in paths:
+        session.send_update(UpdateMessage.announce([path]))
+    scheduler.run_for(5)
+    gid = neighbor.virtual.global_id
+    remote = e1.node.remote_neighbors[gid]
+    assert len(neighbor.rib) == len(remote.rib) == 2
+    held = []
+    for path in paths:
+        session.send_update(UpdateMessage.withdraw([path]))
+        scheduler.run_for(5)
+        held.append((len(neighbor.rib), len(remote.rib)))
+    assert held == [(1, 1), (0, 0)]
+    assert len(e1.stack.tables[remote.virtual.table_id]) == 0
+    assert client.routes(prefix, "e1") == []
+
+
+@pytest.fixture
+def three_pops(scheduler):
+    """e1, e2 and e3 on the backbone; neighbor n3 at e3; experiment x1
+    connected at e1 and e2."""
+    platform = PeeringPlatform(
+        scheduler,
+        pop_configs=[
+            PopConfig(name=name, pop_id=index, kind="university",
+                      backbone=True)
+            for index, name in enumerate(("e1", "e2", "e3"))
+        ],
+    )
+    port = platform.pops["e3"].provision_neighbor("n3", 65030,
+                                                  kind="transit")
+    n3 = BgpSpeaker(
+        scheduler, SpeakerConfig(asn=65030, router_id=port.address)
+    )
+    n3.attach_neighbor(
+        NeighborConfig(name="to-e3", peer_asn=None,
+                       local_address=port.address),
+        port.channel,
+    )
+    platform.submit_proposal(ExperimentProposal(
+        name="x1", contact="t", goals="anycast", execution_plan="backbone",
+    ))
+    client = ExperimentClient(scheduler, "x1", platform)
+    for pop in ("e1", "e2"):
+        client.openvpn_up(pop)
+        client.bird_start(pop)
+    scheduler.run_for(10)
+    return scheduler, platform, n3, port, client
+
+
+def test_anycast_withdrawal_at_one_pop_keeps_the_other(three_pops):
+    """x1 announces P at e1 and e2, whitelisted to n3 at e3, then
+    withdraws at e1 only: e2 still announces P, so e3 keeps it and n3
+    keeps its best route."""
+    from repro.vbgp.communities import announce_to_neighbor
+
+    scheduler, platform, n3, port, client = three_pops
+    e3 = platform.pops["e3"]
+    prefix = client.profile.prefixes[0]
+    client.announce(prefix, pops=["e1", "e2"],
+                    communities=(announce_to_neighbor(port.global_id),))
+    scheduler.run_for(10)
+    assert prefix in e3.node.remote_exp_routes
+    assert n3.best_route(prefix) is not None
+    client.withdraw(prefix, pops=["e1"])
+    scheduler.run_for(10)
+    assert prefix in e3.node.remote_exp_routes
+    assert n3.best_route(prefix) is not None
+    client.withdraw(prefix, pops=["e2"])
+    scheduler.run_for(10)
+    assert prefix not in e3.node.remote_exp_routes
+    assert n3.best_route(prefix) is None
+
+
+def test_local_tunnel_route_wins_over_the_mesh(three_pops):
+    """While x1 announces P at e2, e2's main table routes P into x1's
+    tunnel whatever e1 announces or withdraws over the mesh; once e2's
+    own announcement goes, the path e1 still carries takes over."""
+    from repro.netsim.stack import MAIN_TABLE
+
+    scheduler, platform, n3, port, client = three_pops
+    e2 = platform.pops["e2"]
+    prefix = client.profile.prefixes[0]
+    main = e2.stack.tables[MAIN_TABLE]
+
+    def hop():
+        entry = main.get(prefix)
+        return None if entry is None else entry.out_iface
+
+    client.announce(prefix, pops=["e2"])
+    scheduler.run_for(10)
+    assert hop() == "exp0"
+    client.announce(prefix, pops=["e1"])
+    scheduler.run_for(10)
+    assert prefix in e2.node.remote_exp_routes
+    assert hop() == "exp0"
+    client.withdraw(prefix, pops=["e1"])
+    scheduler.run_for(10)
+    assert prefix not in e2.node.remote_exp_routes
+    assert hop() == "exp0"
+    client.announce(prefix, pops=["e1"])
+    scheduler.run_for(10)
+    client.withdraw(prefix, pops=["e2"])
+    scheduler.run_for(10)
+    assert hop() == "bb0"
+    client.withdraw(prefix, pops=["e1"])
+    scheduler.run_for(10)
+    assert hop() is None
+
+
+def test_one_upstream_update_is_one_update_per_remote_experiment(figure5):
+    """One 200-NLRI UPDATE from n2 at e2 reaches x1 at e1 as exactly one
+    UPDATE: the receiver hands the whole mesh UPDATE to the fan-out."""
+    from repro.bgp.messages import UpdateMessage
+    from repro.bgp.session import BgpSession, SessionConfig
+    from repro.bgp.transport import connect_pair
+    from repro.netsim.addr import IPv4Address
+
+    scheduler, platform, n2, port, client = figure5
+    e1, e2 = platform.pops["e1"], platform.pops["e2"]
+    address, mac, _lan_port = e2.provision_lan_host("raw")
+    ours, theirs = connect_pair(scheduler, rtt=0.01)
+    e2.node.attach_upstream("raw", 65040, address, mac, ours,
+                            kind="transit")
+    raw = BgpSession(
+        scheduler,
+        SessionConfig(local_asn=65040, local_id=address, peer_asn=47065),
+        theirs,
+        on_update=lambda _session, _update: None,
+    )
+    raw.start()
+    scheduler.run_for(5)
+    listening = sum(
+        exp.session.established for exp in e1.node.experiments.values()
+    )
+    assert listening == 1
+    before = e1.node.counters["updates_to_experiments"]
+    prefixes = tuple(IPv4Prefix.parse("60.0.0.0/8").subnets(24))[:200]
+    raw.send_update(UpdateMessage.announce([
+        local_route(prefix, next_hop=IPv4Address.parse("10.0.0.9"))
+        for prefix in prefixes
+    ]))
+    scheduler.run_for(5)
+    assert len(client.pops["e1"].routes) >= 200
+    assert e1.node.counters["updates_to_experiments"] - before == listening

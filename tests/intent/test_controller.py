@@ -193,6 +193,25 @@ def test_withdraw_roundtrip_commits(intent_world):
         assert handle.speaker.best_route(announced) is None
 
 
+def test_reverted_withdraw_is_clean(intent_world):
+    """alpha announces its prefix at both PoPs, so each PoP holds it as a
+    backbone path too.  Withdrawing and re-announcing it gives the mesh
+    paths new ids; the revert must still fingerprint as clean."""
+    world = intent_world
+    before = world.controller._fingerprint()
+    announced = world.clients["alpha"].profile.prefixes[0]
+    plan = world.controller.plan(ChangeSet(name="wd", ops=(
+        withdraw_op("alpha", str(announced)),
+    )))
+    assert world.controller.apply(plan).phase == "committed"
+    assert world.controller._fingerprint() != before
+
+    record = world.controller.revert(plan)
+    assert record.phase == "reverted"
+    assert record.revert_clean is True
+    assert world.controller._fingerprint() == before
+
+
 def test_snapshot_correctness_under_perf_flags():
     """Snapshot/revert must hold with the columnar Loc-RIB every speaker
     uses (the state lives in packed per-prefix tuples)."""

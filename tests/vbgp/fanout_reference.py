@@ -1,6 +1,6 @@
 """The per-experiment fan-out, kept as the test reference.
 
-Until the fan-out compile (DESIGN.md §6b) ``VbgpNode._fanout`` ran once
+Until the fan-out compile (DESIGN.md §6b) the node's fan-out ran once
 per experiment: ADD-PATH ids came from a counter on each
 ``ExperimentAttachment``, so every experiment got its own ``Route`` list,
 its own ``UpdateMessage`` and its own encode for messages that differed
@@ -117,7 +117,27 @@ class ReferenceFanout:
 
 
 def install(node) -> ReferenceFanout:
-    """Make ``node`` fan out the old way (per experiment, own ids)."""
+    """Make ``node`` fan out the old way (per experiment, own ids): its id
+    step and its full-table send both go through the reference.  The
+    reference knows no mesh, so ``node`` must have no backbone peer."""
     reference = ReferenceFanout(node)
-    node._fanout = reference
+
+    def send_paths(neighbor, announced, removed) -> None:
+        virtual = neighbor.virtual
+        reference(node.experiments.values(), virtual.global_id,
+                  virtual.local_ip, announced, removed)
+
+    def experiment_up(name) -> None:
+        exp = node.experiments.get(name)
+        if exp is None:
+            return
+        for neighbor in (*node.upstreams.values(),
+                         *node.remote_neighbors.values()):
+            routes = list(neighbor.rib.routes())
+            if routes:
+                reference((exp,), neighbor.virtual.global_id,
+                          neighbor.virtual.local_ip, routes, [])
+
+    node._send_paths = send_paths
+    node._experiment_up = experiment_up
     return reference

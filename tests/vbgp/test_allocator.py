@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.netsim.addr import MacAddress
+from repro.netsim.addr import IPv4Address, MacAddress
 from repro.platform.pop import PointOfPresence, PopConfig
 from repro.security.state import EnforcerState
 from repro.sim import Scheduler
 from repro.vbgp.allocator import (
+    GLOBAL_POOL,
     GlobalNeighborRegistry,
+    global_neighbor_id,
     global_neighbor_ip,
     global_neighbor_mac,
     local_neighbor_ip,
@@ -27,6 +29,22 @@ def test_global_ip_range_checked():
         global_neighbor_ip(0)
     with pytest.raises(ValueError):
         global_neighbor_ip(1 << 17)
+
+
+def test_global_id_roundtrip():
+    for gid in (1, 2, 255, 256, 4096, 65534):
+        assert global_neighbor_id(global_neighbor_ip(gid)) == gid
+
+
+def test_global_id_none_off_the_pool_hosts():
+    for text in ("127.126.255.255", "127.128.0.0", "127.65.0.1",
+                 "10.0.0.1", "0.0.0.0", "255.255.255.255"):
+        assert global_neighbor_id(IPv4Address.parse(text)) is None
+    network = GLOBAL_POOL.network
+    broadcast = GLOBAL_POOL.address_at(GLOBAL_POOL.num_addresses - 1)
+    assert str(broadcast) == "127.127.255.255"
+    assert global_neighbor_id(network) is None
+    assert global_neighbor_id(broadcast) is None
 
 
 def test_global_mac_roundtrip():

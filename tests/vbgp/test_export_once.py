@@ -229,13 +229,8 @@ def test_export_frames_are_the_joined_oracle_bytes():
 
 
 def test_backbone_peers_still_get_withdraw_then_announce_on_replace():
-    """The mesh keeps RFC 4271's explicit form.  Eliding the withdraw
-    there is not safe yet: the receiving PoP's
-    ``VbgpNode._remote_experiment_route`` overwrites
-    ``remote_exp_routes[prefix]`` without retracting the exit neighbors
-    the *old* route's whitelist selected, so an implicit replace would
-    leave them holding it (``community_propagation`` in the fleet
-    differential catches exactly that)."""
+    """The mesh keeps RFC 4271's explicit form: a replace is a withdraw
+    and an announce of the path under the node's one id for it."""
     world = World(upstreams=2)
     node = world.node
     node.backbone_address = IPv4Address.parse("10.255.0.1")
@@ -252,10 +247,17 @@ def test_backbone_peers_still_get_withdraw_then_announce_on_replace():
     )
     peer.start()
     world.scheduler.run_for(5)
+
+    def carried():
+        """The accepted route as the mesh carries it."""
+        (mesh_id,) = node.experiments["x1"].mesh_ids.values()
+        return world.accepted().with_next_hop(
+            node.backbone_address).with_path_id(mesh_id)
+
     world.announce(world.route(announce_to_neighbor(world.sinks[0].gid)))
-    first = node._backbone_experiment_route(world.accepted())
+    first = carried()
     world.announce(world.route(prepend=2))
-    second = node._backbone_experiment_route(world.accepted())
+    second = carried()
     assert received == [
         UpdateMessage.announce([first]),
         UpdateMessage.withdraw([first]),
