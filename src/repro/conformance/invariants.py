@@ -62,7 +62,7 @@ from repro.vbgp.allocator import (
     neighbor_mac_global_id,
     neighbor_table_id,
 )
-from repro.vbgp.communities import ANNOUNCE_ASN, is_control, select_targets
+from repro.vbgp.communities import choose_exports, is_control
 
 __all__ = [
     "CATALOG",
@@ -281,10 +281,10 @@ def community_export_expectations(
 ) -> Optional[Dict[object, bool]]:
     """Expected §3.2.1 export presence at one upstream neighbor.
 
-    Returns prefix → "the control communities select this neighbor",
-    covering local experiment announcements and backbone-learned
-    experiment routes, or ``None`` when the neighbor is unknown or its
-    session is down (no exports can be expected over a down session).
+    Returns prefix → "the node's export choice (``choose_exports``) gives
+    this neighbor a path", over local and backbone-learned experiment
+    paths, or ``None`` when the neighbor is unknown or its session is
+    down (no exports can be expected over a down session).
 
     This is the single definition of "what should this neighbor hold":
     :func:`check_community_propagation` consumes it in-process, and the
@@ -299,31 +299,18 @@ def community_export_expectations(
     if session is None or not session.established:
         return None
     gid = upstream.virtual.global_id
-    candidates = [
-        (n.virtual.global_id, node.pop_id)
-        for n in node.upstreams.values()
-    ]
-    # Expected prefixes at this neighbor: local experiment
-    # announcements whose communities select it, plus backbone-learned
-    # experiment routes that explicitly whitelist a neighbor here.
-    expectations: Dict[object, bool] = {}
-    for exp in node.experiments.values():
-        for route in exp.announced.values():
-            selected = gid in select_targets(route, candidates)
-            expectations[route.prefix] = (
-                expectations.get(route.prefix, False) or selected
-            )
-    for route in node.remote_exp_routes.values():
-        whitelisted = any(
-            c.asn == ANNOUNCE_ASN for c in route.communities
+    local: Dict[object, dict] = {}
+    for exp_name, exp in node.experiments.items():
+        for (_prefix, path_id), route in exp.announced.items():
+            local.setdefault(route.prefix, {})[(exp_name, path_id)] = route
+    remote = node.remote_exp_paths
+    return {
+        prefix: gid in choose_exports(
+            local.get(prefix, {}), remote.get(prefix, {}),
+            node.target_candidates,
         )
-        selected = whitelisted and gid in select_targets(
-            route, candidates
-        )
-        expectations[route.prefix] = (
-            expectations.get(route.prefix, False) or selected
-        )
-    return expectations
+        for prefix in {**local, **remote}
+    }
 
 
 def judge_exports(report: InvariantReport, neighbor: str,

@@ -42,6 +42,7 @@ from repro.conformance.state import attr_fingerprint
 from repro.intent.changeset import ChangeOp, ChangeSet, parse_community
 from repro.netsim.addr import IPv4Prefix, IPv6Prefix
 from repro.toolkit.client import ExperimentClient, build_announcement
+from repro.vbgp.communities import choose_exports
 
 __all__ = [
     "DryRunEvaluator",
@@ -267,12 +268,9 @@ class DryRunEvaluator:
     ) -> dict[str, dict[str, ExportEntry]]:
         """Per-neighbor export sets, keyed ``pop/neighbor`` then prefix.
 
-        Functional recomputation of the live export rules: a local
-        announcement exits through the neighbors its communities select
-        (§3.2.1); an announcement made at another PoP additionally needs
-        an explicit whitelist community *and* backbone connectivity to
-        exit here (§4.4).  Local announcements win prefix collisions,
-        mirroring arrival order on the live path.
+        Functional recomputation of the live export: each PoP's paths for
+        a prefix, local and carried over the backbone (§4.4), go through
+        the node's own :func:`~repro.vbgp.communities.choose_exports`.
         """
         if state is None:
             state = self.announcement_state()
@@ -291,49 +289,39 @@ class DryRunEvaluator:
             ]
             for name, _neighbor in live_neighbors:
                 exports.setdefault(f"{pop_name}/{name}", {})
-            # Local experiment announcements.
-            for exp_name in sorted(state[pop_name]):
-                if (pop_name, exp_name) in detached:
-                    continue
-                announced = state[pop_name][exp_name]
-                for key in sorted(announced, key=lambda k: (k[0], repr(k[1]))):
-                    route = announced[key]
-                    targets = node._neighbor_targets(route)
-                    entry = None  # built once per route, on first target
-                    for name, neighbor in live_neighbors:
-                        if neighbor.virtual.global_id not in targets:
-                            continue
-                        if entry is None:
-                            entry = self._entry(node, route)
-                        exports[f"{pop_name}/{name}"][entry.prefix] = entry
-            # Remote experiment announcements, carried over the backbone.
-            for origin_name in sorted(state):
-                if origin_name == pop_name:
-                    continue
-                origin = self.platform.pops.get(origin_name)
-                if origin is None:
-                    continue
-                carried = self._carried_routes(
-                    origin.node, node, state[origin_name], detached,
-                    origin_name,
+            local: dict = {}
+            for exp_name, announced in state[pop_name].items():
+                if (pop_name, exp_name) not in detached:
+                    for (_prefix, path_id), route in announced.items():
+                        local.setdefault(route.prefix, {})[
+                            (exp_name, path_id)] = route
+            remote = self._simulated_remote(pop_name, node, state, detached)
+            entries: dict[int, ExportEntry] = {}  # one per chosen route
+            for prefix in {**local, **remote}:
+                chosen = choose_exports(
+                    local.get(prefix, {}), remote.get(prefix, {}),
+                    node.target_candidates,
                 )
-                for route in carried:
-                    targets = node._remote_targets(route)
-                    entry = None
-                    for name, neighbor in live_neighbors:
-                        if neighbor.virtual.global_id not in targets:
-                            continue
-                        if entry is None:
-                            entry = self._entry(node, route)
-                        exports[f"{pop_name}/{name}"].setdefault(
-                            entry.prefix, entry
-                        )
+                for name, neighbor in live_neighbors:
+                    route = chosen.get(neighbor.virtual.global_id)
+                    if route is None:
+                        continue
+                    entry = entries.get(id(route))
+                    if entry is None:
+                        entry = entries[id(route)] = self._entry(node, route)
+                    exports[f"{pop_name}/{name}"][entry.prefix] = entry
         return exports
 
     def _carried_routes(self, origin_node, target_node, per_exp: dict,
                         detached, origin_name: str) -> list[Route]:
         """Routes ``origin_node`` would carry to ``target_node`` (§4.4), as
-        announced: the mesh's next hop and id never reach an export."""
+        announced: the mesh's next hop and id never reach an export.
+
+        In the order the target's export choice takes them: by the mesh
+        id the origin gave each path, then paths it has not sent yet (a
+        ChangeSet that withdraws and re-announces a path is predicted
+        under its old id; live, it gets a new one).
+        """
         if origin_node.backbone_address is None:
             return []
         session = origin_node.backbone_peers.get(target_node.name)
@@ -343,10 +331,13 @@ class DryRunEvaluator:
         for exp_name in sorted(per_exp):
             if (origin_name, exp_name) in detached:
                 continue
-            announced = per_exp[exp_name]
-            for key in sorted(announced, key=lambda k: (k[0], repr(k[1]))):
-                carried.append(announced[key])
-        return carried
+            exp = origin_node.experiments.get(exp_name)
+            mesh_ids = {} if exp is None else exp.mesh_ids
+            for (_prefix, path_id), route in per_exp[exp_name].items():
+                mesh_id = mesh_ids.get((route.prefix, path_id))
+                carried.append(((mesh_id is None, mesh_id or 0, exp_name,
+                                 _prefix, repr(path_id)), route))
+        return [route for _order, route in sorted(carried)]
 
     def _entry(self, node, route: Route) -> ExportEntry:
         export = node.export_transform(route)
@@ -558,7 +549,7 @@ class DryRunEvaluator:
                 experiments[exp_name] = _Proxy(exp, announced=announced)
             remote = self._simulated_remote(pop_name, node, state, detached)
             sim_node = _Proxy(
-                node, experiments=experiments, remote_exp_routes=remote
+                node, experiments=experiments, remote_exp_paths=remote
             )
             sim_pops[pop_name] = _Proxy(pop, node=sim_node)
         speakers, speaker_pops = self._predicted_speakers(after)
@@ -578,7 +569,10 @@ class DryRunEvaluator:
         return run_invariants(ctx)
 
     def _simulated_remote(self, pop_name: str, node, state: dict,
-                          detached: set) -> dict:
+                          detached) -> dict:
+        """``{prefix: {(origin PoP, position): route}}`` the other PoPs
+        would carry to ``pop_name``: the node's ``remote_exp_paths``, each
+        origin's paths in :meth:`_carried_routes` (mesh id) order."""
         remote: dict = {}
         for origin_name in sorted(state):
             if origin_name == pop_name:
@@ -586,14 +580,12 @@ class DryRunEvaluator:
             origin = self.platform.pops.get(origin_name)
             if origin is None:
                 continue
-            for route in self._carried_routes(
+            for position, route in enumerate(self._carried_routes(
                 origin.node, node, state[origin_name], detached,
                 origin_name,
-            ):
-                # The live node keeps the lowest (peer, mesh id) path.
-                # Per peer this is the first one here; among one peer's
-                # paths for a prefix, mesh ids follow send order instead.
-                remote.setdefault(route.prefix, route)
+            )):
+                remote.setdefault(route.prefix, {})[
+                    (origin_name, position)] = route
         return remote
 
     def _predicted_speakers(

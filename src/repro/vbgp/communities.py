@@ -15,7 +15,7 @@ communities are subject to the experiment's capability grants (§4.7).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.bgp.attributes import Community, Route
 
@@ -82,3 +82,31 @@ def select_targets(
             continue
         selected.add(global_id)
     return selected
+
+
+def choose_exports(
+    local: Mapping[Hashable, Route],
+    remote: Mapping[Hashable, Route],
+    neighbors: Sequence[tuple[int, int]],
+) -> dict[int, Route]:
+    """``{gid: path}``: which experiment path each upstream holds for one
+    prefix.
+
+    ``local`` keys the prefix's paths announced at this PoP by
+    (experiment, path id), ``remote`` those learned over the backbone by
+    (backbone peer, mesh id).  In that one total order, local first, each
+    of ``neighbors`` (as for :func:`select_targets`) gets the first path
+    that selects it; a remote path needs a whitelist community (§4.4).
+    Not the BGP decision order: MED makes it non-transitive, so a sort by
+    it could depend on arrival order.
+    """
+    paths = [local[key] for key in sorted(local)] + [
+        remote[key] for key in sorted(remote)
+        if any(c.asn == ANNOUNCE_ASN for c in remote[key].communities)
+    ]
+    chosen: dict[int, Route] = {}
+    for route in paths:
+        # ``|`` keeps its right operand's value: earlier paths win.
+        targets = select_targets(route, neighbors)
+        chosen = dict.fromkeys(targets, route) | chosen
+    return chosen

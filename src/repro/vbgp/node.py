@@ -59,9 +59,9 @@ from repro.vbgp.allocator import (
     neighbor_mac_global_id,
     virtual_neighbor,
 )
-from repro.vbgp.communities import ANNOUNCE_ASN, is_control, select_targets
-# benchmarks/e2e/trace.py times the community layer by patching this name.
-from repro.vbgp.communities import strip_control  # noqa: F401
+from repro.vbgp.communities import choose_exports, is_control
+# benchmarks/e2e/trace.py times the community layer by patching these names.
+from repro.vbgp.communities import select_targets, strip_control  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import TelemetryHub
@@ -155,8 +155,8 @@ class VbgpNode:
         self.data_enforcer = data_enforcer
 
         self.upstreams: dict[str, UpstreamNeighbor] = {}
-        # (gid, pop id) of every upstream: ``select_targets`` candidates.
-        self._target_candidates: list[tuple[int, int]] = []
+        # (gid, pop id) of every upstream: ``choose_exports`` candidates.
+        self.target_candidates: list[tuple[int, int]] = []
         self.remote_neighbors: dict[int, RemoteNeighbor] = {}
         self.experiments: dict[str, ExperimentAttachment] = {}
         # ADD-PATH ids, one per path for the whole node (paper §4.2), on
@@ -171,13 +171,19 @@ class VbgpNode:
         self._mesh_gids: dict[str, dict[int, int]] = {}
         # Experiment prefixes (local and remote) for data-plane intercept.
         self.exp_prefixes: LpmTable[dict] = LpmTable()
-        # Paths local experiments announce, per prefix: while any is held,
-        # the prefix's tunnel route wins over the mesh.
-        self._local_exp_paths: dict[Prefix, int] = {}
-        # Remote experiments' paths by prefix and (backbone peer, mesh id),
-        # and the one chosen per prefix.
-        self._remote_exp_paths: dict[Prefix, dict[tuple[str, int], Route]] = {}
+        # The export choice's input by prefix: local experiment paths by
+        # (experiment, path id) -- while any is held, the tunnel route wins
+        # over the mesh -- and remote ones by (backbone peer, mesh id), of
+        # which the data plane routes to the lowest (``remote_exp_routes``).
+        self._local_exp_paths: dict[
+            Prefix, dict[tuple[str, Optional[int]], Route]] = {}
+        self.remote_exp_paths: dict[Prefix, dict[tuple[str, int], Route]] = {}
         self.remote_exp_routes: dict[Prefix, Route] = {}
+        # The Adj-RIB-Out of every upstream (RFC 4271: the routes selected
+        # for each peer), by prefix: upstream gid -> the experiment path
+        # ``choose_exports`` gave it.  An established upstream holds exactly
+        # these paths' exports; one that comes up is sent its column.
+        self.adj_rib_out: dict[Prefix, dict[int, Route]] = {}
         # MAC -> upstream neighbor, to attribute ingress traffic.
         self._mac_to_gid: dict[MacAddress, int] = {}
         self.counters = {
@@ -304,7 +310,10 @@ class VbgpNode:
         self.stack.add_static_arp(peer_address, peer_mac, self.upstream_iface)
         session = self._upstream_session(neighbor, channel)
         self.upstreams[name] = neighbor
-        self._target_candidates.append((global_id, self.pop_id))
+        self.target_candidates.append((global_id, self.pop_id))
+        # A new candidate: give it its column before its session is up.
+        for prefix in {**self._local_exp_paths, **self.remote_exp_paths}:
+            self._export_prefix(prefix)
         if channel_factory is not None:
             neighbor.supervisor = SessionSupervisor(
                 self.scheduler,
@@ -427,22 +436,25 @@ class VbgpNode:
         self._send_paths(neighbor, announced, removed)
 
     def _upstream_established(self, name: str) -> None:
-        """A (re-)established upstream: re-export experiment state to it."""
+        """A (re-)established upstream holds nothing: send it its column
+        of the ``adj_rib_out``."""
         neighbor = self.upstreams.get(name)
-        if neighbor is None:
+        session = None if neighbor is None else neighbor.session
+        if session is None or not session.established:
             return
-        only = (neighbor,)
-        for exp in self.experiments.values():
-            for route in exp.announced.values():
-                self._export_experiment(
-                    route, self._neighbor_targets(route), neighbors=only
-                )
-        for route in self.remote_exp_routes.values():
-            self._export_experiment(
-                route, self._remote_targets(route), neighbors=only
+        gid = neighbor.virtual.global_id
+        metric = self._m_updates_by_neighbor
+        for chosen in self.adj_rib_out.values():
+            route = chosen.get(gid)
+            if route is None:
+                continue
+            session.send_update(
+                UpdateMessage.announce([self.export_transform(route)])
             )
-        session = neighbor.session
-        if session is not None and session.gr_negotiated:
+            self.counters["updates_to_neighbors"] += 1
+            if metric is not None:
+                metric.labels(self.name, name).inc()
+        if session.gr_negotiated:
             # RFC 4724: close the (re-)transmission with End-of-RIB so
             # the restarted peer can flush anything still stale.
             session.send_end_of_rib()
@@ -743,11 +755,9 @@ class VbgpNode:
                 breaker.record_success()
         local = self._local_exp_paths
         for route in allowed:
-            previous = exp.announced.get((route.prefix, route.path_id))
             exp.announced[(route.prefix, route.path_id)] = route
-            if previous is None:
-                local[route.prefix] = local.get(route.prefix, 0) + 1
-            self._propagate_experiment_route(exp, route, previous)
+            local.setdefault(route.prefix, {})[(name, route.path_id)] = route
+            self._propagate_experiment_route(exp, route)
 
     def _enforce_control(self, exp: ExperimentAttachment,
                          routes: list[Route]) -> list[Route]:
@@ -763,12 +773,10 @@ class VbgpNode:
             self.counters["announcements_blocked"] += len(routes)
             return []
 
-    def _propagate_experiment_route(
-        self, exp: ExperimentAttachment, route: Route,
-        previous: Optional[Route] = None,
-    ) -> None:
-        """Export an accepted announcement; ``previous`` is the route it
-        replaces under the same ``(prefix, path id)`` key, if any."""
+    def _propagate_experiment_route(self, exp: ExperimentAttachment,
+                                    route: Route) -> None:
+        """Export an accepted announcement, an implicit replace (RFC 4271)
+        of any held under its ``(prefix, path id)`` key, mesh included."""
         # Data plane: make the prefix reachable through the tunnel.
         self.stack.add_route(
             KernelRoute(
@@ -778,36 +786,29 @@ class VbgpNode:
             )
         )
         # Control plane: export to selected neighbors, and to the backbone.
-        targets = self._neighbor_targets(route)
-        if previous is not None:
-            # RFC 4271 implicit replace: neighbors that keep the route get
-            # the announce alone.  The mesh keeps its explicit withdraw.
-            self._export_experiment(
-                previous, self._neighbor_targets(previous) - targets,
-                withdraw=True,
-            )
-            self._backbone_export_experiment(exp, previous, withdraw=True)
-        self._export_experiment(route, targets)
-        self._backbone_export_experiment(exp, route, withdraw=False)
+        self._export_prefix(route.prefix)
+        self._mesh_send(lambda: UpdateMessage.announce([
+            self._mesh_route(exp, route)
+        ]))
 
     def _retract_experiment_route(self, exp: ExperimentAttachment,
                                   route: Route) -> None:
-        """``route`` has left ``exp.announced``: withdraw it everywhere
-        and release its mesh id.  The last local announcement of its
-        prefix hands the kernel route to the path the mesh still carries,
-        if any."""
-        local = self._local_exp_paths
-        local[route.prefix] -= 1
-        if not local[route.prefix]:
-            del local[route.prefix]
-            self._route_remote(route.prefix)
-        self._export_experiment(route, self._neighbor_targets(route),
-                                withdraw=True)
-        self._backbone_export_experiment(exp, route, withdraw=True)
-        exp.mesh_ids.pop((route.prefix, route.path_id), None)
-
-    def _neighbor_targets(self, route: Route) -> set[int]:
-        return select_targets(route, self._target_candidates)
+        """``route`` has left ``exp.announced``: take it out of the export
+        choice and off the mesh, releasing its mesh id.  The last local
+        announcement of its prefix hands the kernel route to the path the
+        mesh still carries, if any."""
+        prefix = route.prefix
+        paths = self._local_exp_paths[prefix]
+        del paths[(exp.name, route.path_id)]
+        if not paths:
+            del self._local_exp_paths[prefix]
+            self._route_remote(prefix)
+        self._export_prefix(prefix)
+        mesh_id = exp.mesh_ids.pop((prefix, route.path_id), None)
+        if mesh_id is not None:
+            self._mesh_send(lambda: UpdateMessage.withdraw([
+                route.with_path_id(mesh_id)
+            ]))
 
     def export_transform(self, route: Route) -> Route:
         """The §3.2.1 export rewrite for an experiment announcement: the
@@ -826,36 +827,46 @@ class VbgpNode:
             path_id=None, drop_community=is_control,
         )
 
-    def _export_experiment(
-        self, route: Route, targets: set[int], withdraw: bool = False,
-        neighbors: Optional[Iterable[UpstreamNeighbor]] = None,
-    ) -> None:
-        """The one experiment-export step (§3.2.1 "export compile").
-
-        ``export_transform`` reads no per-neighbor state, so the route is
-        transformed once and one :class:`UpdateMessage` is handed to
-        every established session in ``targets``; the message's wire memo
-        makes that one encode.  Built on the first live target, so a
-        route nobody receives costs nothing.
+    def _export_prefix(self, prefix: Prefix) -> None:
+        """The one experiment-export step (§3.2.1 "export compile"): run
+        :func:`~repro.vbgp.communities.choose_exports` for ``prefix`` into
+        the ``adj_rib_out``, and send each established upstream whose path
+        changed its export or a withdraw.  A (re)announced path is a new
+        object, so it counts as changed even where its export is not.
+        Each chosen path is transformed once, on first use, into one
+        :class:`UpdateMessage` (one encode) for every session that gets it.
         """
-        if not targets:
-            return
-        update = None
+        chosen = choose_exports(
+            self._local_exp_paths.get(prefix, _NO_PATHS),
+            self.remote_exp_paths.get(prefix, _NO_PATHS),
+            self.target_candidates,
+        )
+        before = self.adj_rib_out.pop(prefix, _NO_PATHS)
+        if chosen:
+            self.adj_rib_out[prefix] = chosen
+        built: dict[int, UpdateMessage] = {}
+        withdraw = None
         sent = 0
-        metric = None if withdraw else self._m_updates_by_neighbor
-        for neighbor in neighbors or self.upstreams.values():
-            session = neighbor.session
-            if (
-                neighbor.virtual.global_id not in targets
-                or session is None or not session.established
-            ):
+        metric = self._m_updates_by_neighbor
+        for neighbor in self.upstreams.values():
+            gid = neighbor.virtual.global_id
+            route = chosen.get(gid)
+            if route is before.get(gid):
                 continue
-            if update is None and withdraw:
-                update = UpdateMessage.withdraw(
-                    [Route(prefix=route.prefix, attributes=_EMPTY_ATTRS)]
-                )
-            elif update is None:
-                update = UpdateMessage.announce(
+            session = neighbor.session
+            if session is None or not session.established:
+                continue
+            if route is None:
+                if withdraw is None:
+                    withdraw = UpdateMessage.withdraw(
+                        [Route(prefix=prefix, attributes=_EMPTY_ATTRS)]
+                    )
+                session.send_update(withdraw)
+                sent += 1
+                continue
+            update = built.get(id(route))
+            if update is None:
+                update = built[id(route)] = UpdateMessage.announce(
                     [self.export_transform(route)]
                 )
             session.send_update(update)
@@ -915,6 +926,18 @@ class VbgpNode:
                 ]))
                 self.counters["updates_to_backbone"] += 1
 
+    def _mesh_send(self, build: Callable[[], UpdateMessage]) -> None:
+        """Put one experiment-path UPDATE on every established backbone
+        session; ``build`` runs only if there is one."""
+        if self.backbone_address is None:
+            return
+        sessions = _established(self.backbone_peers.values())
+        if sessions:
+            update = build()
+            for session in sessions:
+                session.send_update(update)
+            self.counters["updates_to_backbone"] += len(sessions)
+
     def _mesh_route(self, exp: ExperimentAttachment, route: Route) -> Route:
         """An experiment path as the mesh carries it: this node's backbone
         address as next hop, the node's id for the path as path id."""
@@ -926,24 +949,6 @@ class VbgpNode:
         return route.with_next_hop(self.backbone_address).with_path_id(
             mesh_id
         )
-
-    def _backbone_export_experiment(self, exp: ExperimentAttachment,
-                                    route: Route, withdraw: bool) -> None:
-        if not self.backbone_peers or self.backbone_address is None:
-            return
-        sessions = _established(self.backbone_peers.values())
-        if withdraw:
-            mesh_id = exp.mesh_ids.get((route.prefix, route.path_id))
-            if mesh_id is None or not sessions:
-                return
-            update = UpdateMessage.withdraw([route.with_path_id(mesh_id)])
-        elif sessions:
-            update = UpdateMessage.announce([self._mesh_route(exp, route)])
-        else:
-            return
-        for session in sessions:
-            session.send_update(update)
-        self.counters["updates_to_backbone"] += len(sessions)
 
     def _backbone_update(self, node_name: str, update: UpdateMessage) -> None:
         """One mesh UPDATE.  A neighbor path names its gid in its next hop
@@ -957,9 +962,9 @@ class VbgpNode:
             gid = gids.pop(mesh_id, None)
             if gid is not None:
                 changes.setdefault(gid, ([], []))[0].append((prefix, mesh_id))
-            elif self._remote_exp_paths.get(prefix, {}).pop(
+            elif self.remote_exp_paths.get(prefix, {}).pop(
                     (node_name, mesh_id), None) is not None:
-                self._choose_remote_experiment(prefix)
+                self._remote_experiment_changed(prefix)
         for route in update.routes():
             next_hop = route.next_hop
             if next_hop is None or self.backbone_iface is None:
@@ -969,9 +974,9 @@ class VbgpNode:
                 gids[route.path_id] = gid
                 changes.setdefault(gid, ([], []))[1].append(route)
             else:
-                self._remote_exp_paths.setdefault(route.prefix, {})[
+                self.remote_exp_paths.setdefault(route.prefix, {})[
                     (node_name, route.path_id)] = route
-                self._choose_remote_experiment(route.prefix)
+                self._remote_experiment_changed(route.prefix)
         for gid, (withdrawn, announced) in changes.items():
             remote = self.remote_neighbors.get(gid)
             if remote is None:
@@ -997,43 +1002,33 @@ class VbgpNode:
             if remote.peer == node_name:
                 self._drop_paths(remote, remote.rib.clear())
         self._mesh_gids.pop(node_name, None)
-        for prefix, paths in list(self._remote_exp_paths.items()):
+        for prefix, paths in list(self.remote_exp_paths.items()):
             for key in [key for key in paths if key[0] == node_name]:
                 del paths[key]
-            self._choose_remote_experiment(prefix)
+            self._remote_experiment_changed(prefix)
 
-    def _choose_remote_experiment(self, prefix: Prefix) -> None:
-        """Make ``remote_exp_routes[prefix]`` the held path with the lowest
-        (backbone peer, mesh id) and apply the difference: kernel route,
-        intercept marker and upstream exports.  Across peers the choice
-        does not depend on arrival order; within one peer, mesh ids
-        follow the order the origin first sent its paths."""
-        paths = self._remote_exp_paths.get(prefix)
-        old = self.remote_exp_routes.get(prefix)
+    def _remote_experiment_changed(self, prefix: Prefix) -> None:
+        """A backbone-learned path for ``prefix`` came, went or was
+        replaced: the kernel route and intercept marker follow the lowest
+        (backbone peer, mesh id), then the export step runs."""
+        paths = self.remote_exp_paths.get(prefix)
         new = paths[min(paths)] if paths else None
-        if new is old:
-            return
-        marker = self.exp_prefixes.get(prefix) or {}
-        if new is None:
-            del self._remote_exp_paths[prefix], self.remote_exp_routes[prefix]
-            marker.pop("__remote__", None)
-        else:
-            self.remote_exp_routes[prefix] = new
-            marker["__remote__"] = new.next_hop
-        if marker:
-            self.exp_prefixes.insert(prefix, marker)
-        else:
-            self.exp_prefixes.remove(prefix)
-        if prefix not in self._local_exp_paths:
-            self._route_remote(prefix)
-        # A remote experiment announcement only exits via *this* PoP's
-        # neighbors when whitelist communities direct it here (§4.4); a
-        # plain announcement stays at the PoP where it was made.
-        targets = set() if new is None else self._remote_targets(new)
-        if old is not None:
-            self._export_experiment(old, self._remote_targets(old) - targets,
-                                    withdraw=True)
-        self._export_experiment(new, targets)  # no targets when withdrawn
+        if new is not self.remote_exp_routes.get(prefix):
+            marker = self.exp_prefixes.get(prefix) or {}
+            if new is None:
+                del self.remote_exp_paths[prefix]
+                del self.remote_exp_routes[prefix]
+                marker.pop("__remote__", None)
+            else:
+                self.remote_exp_routes[prefix] = new
+                marker["__remote__"] = new.next_hop
+            if marker:
+                self.exp_prefixes.insert(prefix, marker)
+            else:
+                self.exp_prefixes.remove(prefix)
+            if prefix not in self._local_exp_paths:
+                self._route_remote(prefix)
+        self._export_prefix(prefix)
 
     def _route_remote(self, prefix: Prefix) -> None:
         """No local experiment announces ``prefix``: route it across the
@@ -1046,13 +1041,6 @@ class VbgpNode:
                 prefix=prefix, out_iface=self.backbone_iface,
                 next_hop=route.next_hop,
             ))
-
-    def _remote_targets(self, route: Route) -> set[int]:
-        """Local neighbors a backbone-learned experiment route may exit
-        through: only those its whitelist communities name."""
-        if not any(c.asn == ANNOUNCE_ASN for c in route.communities):
-            return set()
-        return self._neighbor_targets(route)
 
     # ==================================================================
     # Data plane interposition
@@ -1183,6 +1171,7 @@ class VbgpNode:
 
 # A placeholder attribute set used in withdrawals (attributes are ignored).
 _EMPTY_ATTRS = PathAttributes()
+_NO_PATHS: dict = {}
 
 
 def _established(sessions: Iterable[Optional[BgpSession]]

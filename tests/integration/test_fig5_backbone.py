@@ -327,6 +327,26 @@ def test_anycast_withdrawal_at_one_pop_keeps_the_other(three_pops):
     assert n3.best_route(prefix) is None
 
 
+def test_anycast_withdrawal_elsewhere_keeps_the_local_export(figure5):
+    """x1 announces P at e1 and e2, whitelisted to n1 at e1, then
+    withdraws at e2 only: e1 still announces P itself, so n1 keeps it."""
+    scheduler, platform, n2, port, client = figure5
+    n1, prefix = _announce_from_e2_to_n1(scheduler, platform, client)
+    gid = platform.pops["e1"].node.upstreams["n1"].virtual.global_id
+    from repro.vbgp.communities import announce_to_neighbor
+
+    client.announce(prefix, pops=["e1"],
+                    communities=(announce_to_neighbor(gid),))
+    scheduler.run_for(10)
+    assert n1.best_route(prefix) is not None
+    client.withdraw(prefix, pops=["e2"])
+    scheduler.run_for(10)
+    assert n1.best_route(prefix) is not None
+    client.withdraw(prefix, pops=["e1"])
+    scheduler.run_for(10)
+    assert n1.best_route(prefix) is None
+
+
 def test_local_tunnel_route_wins_over_the_mesh(three_pops):
     """While x1 announces P at e2, e2's main table routes P into x1's
     tunnel whatever e1 announces or withdraws over the mesh; once e2's

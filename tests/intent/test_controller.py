@@ -7,6 +7,7 @@ from repro.conformance.state import attr_fingerprint
 from repro.netsim.addr import IPv4Prefix
 from repro.intent import ChangeSet, announce_op, withdraw_op
 from repro.telemetry.station import IntentEvent, RouteMonitoring
+from repro.vbgp.communities import announce_to_neighbor
 
 from tests.intent.conftest import build_intent_world
 
@@ -210,6 +211,29 @@ def test_reverted_withdraw_is_clean(intent_world):
     assert record.phase == "reverted"
     assert record.revert_clean is True
     assert world.controller._fingerprint() == before
+
+
+def test_anycast_withdraw_elsewhere_commits(intent_world):
+    """alpha announces its spare prefix at west and east, whitelisted to
+    transit-west, then withdraws it at east: west still announces it
+    itself, so transit-west keeps it and the plan commits."""
+    world = intent_world
+    alpha = world.clients["alpha"]
+    spare = alpha.profile.prefixes[1]
+    gid = world.neighbors["transit-west"].port.global_id
+    alpha.announce(spare, pops=("west", "east"),
+                   communities=(announce_to_neighbor(gid),))
+    world.scheduler.run_for(30)
+    west = world.neighbors["transit-west"].speaker
+    assert west.best_route(spare) is not None
+    plan = world.controller.plan(ChangeSet(name="wd-east", ops=(
+        withdraw_op("alpha", str(spare), pops=("east",)),
+    )))
+    assert plan.report.ok
+    assert plan.report.changed_neighbors() == []
+    record = world.controller.apply(plan)
+    assert record.phase == "committed", record.detail
+    assert west.best_route(spare) is not None
 
 
 def test_snapshot_correctness_under_perf_flags():

@@ -188,6 +188,21 @@ def test_reannounce_sends_each_neighbor_only_its_delta():
     ]
 
 
+def test_identical_reannounce_is_sent_again():
+    """A re-announcement whose export equals what a neighbor holds still
+    reaches it: the path just announced is always re-sent, so the bytes
+    per announcement do not depend on what the neighbor holds."""
+    world = World(upstreams=3)
+    route = world.route(block_neighbor(world.sinks[2].gid), prepend=1)
+    world.announce(route)
+    first = [list(sink.frames) for sink in world.sinks]
+    for sink in world.sinks:
+        sink.clear()
+    world.announce(route)
+    assert [sink.frames for sink in world.sinks] == first
+    assert [len(frames) for frames in first] == [1, 1, 0]
+
+
 def test_down_target_is_skipped_then_replayed_on_establish():
     world = World(upstreams=4, resilient=True)
     down = world.sinks[1]
@@ -205,6 +220,25 @@ def test_down_target_is_skipped_then_replayed_on_establish():
         world.node, down.neighbor, world.accepted()
     )]
     assert down.table == world.sinks[0].table != {}
+
+
+def test_upstream_attached_later_gets_the_export():
+    """An upstream that joins after the announcement, and the one its
+    whitelist community names, is sent the export once it is up."""
+    world = World(upstreams=2)
+    node = world.node
+    world.announce(world.route(
+        announce_to_neighbor(world.sinks[1].gid),
+        announce_to_neighbor(world.sinks[1].gid + 1),
+    ))
+    late = Sink(world.scheduler, world.pop, "late", 65100)
+    assert late.gid == world.sinks[1].gid + 1
+    world.scheduler.run_for(5)
+    assert late.neighbor.session.established
+    assert late.frames == [export_to_neighbor_frame(
+        node, late.neighbor, world.accepted()
+    )]
+    assert [len(sink.frames) for sink in world.sinks] == [0, 1]
 
 
 def test_export_frames_are_the_joined_oracle_bytes():
@@ -228,9 +262,9 @@ def test_export_frames_are_the_joined_oracle_bytes():
     assert [len(sink.frames) for sink in world.sinks] == [2, 3, 3, 2, 0, 0]
 
 
-def test_backbone_peers_still_get_withdraw_then_announce_on_replace():
-    """The mesh keeps RFC 4271's explicit form: a replace is a withdraw
-    and an announce of the path under the node's one id for it."""
+def test_backbone_peers_get_the_replace_as_one_announce():
+    """A replace is implicit on the mesh too (RFC 4271): one announce of
+    the new path under the node's one id for it, no withdraw first."""
     world = World(upstreams=2)
     node = world.node
     node.backbone_address = IPv4Address.parse("10.255.0.1")
@@ -258,9 +292,9 @@ def test_backbone_peers_still_get_withdraw_then_announce_on_replace():
     first = carried()
     world.announce(world.route(prepend=2))
     second = carried()
+    assert first.path_id == second.path_id
     assert received == [
         UpdateMessage.announce([first]),
-        UpdateMessage.withdraw([first]),
         UpdateMessage.announce([second]),
     ]
     # Toward the upstreams the same replace is implicit for sink 0.

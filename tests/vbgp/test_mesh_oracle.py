@@ -130,7 +130,7 @@ class World:
                 assert remote.peer != peer or not len(remote.rib)
             assert not any(
                 key[0] == peer
-                for held in node._remote_exp_paths.values() for key in held
+                for held in node.remote_exp_paths.values() for key in held
             )
         ours, theirs = connect_pair(self.scheduler, rtt=0.08)
         node_a.attach_backbone_peer(b, ours)

@@ -258,6 +258,34 @@ def test_experiment_withdraw_reaches_neighbors(scheduler, pop):
     assert n1.best_route(EXP_PREFIX) is None
 
 
+def test_withdrawing_one_path_keeps_the_prefix_another_path_exports(
+        scheduler, pop):
+    """An experiment announces one prefix under ADD-PATH ids 1 and 2 and
+    withdraws id 1: n1 now holds the export of id 2, and the tunnel route
+    stays, so the control plane and the data plane agree."""
+    n1, _p1 = add_neighbor(scheduler, pop, "n1", 65010)
+    experiment = ExperimentEndpoint(scheduler, pop)
+    scheduler.run_for(5)
+    tunnel_ip = IPv4Address.parse("100.125.0.2")
+    first = local_route(EXP_PREFIX, next_hop=tunnel_ip).with_path_id(1)
+    second = (
+        local_route(EXP_PREFIX, next_hop=tunnel_ip)
+        .prepended(47065, 2).with_path_id(2)
+    )
+    experiment.announce(first)
+    experiment.announce(second)
+    scheduler.run_for(5)
+    experiment.withdraw(first)
+    scheduler.run_for(5)
+    held = n1.best_route(EXP_PREFIX)
+    assert held is not None
+    (accepted,) = pop.node.experiments["x1"].announced.values()
+    assert held.as_path == pop.node.export_transform(accepted).as_path
+    assert held.as_path.length == 3
+    main = pop.stack.tables[MAIN_TABLE]
+    assert main.get(EXP_PREFIX).out_iface == pop.node.exp_iface
+
+
 def test_hijack_blocked_by_enforcer(scheduler, pop):
     """Announcing address space outside the allocation never propagates."""
     n1, _p1 = add_neighbor(scheduler, pop, "n1", 65010)
