@@ -1,188 +1,199 @@
-"""Figure 6b — CPU utilization vs rate of BGP updates.
+"""Figure 6b — CPU utilization vs rate of BGP updates, measured.
 
-Three configurations, as in the paper:
+Real ``repro.fleet`` PoP processes (the ``build_fleet_pop`` PoPs the
+fleet differential proves byte-identical to the in-process ones) are
+driven over loopback TCP through ``SocketFleetLeg``. Once the sessions
+are up, an open-loop feeder writes pre-encoded AMS-IX-shaped churn
+UPDATEs on the upstream session at a fixed rate, and the experiment
+sink only counts the bytes it gets. Each PoP's CPU seconds per wall
+second (``time.process_time`` in the ``summary`` control RPC, GC on) is
+the figure. Three configurations, as in the paper:
 
-* *accept*: decode the UPDATE and store its routes — no checks (the lower
-  bound on per-update cost),
-* *single-router vBGP*: the full experiment-announcement filter chain
-  (prefix ownership, origin, path sanity, attribute policing, rate
-  accounting) — a worst case, since in deployment most updates come from
-  the Internet and see much simpler filters,
-* *multi-router vBGP*: the backbone-mesh configuration's additional
-  next-hop handling (global-IP rewrite + path-id allocation + re-encode).
+* *accept*: a PoP with one upstream and nothing else;
+* *single-router vBGP*: plus one ADD-PATH experiment session, so every
+  update is named, re-encoded and fanned out;
+* *multi-router vBGP*: the same PoP in a two-PoP backbone pair, so every
+  update also crosses the mesh (PoP B reported beside PoP A).
 
-Per-update cost is measured over real UPDATE processing and converted to
-utilization of one core at the paper's rates. The shape claims we verify:
-linearity in the rate, ordering accept ≤ single ≤ multi, safety filters
-not dominating, and the AMS-IX load (21.8 avg / 400 p99 updates/s)
-leaving ample headroom.
+The PoP being read has a CPU to itself: PoP B and the feeder run on
+another.
+
+Shape claims: CPU rises with the rate, accept costs less than the
+backbone PoP A at every rate, and the AMS-IX p99 (≈400 updates/s) is far
+below one core.
 """
 
-import pytest
+import os
+import statistics
+import tempfile
+import time
 
 from benchmarks.reporting import format_table, report
-from repro.bgp.messages import MessageDecoder
+from repro.fleet.compiler import compile_world
+from repro.fleet.controller import live_fleet_process_count
+from repro.fleet.differential import SocketFleetLeg
+from repro.fleet.spec import ExperimentSpec, PopSpec, UpstreamSpec, WorldSpec
 from repro.internet.churn import AMSIX_PROFILE, ChurnGenerator
-from repro.metrics import measure_processing
-from repro.netsim.addr import IPv4Prefix
-from repro.security import ControlPlaneEnforcer, ExperimentProfile
-from repro.sim import Scheduler
-from repro.vbgp.allocator import global_neighbor_ip, local_neighbor_ip
 
 RATES = [500, 1000, 2000, 4000]
-UPDATE_COUNT = 3000
+WINDOW = 120  # UPDATEs per window: 0.24 s at 500/s, 0.03 s at 4,000/s
+# Windows per configuration and rate, interleaved; the figure is their
+# median, so one window that caught a full GC pass or a host hiccup
+# does not set it.
+REPEATS = 3
+WARMUP = 500  # unpaced updates that load the table before the windows
+UPSTREAM = (UpstreamSpec(name="up", asn=65010),)
+CONFIGS = {  # label -> PoPs whose CPU is read; the first has the upstream
+    "accept": ("accept",),
+    "single-router vBGP": ("single",),
+    "multi-router vBGP": ("multi-a", "multi-b"),
+}
+WORLD = WorldSpec(
+    name="fig6b",
+    pops=(
+        PopSpec(name="accept", backbone=False, upstreams=UPSTREAM),
+        PopSpec(name="single", backbone=False, upstreams=UPSTREAM),
+        PopSpec(name="multi-a", upstreams=UPSTREAM),
+        PopSpec(name="multi-b"),
+    ),
+    experiments=(ExperimentSpec(name="exp", prefix="184.164.224.0/24",
+                                pops=("single", "multi-a")),),
+    port_base=25500,
+)
 
 
-@pytest.fixture(scope="module")
-def wire_updates():
-    """Churn updates, wire-encoded (processing includes decode)."""
+def paced(leg, channel, wires, rate: float, pops):
+    """Feed ``wires`` at ``rate`` per second, open loop. Returns each
+    PoP's CPU seconds per wall second over the window, and how late the
+    last UPDATE left against its schedule."""
+    poller = leg.controller.poller
+
+    def cpu_seconds():
+        return [leg.pop_call(pop, "summary")["cpu_s"] for pop in pops]
+
+    before = cpu_seconds()
+    start = time.monotonic()
+    sent = 0
+    while sent < len(wires):
+        due = min(len(wires), int((time.monotonic() - start) * rate) + 1)
+        if due > sent:
+            channel.send(b"".join(wires[sent:due]))
+            sent = due
+        poller.pump(max(0.0, start + sent / rate - time.monotonic()))
+    late = time.monotonic() - (start + (len(wires) - 1) / rate)
+    after = cpu_seconds()
+    wall = time.monotonic() - start
+    return [(b - a) / wall for a, b in zip(before, after)], late
+
+
+def place_on_cpus(leg) -> None:
+    """Run every measured PoP (accept, single-router, multi-router A) on
+    one CPU, and this process (the feeder and the sinks) and PoP B on
+    another, so the PoP being read never shares its CPU. Left to the
+    scheduler, PoP A read 45 % of a core at 4,000/s in some runs and
+    65-80 % in others, with PoP B dropping alongside (both batching more
+    per wakeup); placed, it read 60-77 % in thirteen runs out of thirteen."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return
+    processes = leg.controller.processes
+    for pops in CONFIGS.values():
+        os.sched_setaffinity(processes[pops[0]].pid, {cpus[0]})
+    os.sched_setaffinity(processes["multi-b"].pid, {cpus[1]})
+    os.sched_setaffinity(0, {cpus[1]})
+
+
+def measure(wires_warm, wires_paced):
+    """CPU seconds per wall second of each configuration's PoPs at each
+    rate, the median of ``REPEATS`` windows. The configurations take turns
+    window by window, so a change in the host's speed during the run
+    reaches all of them alike."""
+    received = [0]
+
+    def sink(data: bytes) -> None:
+        received[0] += len(data)
+
+    cpu = {}
+    lateness = 0.0
+    own_cpus = os.sched_getaffinity(0)
+    with tempfile.TemporaryDirectory(prefix="fig6b-") as workdir:
+        leg = SocketFleetLeg(compile_world(WORLD, workdir))
+        try:
+            place_on_cpus(leg)
+            leg.wire_driver()
+            assert leg.unestablished() == []
+            # From here on nothing in this process decodes an UPDATE.
+            for endpoint in leg.endpoints:
+                endpoint.channel.on_data = sink
+            for client in leg.clients.values():
+                client.channel.on_data = sink
+            feeders = {ep.pop: ep.channel for ep in leg.endpoints}
+            for pops in CONFIGS.values():
+                feeders[pops[0]].send(b"".join(wires_warm))
+            leg.settle()
+            offset = 0
+            for rate in RATES:
+                shares = {label: [] for label in CONFIGS}
+                for _ in range(REPEATS):
+                    wires = wires_paced[offset:offset + WINDOW]
+                    offset += WINDOW
+                    for label, pops in CONFIGS.items():
+                        share, late = paced(
+                            leg, feeders[pops[0]], wires, rate, pops)
+                        lateness = max(lateness, late)
+                        shares[label].append(share)
+                for label, windows in shares.items():
+                    cpu[label, rate] = [statistics.median(column)
+                                        for column in zip(*windows)]
+        finally:
+            os.sched_setaffinity(0, own_cpus)
+            leg.close()
+    assert live_fleet_process_count() == 0
+    assert received[0] > 0  # the experiment sessions heard the churn
+    return cpu, lateness
+
+
+def test_fig6b_cpu_series(benchmark):
     generator = ChurnGenerator(AMSIX_PROFILE, prefix_count=2000, seed=23)
-    return [update.encode() for update in generator.make_updates(
-        UPDATE_COUNT
-    )]
+    wires_warm = [u.encode() for u in generator.make_updates(WARMUP)]
+    wires_paced = [u.encode() for u in generator.make_updates(
+        len(RATES) * REPEATS * WINDOW)]
+    cpu, late = benchmark.pedantic(
+        measure, args=(wires_warm, wires_paced), rounds=1, iterations=1)
 
-
-def accept_pipeline():
-    store = {}
-
-    def process(data: bytes):
-        decoder = MessageDecoder()
-        decoder.feed(data)
-        update = decoder.next_message()
-        for route in update.routes():
-            store[route.prefix] = route
-        for prefix, _pid in update.withdrawn:
-            store.pop(prefix, None)
-
-    return process
-
-
-def single_router_pipeline():
-    scheduler = Scheduler()
-    enforcer = ControlPlaneEnforcer(
-        scheduler, platform_asns=frozenset({47065}),
-    )
-    # A permissive experiment so filters run to completion without
-    # rejecting (the paper's stated worst case): transit + communities
-    # capabilities make foreign paths and attributes acceptable.
-    enforcer.register_experiment(ExperimentProfile(
-        name="bench",
-        asns=frozenset({47065}),
-        prefixes=(IPv4Prefix.parse("0.0.0.0/0"),),
-        max_announced_length=32,
-        max_as_path_length=64,
-    ))
-    from repro.security.capabilities import Capability
-
-    enforcer.profiles["bench"].grant(Capability.PREFIX_TRANSIT, None)
-    enforcer.profiles["bench"].grant(Capability.BGP_COMMUNITIES, None)
-    store = {}
-
-    def process(data: bytes):
-        decoder = MessageDecoder()
-        decoder.feed(data)
-        update = decoder.next_message()
-        routes = update.routes()
-        if routes:
-            accepted = enforcer.check_routes("bench", routes, "bench-pop")
-            for route in accepted.accepted:
-                store[route.prefix] = route
-        for prefix, _pid in update.withdrawn:
-            store.pop(prefix, None)
-
-    return process
-
-
-def multi_router_pipeline():
-    single = single_router_pipeline()
-    path_ids = {}
-    counter = [0]
-
-    def process(data: bytes):
-        single(data)
-        # Backbone next-hop handling: rewrite to the global pool address,
-        # allocate a stable path id, and re-encode for the mesh.
-        decoder = MessageDecoder()
-        decoder.feed(data)
-        update = decoder.next_message()
-        gid = (counter[0] % 200) + 1
-        counter[0] += 1
-        for route in update.routes():
-            carried = route.with_next_hop(global_neighbor_ip(gid))
-            key = (gid, route.prefix.key())
-            if key not in path_ids:
-                path_ids[key] = len(path_ids) + 1
-            carried = carried.with_path_id(path_ids[key])
-            local_neighbor_ip(gid)
-            from repro.bgp.messages import UpdateMessage
-
-            UpdateMessage.announce([carried]).encode(addpath=True)
-
-    return process
-
-
-def test_fig6b_cpu_series(wire_updates, benchmark):
-    measurements = {}
-    pipelines = {
-        "accept": accept_pipeline(),
-        "single-router vBGP": single_router_pipeline(),
-        "multi-router vBGP": multi_router_pipeline(),
-    }
-
-    def run_all():
-        return {
-            label: measure_processing(label, pipeline, wire_updates)
-            for label, pipeline in pipelines.items()
-        }
-
-    measurements = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    rows = []
-    for rate in RATES:
-        rows.append([rate] + [
-            f"{measurements[label].utilization(rate):.1f}%"
-            for label in pipelines
-        ])
-    sustainable = {
-        label: measurements[label].max_sustainable_rate()
-        for label in pipelines
-    }
+    columns = ["accept", "single-router vBGP", "multi-router vBGP",
+               "multi-router PoP B"]
+    rows = [
+        [rate] + [f"{100 * cpu[label, rate][0]:.1f}%"
+                  for label in CONFIGS]
+        + [f"{100 * cpu['multi-router vBGP', rate][1]:.1f}%"]
+        for rate in RATES
+    ]
+    low, high = RATES[0], RATES[-1]
+    per_update = ", ".join(
+        f"{label} {1e6 * cpu[label, low][0] / low:.0f} -> "
+        f"{1e6 * cpu[label, high][0] / high:.0f}"
+        for label in CONFIGS)
     text = (
-        "Figure 6b: CPU utilization (one core) vs update rate\n"
-        + format_table(["updates/s"] + list(pipelines), rows)
-        + "\n\nmax sustainable rates: "
-        + ", ".join(f"{label} {rate:,.0f}/s"
-                    for label, rate in sustainable.items())
-        + "\nAMS-IX load (§6): 21.8 avg / ~400 p99 updates/s -> "
-        + f"{measurements['multi-router vBGP'].utilization(400):.1f}% "
-          "worst-case utilization at the p99"
+        "Figure 6b: CPU of one PoP process (share of one core) vs offered "
+        "update rate\n"
+        + format_table(["updates/s"] + columns, rows)
+        + f"\n\nfeeder: the last UPDATE of a window left at most "
+          f"{1000 * late:.1f} ms after its schedule"
+        + f"\nAMS-IX load (§6): 21.8 avg / ~400 p99 updates/s; at {low}/s "
+          "the busiest PoP uses "
+        + f"{100 * max(max(cpu[label, low]) for label in CONFIGS):.1f}% "
+          "of one core   (paper: easily handled)"
+        + f"\nCPU us per update, {low} -> {high}/s: {per_update}"
+          "   (paper: linear in the rate)"
     )
     report("fig6b_cpu", text)
 
-    accept = measurements["accept"]
-    single = measurements["single-router vBGP"]
-    multi = measurements["multi-router vBGP"]
-    # Ordering and linearity (the paper's qualitative claims).
-    assert accept.seconds_per_update <= single.seconds_per_update
-    assert single.seconds_per_update <= multi.seconds_per_update
-    assert single.utilization(2000) == pytest.approx(
-        2 * single.utilization(1000), rel=0.01
-    )
-    # Safety filters must not dominate: within ~8x of the accept floor
-    # (the paper's figure shows roughly 1.5-2x; Python amplifies constant
-    # factors but the claim is that filtering stays same-order).
-    assert single.seconds_per_update < 8 * accept.seconds_per_update
-    # The AMS-IX p99 load leaves headroom on one core.
-    assert multi.utilization(400) < 100
-
-
-def test_fig6b_single_router_throughput(wire_updates, benchmark):
-    """pytest-benchmark timing of the single-router filter pipeline."""
-    pipeline = single_router_pipeline()
-    sample = wire_updates[:500]
-
-    def run():
-        for data in sample:
-            pipeline(data)
-
-    benchmark(run)
+    for label in CONFIGS:
+        for index in range(len(cpu[label, low])):
+            series = [cpu[label, rate][index] for rate in RATES]
+            assert series == sorted(series), (label, series)
+    for rate in RATES:
+        assert cpu["accept", rate][0] < cpu["multi-router vBGP", rate][0]
+    # Above the AMS-IX p99, every PoP stays far below one core.
+    assert all(max(cpu[label, low]) < 0.5 for label in CONFIGS)

@@ -7,7 +7,8 @@ approximately 400 updates/sec)."
 We replay a calibrated churn process through a real vBGP node (an
 attached upstream session, a connected ADD-PATH experiment fan-out, and
 per-neighbor kernel-table maintenance) and verify the node sustains the
-p99 burst rate with headroom.
+p99 burst rate with headroom. The CPU a running PoP spends at a given
+update rate is Figure 6b's measurement (``bench_fig6b_cpu.py``).
 """
 
 import pytest
@@ -82,10 +83,6 @@ def test_amsix_update_load(loaded_node, benchmark):
     rows = [
         ["average updates/s", f"{mean_rate:.1f}", "21.8"],
         ["p99 updates/s", str(p99), "~400"],
-        ["utilization @ average",
-         f"{measurement.utilization(mean_rate):.2f}%", "—"],
-        ["utilization @ p99",
-         f"{measurement.utilization(p99):.1f}%", "—"],
         ["max sustainable", f"{sustainable:,.0f}/s", "'thousands'"],
     ]
     report(
@@ -96,4 +93,4 @@ def test_amsix_update_load(loaded_node, benchmark):
     assert 18 <= mean_rate <= 26
     assert 250 <= p99 <= 500
     assert sustainable > 1000  # "thousands of updates per second"
-    assert measurement.utilization(p99) < 100
+    assert p99 < sustainable  # the p99 burst fits one core

@@ -21,8 +21,8 @@ Layers, bottom-up:
   route servers, churn, PeeringDB, looking glasses),
 * :mod:`repro.mgmt` — intent-based configuration management with a
   transactional network controller,
-* :mod:`repro.metrics` — memory/CPU/throughput accounting for the §6
-  evaluation.
+* :mod:`repro.metrics` — measurement helpers for the §6 evaluation
+  (traced ingest memory, per-update cost, TCP throughput).
 
 Quickstart::
 

@@ -176,6 +176,8 @@ class FleetController:
             name="fleet-central", mirror_ribs=False
         )
         self.federation_events = 0
+        # PoPs whose federation uplink said hello (the boot barrier).
+        self.hellos: set[str] = set()
         self._federation_listener: Optional[SocketListener] = None
         self._federation_channels: list[SocketChannel] = []
         self._finalizer = weakref.finalize(self, _reap, self.processes)
@@ -377,6 +379,7 @@ class FleetController:
             return
         kind = payload.get("kind")
         if kind == "hello":
+            self.hellos.add(payload.get("pop"))
             return
         self.federation_events += 1
         peer = f"{payload.get('pop', '?')}/{payload.get('peer', '?')}"

@@ -363,8 +363,12 @@ class SocketFleetLeg(_DriverLeg):
         super().__init__(fleet)
         self.scheduler = Scheduler()
         self.controller = FleetController(fleet)
-        self.controller.up()
-        self._wait_boot(boot_timeout)
+        try:
+            self.controller.up()
+            self._wait_boot(boot_timeout)
+        except BaseException:
+            self.controller.down()
+            raise
 
     def _wait_boot(self, timeout: float) -> None:
         """Wall-clock barrier: backbone mesh full and federation joined.
@@ -378,7 +382,6 @@ class SocketFleetLeg(_DriverLeg):
             name for name in self.fleet.pop_names()
             if self.fleet.artifacts[name]["backbone"]["address"] is not None
         ]
-        expected_hellos = len(self.fleet.pop_names())
         deadline = time.monotonic() + timeout
         while True:
             self.settle()
@@ -388,14 +391,14 @@ class SocketFleetLeg(_DriverLeg):
                 for other in members:
                     if other != name and not peers.get(other):
                         missing.append(f"{name}->{other}")
-            if not missing and (
-                    self.controller.federation_events >= expected_hellos):
+            silent = sorted(
+                set(self.fleet.pop_names()) - self.controller.hellos)
+            if not missing and not silent:
                 return
             if time.monotonic() > deadline:
                 raise RuntimeError(
                     f"fleet boot did not converge: backbone {missing}, "
-                    f"federation events "
-                    f"{self.controller.federation_events}/{expected_hellos}")
+                    f"no federation hello from {silent}")
             time.sleep(0.05)
 
     def open_channel(self, kind: str, pop: str, name: str):

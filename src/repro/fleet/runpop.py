@@ -317,6 +317,7 @@ class PopProcess:
         if command == "summary":
             summary = self.fleet_pop.summary()
             summary["federation_dropped"] = self._federation_dropped
+            summary["cpu_s"] = time.process_time()
             return {"ok": True, "summary": summary}
         if command == "stop":
             self.running = False

@@ -1,31 +1,20 @@
-"""Modelled resource accounting for the paper benches (Fig. 6a/6b, §6).
+"""Measurement helpers for the paper benches (§6).
 
-These are the byte and per-update cost models the ``benchmarks/bench_*.py``
-scripts use to regenerate the paper's figures. Cross-revision performance
-is measured end to end by ``python -m benchmarks.e2e.compare``, not here.
+Figure 6a reads :mod:`tracemalloc` over a real vBGP table ingest
+(:mod:`repro.metrics.memory`); the §6 AMS-IX replay times the node's
+pipeline (:mod:`repro.metrics.cpu`); the backbone sweep cross-checks
+simulated TCP with the Mathis model. Cross-revision performance is
+measured end to end by ``python -m benchmarks.e2e.compare``, not here.
 """
 
-from repro.metrics.memory import (
-    FIB_ENTRY_BYTES,
-    KERNEL_SYNC_BYTES,
-    MemoryReport,
-    fib_memory,
-    memory_report,
-    rib_memory,
-    route_memory_bytes,
-)
 from repro.metrics.cpu import CpuMeasurement, measure_processing
+from repro.metrics.memory import traced_bytes, upstream_pop
 from repro.metrics.throughput import estimate_tcp_throughput
 
 __all__ = [
     "CpuMeasurement",
-    "FIB_ENTRY_BYTES",
-    "KERNEL_SYNC_BYTES",
-    "MemoryReport",
     "estimate_tcp_throughput",
-    "fib_memory",
     "measure_processing",
-    "memory_report",
-    "rib_memory",
-    "route_memory_bytes",
+    "traced_bytes",
+    "upstream_pop",
 ]

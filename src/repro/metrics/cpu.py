@@ -1,16 +1,10 @@
-"""CPU utilization accounting (Figure 6b).
+"""Per-update processing cost of an in-process pipeline.
 
-The paper plots BIRD's CPU utilization against the rate of BGP updates
-processed, for three filter configurations (accept-all, single-router vBGP,
-multi-router vBGP). We measure the *actual* per-update processing cost of
-our filter implementations with ``time.perf_counter`` and convert a target
-update rate into utilization of one core:
-
-    utilization% = rate × seconds_per_update × 100
-
-Linearity in the rate and the ordering of the three configurations are
-properties of the real filter code; absolute percentages depend on the host
-(the paper's §6 numbers were measured on their servers, ours on yours).
+:func:`measure_processing` times a callable over a list of inputs with
+``time.perf_counter`` (GC paused) and :class:`CpuMeasurement` turns that
+into seconds per update and the rate at which one core saturates. The
+§6 AMS-IX replay and the enforcement ablation use it; Figure 6b does
+not: it reads the CPU clock of running fleet PoP processes instead.
 """
 
 from __future__ import annotations
@@ -34,10 +28,6 @@ class CpuMeasurement:
     @property
     def seconds_per_update(self) -> float:
         return self.total_seconds / max(self.updates, 1)
-
-    def utilization(self, rate_per_second: float) -> float:
-        """Percent of one core consumed at the given update rate."""
-        return min(rate_per_second * self.seconds_per_update * 100, 100.0)
 
     def max_sustainable_rate(self) -> float:
         """Updates/second at which one core saturates."""

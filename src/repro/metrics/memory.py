@@ -1,106 +1,67 @@
-"""Route memory accounting (Figure 6a).
+"""Traced memory of a real vBGP table ingest (Figure 6a).
 
-The paper measures BIRD's routing-table memory as a function of known
-routes, in three configurations:
-
-* **control plane** — a single global RIB (≈327 B/route in BIRD),
-* **per-interconnection data plane** — adds one kernel FIB entry per known
-  route (vBGP keeps one table per neighbor so experiments can choose routes
-  per packet),
-* **per-interconnection data plane with default** — additionally keeps the
-  router's own best-path table synchronized to a kernel FIB (only needed if
-  the vBGP node also routed production traffic).
-
-Our accounting walks the *actual* data structures (RIB routes, kernel table
-entries) and applies a per-object byte model calibrated to the paper's
-327 B/route figure, so linearity and the configuration ordering emerge from
-real state rather than from a formula over the route count.
+Figure 6a is measured, not modelled: :func:`upstream_pop` builds a real
+PoP whose one upstream session is up, so UPDATE bytes take the node's own
+path (session decode, Adj-RIB-In, per-neighbor kernel table), and
+:func:`traced_bytes` reads :mod:`tracemalloc` after each step of the
+ingest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import gc
+import tracemalloc
+from typing import Callable, Iterable
 
-from repro.bgp.attributes import Route
-from repro.netsim.stack import NetworkStack
-
-# Calibrated byte model. A typical Internet route (4-hop AS path, a couple
-# of communities) lands at ≈327 bytes, matching the paper's measurement.
-ROUTE_BASE_BYTES = 287  # rte + rta + net structures in BIRD
-AS_HOP_BYTES = 8  # per ASN in the path
-COMMUNITY_BYTES = 4
-LARGE_COMMUNITY_BYTES = 12
-UNKNOWN_ATTR_BASE_BYTES = 16
-
-FIB_ENTRY_BYTES = 192  # Linux fib_info + nexthop + trie node share
-KERNEL_SYNC_BYTES = 129  # router-side shadow of a synchronized FIB entry
+from repro.bgp.session import BgpSession, SessionConfig
+from repro.platform.pop import PointOfPresence, PopConfig
+from repro.security.state import EnforcerState
+from repro.sim import Scheduler
+from repro.vbgp.allocator import GlobalNeighborRegistry
 
 
-def route_memory_bytes(route: Route) -> int:
-    """Bytes of RIB memory attributed to one stored route."""
-    attrs = route.attributes
-    total = ROUTE_BASE_BYTES
-    total += AS_HOP_BYTES * len(attrs.as_path.asns)
-    total += COMMUNITY_BYTES * len(attrs.communities)
-    total += LARGE_COMMUNITY_BYTES * len(attrs.large_communities)
-    for unknown in attrs.unknown:
-        total += UNKNOWN_ATTR_BASE_BYTES + len(unknown.value)
-    return total
+def traced_bytes(steps: Iterable[Callable[[], object]]) -> list[int]:
+    """Run ``steps`` in order under :mod:`tracemalloc`, the cyclic
+    collector paused; return the bytes live after each one, counted from
+    just before the first."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        readings = []
+        for step in steps:
+            step()
+            readings.append(tracemalloc.get_traced_memory()[0] - base)
+        return readings
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
-def rib_memory(routes: Iterable[Route]) -> int:
-    """Total RIB memory for an iterable of stored routes."""
-    return sum(route_memory_bytes(route) for route in routes)
-
-
-def fib_memory(stack: NetworkStack,
-               tables: Iterable[int] | None = None) -> int:
-    """Kernel FIB memory across the given tables (all tables by default)."""
-    table_ids = list(tables) if tables is not None else list(stack.tables)
-    total = 0
-    for table_id in table_ids:
-        table = stack.tables.get(table_id)
-        if table is None:
-            continue
-        total += FIB_ENTRY_BYTES * len(table)
-    return total
-
-
-@dataclass(frozen=True)
-class MemoryReport:
-    """The three Figure 6a series, in bytes."""
-
-    routes: int
-    control_plane: int
-    data_plane: int
-    data_plane_with_default: int
-
-    def as_megabytes(self) -> tuple[float, float, float]:
-        scale = 1 / (1024 * 1024)
-        return (
-            self.control_plane * scale,
-            self.data_plane * scale,
-            self.data_plane_with_default * scale,
-        )
-
-
-def memory_report(routes: list[Route],
-                  fib_entries: int | None = None) -> MemoryReport:
-    """Build the Figure 6a triple for a set of known routes.
-
-    ``fib_entries`` defaults to one per route (vBGP installs every known
-    route into some per-neighbor table).
-    """
-    control = rib_memory(routes)
-    entries = len(routes) if fib_entries is None else fib_entries
-    data_plane = control + FIB_ENTRY_BYTES * entries
-    with_default = data_plane + KERNEL_SYNC_BYTES * len(
-        {route.prefix for route in routes}
+def upstream_pop() -> tuple[PointOfPresence,
+                            Callable[[Iterable[bytes]], None]]:
+    """A PoP with one established upstream, ``upstream``, and a function
+    that sends UPDATE bytes on that session and runs the PoP until they
+    are in."""
+    scheduler = Scheduler()
+    pop = PointOfPresence(
+        scheduler, PopConfig(name="ams", pop_id=0, kind="ixp"),
+        platform_asn=47065, platform_asns=frozenset({47065}),
+        registry=GlobalNeighborRegistry(), enforcer_state=EnforcerState(),
     )
-    return MemoryReport(
-        routes=len(routes),
-        control_plane=control,
-        data_plane=data_plane,
-        data_plane_with_default=with_default,
-    )
+    port = pop.provision_neighbor("upstream", 65010)
+    BgpSession(
+        scheduler,
+        SessionConfig(local_asn=65010, local_id=port.address,
+                      peer_asn=47065),
+        port.channel, on_update=lambda _session, _update: None,
+    ).start()
+    scheduler.run_for(5)
+
+    def feed(wires: Iterable[bytes]) -> None:
+        for wire in wires:
+            port.channel.send(wire)
+        scheduler.run_for(1)
+
+    return pop, feed

@@ -364,9 +364,12 @@ class _Prefix:
         return f"{type(self).__name__}({str(self)!r})"
 
     def __eq__(self, other: object) -> bool:
+        # Raw values, not ``IPv4Address.__eq__``: a decoded NLRI is a fresh
+        # prefix, so every dict hit on a path key pays this compare.
         return (
             type(other) is type(self)
-            and self._network == other._network  # type: ignore[attr-defined]
+            and self._network._value  # type: ignore[attr-defined]
+            == other._network._value  # type: ignore[attr-defined]
             and self._length == other._length  # type: ignore[attr-defined]
         )
 

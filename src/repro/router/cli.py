@@ -6,7 +6,6 @@ and tests use it to assert on human-readable state.
 
 from __future__ import annotations
 
-from repro.metrics.memory import rib_memory
 from repro.netsim.addr import IPv4Prefix
 from repro.router.engine import Router
 
@@ -90,15 +89,11 @@ def _show_route(router: Router, args: list[str]) -> str:
 
 
 def _show_memory(router: Router) -> str:
-    routes = [
-        entry.route
-        for prefix in router.speaker.loc_rib.prefixes()
-        for entry in router.speaker.loc_rib.candidates(prefix)
-    ]
-    rib_bytes = rib_memory(routes)
+    loc_rib = router.speaker.loc_rib
     lines = [
-        "BIRD-like memory usage",
-        f"Routing tables: {rib_bytes} B ({len(routes)} routes)",
+        "BIRD-like table usage",
+        f"Routing tables: {len(loc_rib)} routes for "
+        f"{loc_rib.prefix_count} prefixes",
     ]
     for name, sync in router.kernel_syncs.items():
         table = sync.stack.tables.get(sync.config.table)

@@ -91,7 +91,10 @@ def test_cli_show_protocols_and_route(scheduler):
     assert "99.0.0.0/8" in routes
     assert "Network not found" in birdc(router, "show route for 1.0.0.0/8")
     assert "47065" in birdc(router, "show status")
-    assert "routes" in birdc(router, "show memory")
+    memory = birdc(router, "show memory").splitlines()
+    assert "Routing tables: 1 routes for 1 prefixes" in memory
+    # The learned /8 plus eth0's connected /24.
+    assert "Kernel table 254 (main4): 2 routes" in memory
 
 
 def test_reconfigure_keeps_unchanged_session(scheduler):
