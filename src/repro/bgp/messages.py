@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.bgp.attributes import (

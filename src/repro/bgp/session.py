@@ -461,27 +461,3 @@ class BgpSession:
         self.channel.close()
         if self._on_close is not None:
             self._on_close(self, reason)
-
-
-def establish_pair(
-    scheduler: Scheduler,
-    config_a: SessionConfig,
-    config_b: SessionConfig,
-    on_update_a: Callable[[BgpSession, UpdateMessage], None],
-    on_update_b: Callable[[BgpSession, UpdateMessage], None],
-    rtt: float = 0.01,
-    **session_kwargs,
-) -> tuple[BgpSession, BgpSession]:
-    """Convenience: create a channel pair and two sessions, both started."""
-    from repro.bgp.transport import connect_pair
-
-    channel_a, channel_b = connect_pair(scheduler, rtt=rtt)
-    session_a = BgpSession(
-        scheduler, config_a, channel_a, on_update=on_update_a, **session_kwargs
-    )
-    session_b = BgpSession(
-        scheduler, config_b, channel_b, on_update=on_update_b, **session_kwargs
-    )
-    session_a.start()
-    session_b.start()
-    return session_a, session_b

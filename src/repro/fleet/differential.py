@@ -46,7 +46,7 @@ from repro.conformance.state import WireTap, changes_from_frames, speaker_view
 from repro.fleet.compiler import CompiledFleet, compile_world
 from repro.fleet.controller import FleetController
 from repro.fleet.runtime import LOCAL_INVARIANTS, build_fleet_pop
-from repro.fleet.spec import WorldSpec, demo_world_spec
+from repro.fleet.spec import demo_world_spec
 from repro.internet.churn import AMSIX_PROFILE, ChurnGenerator
 from repro.netsim.addr import IPv4Address, IPv4Prefix
 from repro.sim.scheduler import Scheduler

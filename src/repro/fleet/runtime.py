@@ -18,7 +18,7 @@ arrival order, which the fleet protocol makes identical across legs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bgp.transport import Channel
 from repro.conformance.invariants import (

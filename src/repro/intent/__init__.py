@@ -4,9 +4,9 @@ The intent layer turns raw toolkit calls into guarded transactions:
 
 * :mod:`repro.intent.changeset` — the declarative :class:`ChangeSet`
   model with canonical serialization and stable digests,
-* :mod:`repro.intent.dryrun` — offline evaluation: predicted
-  per-neighbor export diffs plus the six-invariant catalog over a
-  simulated post-change state, without touching the live platform,
+* :mod:`repro.intent.dryrun` — evaluation in a forked child that
+  stages the ChangeSet: per-neighbor export diffs, enforcer rejects and
+  the six-invariant catalog, without touching the live platform,
 * :mod:`repro.intent.controller` — ``plan → apply → re-verify →
   commit | auto-revert`` with snapshot rollback and lifecycle events
   through the telemetry hub.

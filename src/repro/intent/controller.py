@@ -5,10 +5,11 @@ bad announcement can leak, hijack, or blow the update budget for every
 tenant of the mux.  The intent layer makes them transactional:
 
 ``plan``
-    Dry-run the ChangeSet (:class:`~repro.intent.dryrun.DryRunEvaluator`)
-    — predicted per-neighbor export diffs plus the full six-invariant
-    catalog over the simulated post-change state, live platform
-    untouched.
+    Dry-run the ChangeSet (:class:`~repro.intent.dryrun.DryRunEvaluator`):
+    a forked child of this process stages it through the same primitives
+    ``apply`` uses and reports the per-neighbor export diffs, the
+    enforcer rejects and the live six-invariant catalog; the live
+    platform is untouched.
 ``apply``
     Record a snapshot of the restorable platform state (client
     announcements, attachments) together with a structural fingerprint
@@ -17,7 +18,8 @@ tenant of the mux.  The intent layer makes them transactional:
     ChangeSet through the ordinary toolkit primitives, let the platform
     settle, then **re-verify**: the live invariant catalog, the
     control-plane enforcer's violation level, and the predicted export
-    diff against what external neighbor speakers actually hold.
+    diff against what external neighbor speakers actually hold.  The
+    plan ran this same code, so a mismatch is a fault or nondeterminism.
 ``commit`` / ``auto-revert``
     Clean re-verification commits.  Any breach rolls the platform back
     to the recorded snapshot and re-fingerprints it; ``revert_clean``
@@ -54,7 +56,12 @@ from repro.conformance.state import (
     speaker_view,
 )
 from repro.intent.changeset import ChangeOp, ChangeSet, parse_community
-from repro.intent.dryrun import DryRunEvaluator, DryRunReport, _parse_prefix
+from repro.intent.dryrun import (
+    DryRunEvaluator,
+    DryRunReport,
+    _parse_prefix,
+    export_state,
+)
 from repro.telemetry.station import IntentEvent
 
 __all__ = [
@@ -133,7 +140,7 @@ class IntentController:
         self.neighbor_pops = dict(neighbor_pops or {})
         self.telemetry = telemetry
         self.settle_time = settle_time
-        self.evaluator = DryRunEvaluator(platform, self.clients)
+        self.evaluator = DryRunEvaluator(self)
         self.plans: dict[str, IntentPlan] = {}
         self.history: list[IntentRecord] = []
         self._phases: dict[str, str] = {}
@@ -324,17 +331,20 @@ class IntentController:
                 f"control-plane enforcer flagged {delta} new "
                 "violation(s) during apply"
             )
-        ctx = ConformanceContext.from_platform(
-            self.platform, clients=self.clients,
-            neighbor_speakers=self.neighbor_speakers,
-            neighbor_pops=self.neighbor_pops,
-        )
-        for name, report in run_invariants(ctx).items():
+        for name, report in self._invariants().items():
             if not report.ok:
                 detail = report.violations[0] if report.violations else ""
                 breaches.append(f"invariant {name} violated: {detail}")
         breaches.extend(self._prediction_breaches(plan))
         return breaches
+
+    def _invariants(self) -> dict:
+        """The live invariant catalog, with the neighbor speakers."""
+        return run_invariants(ConformanceContext.from_platform(
+            self.platform, clients=self.clients,
+            neighbor_speakers=self.neighbor_speakers,
+            neighbor_pops=self.neighbor_pops,
+        ))
 
     def _prediction_breaches(self, plan: IntentPlan) -> list[str]:
         """Did the live platform do what the dry run predicted?"""
@@ -425,7 +435,7 @@ class IntentController:
             for pop_name in sorted(self.platform.pops)
         )
         wire_part = []
-        for key, entries in sorted(self.evaluator.export_state().items()):
+        for key, entries in sorted(export_state(self.platform).items()):
             frames = b"".join(
                 UpdateMessage.announce([entries[prefix].route]).encode()
                 for prefix in sorted(entries)

@@ -1,48 +1,31 @@
-"""Dry-run evaluation of a ChangeSet: predicted export diffs, offline.
+"""Dry-run evaluation of a ChangeSet: the platform's own answer, in a fork.
 
-The §3.2 design makes this possible: because control communities plus
-the control-plane enforcer fully determine which experiment routes exit
-through which neighbors, the complete per-neighbor export set is a
-*function* of platform state — no live announcement is needed to know
-what the wire would carry.  :class:`DryRunEvaluator` exploits that:
-
-1. snapshot the announcement state (every experiment's accepted
-   announcements at every PoP),
-2. recompute the per-neighbor export sets functionally, sharing
-   :meth:`VbgpNode.export_transform` and
-   :func:`~repro.toolkit.client.build_announcement` with the live path,
-3. simulate the ChangeSet against a *copy* of that state, probing the
-   enforcer in its non-recording mode
-   (:meth:`ControlPlaneEnforcer.check_routes` with ``record=False``),
-4. recompute the export sets from the simulated state and diff, and
-5. run the full six-invariant catalog over a simulated conformance
-   context whose attachments and predicted neighbor speakers reflect
-   the post-change state.
-
-Nothing in the live platform moves: no session sends an UPDATE, no
-enforcer counter increments, no rate-limit budget is consumed.  Two
-consecutive evaluations of the same ChangeSet against the same platform
-state produce byte-identical reports (:meth:`DryRunReport.to_bytes`),
-which the determinism leg of the ``intent`` CI job asserts.
+The enforcer and the community export controls decide what reaches the
+Internet (§3.2), so the dry run asks them instead of modelling them.
+:meth:`DryRunEvaluator.evaluate` rejects the ops whose failure staging
+cannot show, then forks.  The child stages the rest with the
+controller's own ``_stage`` and ``_settle``, pipes back each upstream's
+export view (:func:`export_state`), the enforcer rejects and the live
+invariant reports, and leaves by ``os._exit``; the parent diffs the
+views.  The child's copy of the platform is thrown away, so nothing live
+moves, and the same ChangeSet on the same state gives byte-identical
+reports (:meth:`DryRunReport.to_bytes`).  POSIX-only and in-process
+only: the intent controller never drives fleet PoP processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+import os
+import pickle
+import sys
+from dataclasses import dataclass, field, replace
 
-from repro.bgp.attributes import Community, Route
+from repro.bgp.attributes import Route
 from repro.bgp.messages import UpdateMessage
-from repro.conformance.invariants import (
-    ConformanceContext,
-    InvariantReport,
-    run_invariants,
-)
+from repro.conformance.invariants import InvariantReport
 from repro.conformance.state import attr_fingerprint
-from repro.intent.changeset import ChangeOp, ChangeSet, parse_community
+from repro.intent.changeset import ChangeSet, parse_community
 from repro.netsim.addr import IPv4Prefix, IPv6Prefix
-from repro.toolkit.client import ExperimentClient, build_announcement
-from repro.vbgp.communities import choose_exports
 
 __all__ = [
     "DryRunEvaluator",
@@ -50,6 +33,7 @@ __all__ = [
     "ExportEntry",
     "NeighborDiff",
     "RouteChange",
+    "export_state",
 ]
 
 
@@ -197,465 +181,230 @@ class DryRunReport:
         return "\n".join(lines)
 
 
-# -- simulated conformance views -------------------------------------------
+
+def export_state(platform) -> dict[str, dict[str, ExportEntry]]:
+    """Per-neighbor export sets, keyed ``pop/neighbor`` then prefix: for
+    every established upstream, each path its column of the node's
+    ``adj_rib_out`` holds, through :meth:`VbgpNode.export_transform`."""
+    exports: dict[str, dict[str, ExportEntry]] = {}
+    for pop_name in sorted(platform.pops):
+        node = platform.pops[pop_name].node
+        entries: dict[int, ExportEntry] = {}  # one per chosen route
+        for name in sorted(node.upstreams):
+            neighbor = node.upstreams[name]
+            if neighbor.session is None or not neighbor.session.established:
+                continue
+            gid = neighbor.virtual.global_id
+            column = exports[f"{pop_name}/{name}"] = {}
+            for chosen in node.adj_rib_out.values():
+                route = chosen.get(gid)
+                if route is None:
+                    continue
+                entry = entries.get(id(route))
+                if entry is None:
+                    entry = entries[id(route)] = _entry(node, route)
+                column[entry.prefix] = entry
+    return exports
 
 
-class _Proxy:
-    """Read-only view of a live object with a few attributes overridden."""
-
-    def __init__(self, target, **overrides) -> None:
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_overrides", overrides)
-
-    def __getattr__(self, name):
-        overrides = object.__getattribute__(self, "_overrides")
-        if name in overrides:
-            return overrides[name]
-        return getattr(object.__getattribute__(self, "_target"), name)
-
-
-class _PredictedSpeaker:
-    """Duck-types ``BgpSpeaker.best_route`` over a predicted export set."""
-
-    def __init__(self, exports: Mapping[str, ExportEntry]) -> None:
-        self._exports = dict(exports)
-
-    def best_route(self, prefix) -> Optional[Route]:
-        entry = self._exports.get(str(prefix))
-        return None if entry is None else entry.route
+def _entry(node, route: Route) -> ExportEntry:
+    export = node.export_transform(route)
+    return ExportEntry(
+        prefix=str(export.prefix),
+        route=export,
+        fingerprint=attr_fingerprint(export.attributes),
+        communities=tuple(sorted(str(c) for c in export.communities)),
+        wire_bytes=len(UpdateMessage.announce([export]).encode()),
+    )
 
 
 class DryRunEvaluator:
-    """Predict what a ChangeSet would do, without touching the platform.
+    """Predict what a ChangeSet would do by doing it in a forked child of
+    ``controller`` (:class:`~repro.intent.controller.IntentController`)."""
 
-    ``clients`` maps experiment name → :class:`ExperimentClient`.  The
-    optional ``extra_context`` callbacks let the controller reuse one
-    evaluator for both planning and live re-verification.
-    """
-
-    def __init__(
-        self,
-        platform,
-        clients: Mapping[str, ExperimentClient],
-    ) -> None:
-        self.platform = platform
-        self.clients = dict(clients)
-
-    # -- state extraction --------------------------------------------------
-
-    def announcement_state(self) -> dict:
-        """``{pop: {experiment: {(prefix_str, path_id): route}}}``.
-
-        Copied from the live attachments' accepted announcements; the
-        simulation mutates the copy, never the live dicts.
-        """
-        state: dict = {}
-        for pop_name in sorted(self.platform.pops):
-            node = self.platform.pops[pop_name].node
-            per_exp: dict = {}
-            for exp_name in sorted(node.experiments):
-                exp = node.experiments[exp_name]
-                per_exp[exp_name] = {
-                    (str(prefix), path_id): route
-                    for (prefix, path_id), route in exp.announced.items()
-                }
-            state[pop_name] = per_exp
-        return state
-
-    def export_state(
-        self, state: Optional[dict] = None,
-        detached: Iterable[tuple[str, str]] = (),
-    ) -> dict[str, dict[str, ExportEntry]]:
-        """Per-neighbor export sets, keyed ``pop/neighbor`` then prefix.
-
-        Functional recomputation of the live export: each PoP's paths for
-        a prefix, local and carried over the backbone (§4.4), go through
-        the node's own :func:`~repro.vbgp.communities.choose_exports`.
-        """
-        if state is None:
-            state = self.announcement_state()
-        detached = set(detached)
-        exports: dict[str, dict[str, ExportEntry]] = {}
-        for pop_name in sorted(state):
-            pop = self.platform.pops.get(pop_name)
-            if pop is None:
-                continue
-            node = pop.node
-            live_neighbors = [
-                (name, node.upstreams[name])
-                for name in sorted(node.upstreams)
-                if node.upstreams[name].session is not None
-                and node.upstreams[name].session.established
-            ]
-            for name, _neighbor in live_neighbors:
-                exports.setdefault(f"{pop_name}/{name}", {})
-            local: dict = {}
-            for exp_name, announced in state[pop_name].items():
-                if (pop_name, exp_name) not in detached:
-                    for (_prefix, path_id), route in announced.items():
-                        local.setdefault(route.prefix, {})[
-                            (exp_name, path_id)] = route
-            remote = self._simulated_remote(pop_name, node, state, detached)
-            entries: dict[int, ExportEntry] = {}  # one per chosen route
-            for prefix in {**local, **remote}:
-                chosen = choose_exports(
-                    local.get(prefix, {}), remote.get(prefix, {}),
-                    node.target_candidates,
-                )
-                for name, neighbor in live_neighbors:
-                    route = chosen.get(neighbor.virtual.global_id)
-                    if route is None:
-                        continue
-                    entry = entries.get(id(route))
-                    if entry is None:
-                        entry = entries[id(route)] = self._entry(node, route)
-                    exports[f"{pop_name}/{name}"][entry.prefix] = entry
-        return exports
-
-    def _carried_routes(self, origin_node, target_node, per_exp: dict,
-                        detached, origin_name: str) -> list[Route]:
-        """Routes ``origin_node`` would carry to ``target_node`` (§4.4), as
-        announced: the mesh's next hop and id never reach an export.
-
-        In the order the target's export choice takes them: by the mesh
-        id the origin gave each path, then paths it has not sent yet (a
-        ChangeSet that withdraws and re-announces a path is predicted
-        under its old id; live, it gets a new one).
-        """
-        if origin_node.backbone_address is None:
-            return []
-        session = origin_node.backbone_peers.get(target_node.name)
-        if session is None or not session.established:
-            return []
-        carried = []
-        for exp_name in sorted(per_exp):
-            if (origin_name, exp_name) in detached:
-                continue
-            exp = origin_node.experiments.get(exp_name)
-            mesh_ids = {} if exp is None else exp.mesh_ids
-            for (_prefix, path_id), route in per_exp[exp_name].items():
-                mesh_id = mesh_ids.get((route.prefix, path_id))
-                carried.append(((mesh_id is None, mesh_id or 0, exp_name,
-                                 _prefix, repr(path_id)), route))
-        return [route for _order, route in sorted(carried)]
-
-    def _entry(self, node, route: Route) -> ExportEntry:
-        export = node.export_transform(route)
-        wire = len(UpdateMessage.announce([export]).encode())
-        return ExportEntry(
-            prefix=str(export.prefix),
-            route=export,
-            fingerprint=attr_fingerprint(export.attributes),
-            communities=tuple(
-                sorted(str(c) for c in export.communities)
-            ),
-            wire_bytes=wire,
-        )
-
-    # -- ChangeSet simulation ----------------------------------------------
+    def __init__(self, controller) -> None:
+        self.controller = controller
 
     def evaluate(self, changeset: ChangeSet) -> DryRunReport:
         changeset.validate()
         report = DryRunReport(digest=changeset.digest())
-        state = self.announcement_state()
-        before = self.export_state(state)
-        detached: set[tuple[str, str]] = set()
-        attached: set[tuple[str, str]] = set()
-        pending: dict[tuple[str, str, str], int] = {}
-        for op in changeset.ops:
-            self._simulate_op(op, state, detached, attached, pending,
-                              report.rejections)
-        after = self.export_state(state, detached=detached)
-        report.diffs = self._diff(before, after)
-        report.invariants = self._simulated_invariants(
-            state, detached, after
-        )
+        staged, rejected = self._precheck(changeset)
+        before = export_state(self.controller.platform)
+        after, enforced, report.invariants = self._fork(changeset, staged)
+        # Stable: an op's precheck reasons come before its enforcer's.
+        rejected = sorted(rejected + enforced, key=lambda item: item[0])
+        report.rejections = [reason for _index, reason in rejected]
+        report.diffs = self._diff(before, before if after is None else after)
         return report
 
-    def _simulate_op(self, op: ChangeOp, state: dict, detached: set,
-                     attached: set, pending: dict,
-                     rejections: list[str]) -> None:
-        client = self.clients.get(op.experiment)
-        if client is None:
-            rejections.append(
-                f"{op.describe()}: no connected client for experiment "
-                f"{op.experiment!r}"
-            )
-            return
-        if op.kind in ("connect", "disconnect"):
-            self._simulate_mux(op, client, state, detached, attached,
-                               rejections)
-            return
-        prefix = _parse_prefix(op.prefix)
-        if prefix is None:
-            rejections.append(f"{op.describe()}: malformed prefix")
-            return
-        pops = list(op.pops) if op.pops else sorted(client.pops)
-        if not pops:
-            rejections.append(
-                f"{op.describe()}: experiment is connected nowhere"
-            )
-            return
-        for pop_name in pops:
-            self._simulate_at_pop(op, client, prefix, pop_name, state,
-                                  detached, attached, pending, rejections)
+    def _precheck(self, changeset: ChangeSet) -> tuple[list, list]:
+        """What staging cannot show.  Returns the ``(index, op)`` pairs to
+        stage, prefix ops narrowed to the PoPs they pass at, and the
+        ``(index, reason)`` rejections."""
+        platform = self.controller.platform
+        # (pop, experiment) -> connected (True) or disconnected (False)
+        # by an earlier op; and the prefixes announced after the earlier
+        # ops, for set-communities (live staging would just announce).
+        mux: dict[tuple[str, str], bool] = {}
+        announced: dict[tuple[str, str], set] = {}
+        staged, rejected = [], []
+        for index, op in enumerate(changeset.ops):
+            def reject(reason: str, where: str = "") -> None:
+                rejected.append((index, f"{op.describe()}{where}: {reason}"))
 
-    def _simulate_mux(self, op: ChangeOp, client, state: dict,
-                      detached: set, attached: set,
-                      rejections: list[str]) -> None:
-        key = (op.pop, op.experiment)
-        if op.pop not in self.platform.pops:
-            rejections.append(f"{op.describe()}: unknown PoP")
-            return
-        connected = (
-            op.pop in client.pops and key not in detached
-        ) or key in attached
-        if op.kind == "connect":
-            if connected:
-                rejections.append(f"{op.describe()}: tunnel already up")
-                return
-            attached.add(key)
-            detached.discard(key)
-            state.setdefault(op.pop, {}).setdefault(op.experiment, {})
-        else:
-            # openvpn_down on a down tunnel is a silent no-op live, and
-            # so is the simulated disconnect.
-            if connected:
-                detached.add(key)
-                attached.discard(key)
-                state.get(op.pop, {}).get(op.experiment, {}).clear()
-
-    def _simulate_at_pop(self, op: ChangeOp, client, prefix, pop_name: str,
-                         state: dict, detached: set, attached: set,
-                         pending: dict, rejections: list[str]) -> None:
-        key = (pop_name, op.experiment)
-        if key in detached:
-            rejections.append(
-                f"{op.describe()} @ {pop_name}: attachment is being "
-                "disconnected by this ChangeSet"
-            )
-            return
-        view = client.pops.get(pop_name)
-        if key in attached:
-            # A session brought up by this very ChangeSet will be
-            # freshly established once applied; announcing over it in
-            # the same transaction stays unpredictable (the session
-            # handshake races the announcement), so reject it.
-            rejections.append(
-                f"{op.describe()} @ {pop_name}: session is being "
-                "connected by this ChangeSet; split into two ChangeSets"
-            )
-            return
-        if view is None:
-            rejections.append(
-                f"{op.describe()} @ {pop_name}: experiment is not "
-                "connected at this PoP"
-            )
-            return
-        if view.session is None or not view.session.established:
-            rejections.append(
-                f"{op.describe()} @ {pop_name}: BGP session is not up"
-            )
-            return
-        announced = state.setdefault(pop_name, {}).setdefault(
-            op.experiment, {}
-        )
-        # Client announcements travel over an ADD-PATH session whose
-        # wire format encodes an unset path id as 0, so the attachment
-        # keys them as ``(prefix, 0)``.
-        sim_key = (str(prefix), 0)
-        if op.kind == "withdraw":
-            # Mirrors the live path: withdrawals are not enforced and
-            # consume no update budget (the client only sends the one
-            # withdraw for the un-pathed announcement).
-            announced.pop(sim_key, None)
-            return
-        if op.kind == "set-communities" and sim_key not in announced:
-            rejections.append(
-                f"{op.describe()} @ {pop_name}: prefix is not announced "
-                "here (set-communities edits an existing announcement)"
-            )
-            return
-        communities = []
-        for text in op.communities:
-            parsed = parse_community(text)
-            if parsed is None:
-                rejections.append(
-                    f"{op.describe()}: malformed community {text!r}"
-                )
-                return
-            communities.append(Community(parsed[0], parsed[1]))
-        route = build_announcement(
-            prefix,
-            origin=client.asn,
-            platform_asn=self.platform.platform_asn,
-            communities=communities,
-            prepend=op.prepend,
-            poison=op.poison,
-        ).with_next_hop(view.connection.tunnel.client_ip)
-        accepted = self._probe_enforcer(
-            op, pop_name, route, pending, rejections
-        )
-        if accepted is not None:
-            announced[sim_key] = accepted.with_path_id(0)
-
-    def _probe_enforcer(self, op: ChangeOp, pop_name: str, route: Route,
-                        pending: dict,
-                        rejections: list[str]) -> Optional[Route]:
-        """Run the real enforcer in non-recording mode; None = rejected."""
-        pop = self.platform.pops[pop_name]
-        enforcer = pop.control_enforcer
-        if enforcer is None:
-            return route
-        budget_key = (op.experiment, str(route.prefix), pop_name)
-        offset = pending.get(budget_key, 0)
-        if offset and not enforcer.state.would_accept(
-            op.experiment, route.prefix, pop_name,
-            enforcer.scheduler.now, pending=offset,
-        ):
-            rejections.append(
-                f"{op.describe()} @ {pop_name}: update rate limit would "
-                "be exceeded by earlier ops in this ChangeSet"
-            )
-            return None
-        outcome = enforcer.check_routes(
-            op.experiment, [route], pop_name, record=False
-        )
-        if not outcome.accepted:
-            reasons = "; ".join(
-                v.reason for v in outcome.violations
-            ) or "rejected by enforcer"
-            rejections.append(f"{op.describe()} @ {pop_name}: {reasons}")
-            return None
-        pending[budget_key] = offset + 1
-        return outcome.accepted[0]
-
-    # -- simulated invariant evaluation ------------------------------------
-
-    def _simulated_invariants(
-        self, state: dict, detached: set,
-        after: dict[str, dict[str, ExportEntry]],
-    ) -> dict[str, InvariantReport]:
-        sim_pops = {}
-        for pop_name, pop in self.platform.pops.items():
-            node = pop.node
-            experiments = {}
-            for exp_name, exp in node.experiments.items():
-                if (pop_name, exp_name) in detached:
+            client = self.controller.clients.get(op.experiment)
+            bad = [t for t in op.communities if parse_community(t) is None]
+            prefix = _parse_prefix(op.prefix)
+            mux_op = op.kind in ("connect", "disconnect")
+            if client is None:
+                reject(f"no connected client for experiment {op.experiment!r}")
+            elif mux_op and op.pop not in platform.pops:
+                reject("unknown PoP")
+            elif mux_op:
+                key = (op.pop, op.experiment)
+                connected = mux.get(key, op.pop in client.pops)
+                if op.kind == "connect" and connected:
+                    reject("tunnel already up")
                     continue
-                announced = dict(
-                    state.get(pop_name, {}).get(exp_name, {})
-                )
-                experiments[exp_name] = _Proxy(exp, announced=announced)
-            remote = self._simulated_remote(pop_name, node, state, detached)
-            sim_node = _Proxy(
-                node, experiments=experiments, remote_exp_paths=remote
-            )
-            sim_pops[pop_name] = _Proxy(pop, node=sim_node)
-        speakers, speaker_pops = self._predicted_speakers(after)
-        allocated = {}
-        for name in self.clients:
-            lease = self.platform.resources.lease_for(name)
-            allocated[name] = (
-                frozenset(lease.prefixes) if lease else frozenset()
-            )
-        ctx = ConformanceContext(
-            pops=sim_pops,
-            clients=self.clients,
-            allocated=allocated,
-            neighbor_speakers=speakers,
-            neighbor_pops=speaker_pops,
-        )
-        return run_invariants(ctx)
+                if connected or op.kind == "connect":  # else a no-op live
+                    mux[key] = op.kind == "connect"
+                    announced[key] = set()
+                staged.append((index, op))
+            elif prefix is None:
+                reject("malformed prefix")
+            elif bad:
+                reject(f"malformed community {bad[0]!r}")
+            elif not (op.pops or client.pops):
+                reject("experiment is connected nowhere")
+            else:
+                passed = []
+                for pop_name in op.pops or sorted(client.pops):
+                    key = (pop_name, op.experiment)
+                    view = client.pops.get(pop_name)
+                    held = announced.setdefault(
+                        key, set(view.announced if view else ()))
+                    if mux.get(key) is False:
+                        reason = ("attachment is being disconnected by "
+                                  "this ChangeSet")
+                    elif mux.get(key):
+                        # Its handshake would race the announcement.
+                        reason = ("session is being connected by this "
+                                  "ChangeSet; split into two ChangeSets")
+                    elif view is None:
+                        reason = "experiment is not connected at this PoP"
+                    elif view.session is None or not view.session.established:
+                        reason = "BGP session is not up"
+                    elif op.kind == "set-communities" and prefix not in held:
+                        reason = ("prefix is not announced here (set-"
+                                  "communities edits an existing "
+                                  "announcement)")
+                    else:
+                        passed.append(pop_name)
+                        if op.kind == "withdraw":
+                            held.discard(prefix)
+                        else:
+                            held.add(prefix)
+                        continue
+                    reject(reason, f" @ {pop_name}")
+                if passed:
+                    staged.append((index, replace(op, pops=tuple(passed))))
+        return staged, rejected
 
-    def _simulated_remote(self, pop_name: str, node, state: dict,
-                          detached) -> dict:
-        """``{prefix: {(origin PoP, position): route}}`` the other PoPs
-        would carry to ``pop_name``: the node's ``remote_exp_paths``, each
-        origin's paths in :meth:`_carried_routes` (mesh id) order."""
-        remote: dict = {}
-        for origin_name in sorted(state):
-            if origin_name == pop_name:
-                continue
-            origin = self.platform.pops.get(origin_name)
-            if origin is None:
-                continue
-            for position, route in enumerate(self._carried_routes(
-                origin.node, node, state[origin_name], detached,
-                origin_name,
-            )):
-                remote.setdefault(route.prefix, {})[
-                    (origin_name, position)] = route
-        return remote
+    def _fork(self, changeset: ChangeSet, staged: list) -> tuple:
+        """``(export view or None, [(index, reject)], invariant reports)``
+        from a forked child that runs ``staged``."""
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                try:
+                    reply = pickle.dumps(self._run(changeset, staged))
+                except Exception as exc:
+                    reply = pickle.dumps(
+                        (None, [(-1, f"staging failed: {exc}")], {}))
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(reply)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+        _pid, status = os.waitpid(pid, 0)
+        if not data:
+            return None, [(-1, "staging failed: the dry-run child exited "
+                               f"(wait status {status}) with no result")], {}
+        return pickle.loads(data)
 
-    def _predicted_speakers(
-        self, after: dict[str, dict[str, ExportEntry]],
-    ) -> tuple[dict, dict]:
-        """One predicted speaker per *uniquely named* upstream neighbor.
+    def _run(self, changeset: ChangeSet, staged: list) -> tuple:
+        """The child: stage, settle, and read what the platform did."""
+        controller = self.controller
+        pops = controller.platform.pops
+        marks = {name: len(pops[name].control_enforcer.violations)
+                 for name in sorted(pops)}
+        controller._stage(ChangeSet(ops=tuple(op for _i, op in staged)))
+        controller._settle()
+        # An (experiment, PoP, prefix)'s rejects name its last ops: past
+        # the rate limit, every later update is refused.
+        owners: dict[tuple, list[int]] = {}
+        for index, op in staged:
+            if op.kind in ("announce", "set-communities"):
+                for pop_name in op.pops:
+                    key = (op.experiment, pop_name,
+                           str(_parse_prefix(op.prefix)))
+                    owners.setdefault(key, []).append(index)
+        rejects: dict[tuple, list[str]] = {}
+        for name, mark in marks.items():
+            for violation in pops[name].control_enforcer.violations[mark:]:
+                if violation.rejected:
+                    key = (violation.experiment, name, violation.prefix)
+                    rejects.setdefault(key, []).append(violation.reason)
+        rejected = [
+            (index, f"{changeset.ops[index].describe()} @ {key[1]}: {reason}")
+            for key, reasons in rejects.items()
+            for index, reason in zip(owners.get(key, [])[-len(reasons):],
+                                     reasons)
+        ]
+        return (export_state(controller.platform), rejected,
+                controller._invariants())
 
-        ``community_propagation`` resolves neighbors by bare name, so a
-        name used at two PoPs cannot be modeled; such neighbors are
-        skipped (none of the platform builders produce duplicates).
-        """
-        names: dict[str, list[str]] = {}
-        for key in after:
-            pop_name, _, neighbor = key.partition("/")
-            names.setdefault(neighbor, []).append(pop_name)
-        speakers: dict = {}
-        speaker_pops: dict = {}
-        for neighbor, pops in names.items():
-            if len(pops) != 1:
-                continue
-            speakers[neighbor] = _PredictedSpeaker(
-                after[f"{pops[0]}/{neighbor}"]
-            )
-            speaker_pops[neighbor] = pops[0]
-        return speakers, speaker_pops
-
-    # -- diffing -----------------------------------------------------------
-
+    @staticmethod
     def _diff(
-        self,
         before: dict[str, dict[str, ExportEntry]],
         after: dict[str, dict[str, ExportEntry]],
     ) -> dict[str, NeighborDiff]:
         diffs: dict[str, NeighborDiff] = {}
         for name in sorted(set(before) | set(after)):
-            old = before.get(name, {})
-            new = after.get(name, {})
+            old, new = before.get(name, {}), after.get(name, {})
             added, removed, changed = [], [], []
             for prefix in sorted(set(old) | set(new)):
-                old_entry = old.get(prefix)
-                new_entry = new.get(prefix)
-                if old_entry is None and new_entry is not None:
+                was, now = old.get(prefix), new.get(prefix)
+                if was is None:
                     added.append(RouteChange(
                         prefix=prefix, change="added",
-                        communities=new_entry.communities,
-                        wire_delta=new_entry.wire_bytes,
-                        fingerprint=new_entry.fingerprint,
+                        communities=now.communities,
+                        wire_delta=now.wire_bytes,
+                        fingerprint=now.fingerprint,
                     ))
-                elif new_entry is None and old_entry is not None:
+                elif now is None:
                     removed.append(RouteChange(
                         prefix=prefix, change="removed",
-                        communities=old_entry.communities,
-                        wire_delta=-old_entry.wire_bytes,
-                        fingerprint=old_entry.fingerprint,
+                        communities=was.communities,
+                        wire_delta=-was.wire_bytes,
+                        fingerprint=was.fingerprint,
                     ))
-                elif (
-                    old_entry is not None and new_entry is not None
-                    and old_entry.fingerprint != new_entry.fingerprint
-                ):
-                    old_comm = set(old_entry.communities)
-                    new_comm = set(new_entry.communities)
+                elif was.fingerprint != now.fingerprint:
+                    old_comm, new_comm = set(was.communities), set(
+                        now.communities)
                     changed.append(RouteChange(
                         prefix=prefix, change="changed",
-                        communities=new_entry.communities,
+                        communities=now.communities,
                         communities_added=tuple(sorted(new_comm - old_comm)),
                         communities_removed=tuple(sorted(old_comm - new_comm)),
-                        wire_delta=(
-                            new_entry.wire_bytes - old_entry.wire_bytes
-                        ),
-                        fingerprint=new_entry.fingerprint,
+                        wire_delta=now.wire_bytes - was.wire_bytes,
+                        fingerprint=now.fingerprint,
                     ))
             diffs[name] = NeighborDiff(
                 neighbor=name,

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.bgp.attributes import Community, Route, local_route
+from repro.bgp.attributes import Community, local_route
 from repro.bgp.policy import (
     Match,
     PolicyAction,

@@ -44,13 +44,15 @@ class EnforcerOverloaded(RuntimeError):
 
 @dataclass(frozen=True)
 class Violation:
-    """A rejected (or transformed) announcement, for attribution (§3.1)."""
+    """A rejected (or, ``rejected=False``, stripped) announcement, for
+    attribution (§3.1)."""
 
     experiment: str
     pop: str
     prefix: str
     reason: str
     time: float
+    rejected: bool = True
 
 
 @dataclass
@@ -124,16 +126,8 @@ class ControlPlaneEnforcer:
         return outcome.accepted
 
     def check_routes(self, experiment: str, routes: list[Route],
-                     pop: str, record: bool = True) -> EnforcementOutcome:
-        """Evaluate the policy; with ``record=False`` nothing mutates.
-
-        The non-recording mode is the intent layer's dry-run hook: the
-        same static checks and attribute policing run, but no update
-        budget is consumed (the rate limit is probed via
-        :meth:`EnforcerState.would_accept` with ``pending=0``) and no
-        counters or metrics move — two consecutive dry runs of the same
-        ChangeSet see identical enforcement state.
-        """
+                     pop: str) -> EnforcementOutcome:
+        """Evaluate the policy, consuming update budget for accepts."""
         outcome = EnforcementOutcome()
         profile = self.profiles.get(experiment)
         now = self.scheduler.now
@@ -142,37 +136,28 @@ class ControlPlaneEnforcer:
             else frozenset()
         )
         for route in routes:
-            if record:
-                self.routes_checked += 1
+            self.routes_checked += 1
             if profile is None:
                 self._reject(outcome, experiment, pop, route,
                              "unknown experiment", now,
-                             policy="unknown-experiment", record=record)
+                             policy="unknown-experiment")
                 continue
             check = self._static_checks(profile, route, allowed_asns)
             if check is not None:
                 policy, reason = check
                 self._reject(outcome, experiment, pop, route, reason, now,
-                             policy=policy, record=record)
+                             policy=policy)
                 continue
             transformed = self._police_attributes(
                 profile, route, outcome, experiment, pop, now,
-                record=record,
             )
-            rate_ok = (
-                self.state.record(experiment, route.prefix, pop, now)
-                if record
-                else self.state.would_accept(
-                    experiment, route.prefix, pop, now
-                )
-            )
-            if not rate_ok:
+            if not self.state.record(experiment, route.prefix, pop, now):
                 self._reject(outcome, experiment, pop, route,
                              "update rate limit exceeded", now,
-                             policy="rate-limit", record=record)
+                             policy="rate-limit")
                 continue
             outcome.accepted.append(transformed)
-            if record and self._m_accepts is not None:
+            if self._m_accepts is not None:
                 self._m_accepts.labels(pop).inc()
         return outcome
 
@@ -261,7 +246,6 @@ class ControlPlaneEnforcer:
         experiment: str,
         pop: str,
         now: float,
-        record: bool = True,
     ) -> Route:
         """Strip attributes the experiment is not entitled to send."""
         free_form = {c for c in route.communities if not is_control(c)}
@@ -269,44 +253,40 @@ class ControlPlaneEnforcer:
             Capability.BGP_COMMUNITIES, len(free_form)
         ):
             route = route.without_communities(*free_form)
-            if record and self._m_strips is not None:
-                self._m_strips.labels(pop, "communities").inc()
-            outcome.violations.append(Violation(
-                experiment=experiment, pop=pop, prefix=str(route.prefix),
-                reason="communities stripped (no capability)", time=now,
-            ))
+            self._strip(outcome, experiment, pop, route, now,
+                        "communities", "communities")
         if route.attributes.large_communities and not profile.has(
             Capability.LARGE_COMMUNITIES,
             len(route.attributes.large_communities),
         ):
             route = route.with_attributes(large_communities=frozenset())
-            if record and self._m_strips is not None:
-                self._m_strips.labels(pop, "large-communities").inc()
-            outcome.violations.append(Violation(
-                experiment=experiment, pop=pop, prefix=str(route.prefix),
-                reason="large communities stripped (no capability)", time=now,
-            ))
+            self._strip(outcome, experiment, pop, route, now,
+                        "large-communities", "large communities")
         if route.attributes.unknown and not profile.has(
             Capability.TRANSITIVE_ATTRIBUTES
         ):
             route = route.without_unknown_attributes()
-            if record and self._m_strips is not None:
-                self._m_strips.labels(pop, "transitive").inc()
-            outcome.violations.append(Violation(
-                experiment=experiment, pop=pop, prefix=str(route.prefix),
-                reason="transitive attributes stripped (no capability)",
-                time=now,
-            ))
+            self._strip(outcome, experiment, pop, route, now,
+                        "transitive", "transitive attributes")
         return route
 
     def _reject(self, outcome: EnforcementOutcome, experiment: str, pop: str,
                 route: Route, reason: str, now: float,
-                policy: str = "other", record: bool = True) -> None:
-        if record:
-            self.routes_rejected += 1
-            if self._m_rejects is not None:
-                self._m_rejects.labels(pop, policy).inc()
+                policy: str = "other") -> None:
+        self.routes_rejected += 1
+        if self._m_rejects is not None:
+            self._m_rejects.labels(pop, policy).inc()
         outcome.violations.append(Violation(
             experiment=experiment, pop=pop, prefix=str(route.prefix),
             reason=reason, time=now,
+        ))
+
+    def _strip(self, outcome: EnforcementOutcome, experiment: str, pop: str,
+               route: Route, now: float, attribute: str, what: str) -> None:
+        if self._m_strips is not None:
+            self._m_strips.labels(pop, attribute).inc()
+        outcome.violations.append(Violation(
+            experiment=experiment, pop=pop, prefix=str(route.prefix),
+            reason=f"{what} stripped (no capability)", time=now,
+            rejected=False,
         ))

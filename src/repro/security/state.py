@@ -49,18 +49,6 @@ class EnforcerState:
         self._prune(bucket, now)
         return len(bucket)
 
-    def would_accept(self, experiment: str, prefix: Prefix, pop: str,
-                     now: float, pending: int = 0) -> bool:
-        """Whether :meth:`record` would accept, without recording.
-
-        The intent layer's dry-run evaluator uses this so planning a
-        ChangeSet never consumes update budget; ``pending`` counts
-        updates earlier in the same ChangeSet that would have been
-        recorded by the time this one is applied.
-        """
-        count = self.count(experiment, prefix, pop, now)
-        return count + pending < self.per_pop_limit
-
     def record(self, experiment: str, prefix: Prefix, pop: str,
                now: float) -> bool:
         """Record one update; returns False when over the daily limit."""

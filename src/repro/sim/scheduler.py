@@ -185,20 +185,3 @@ class Scheduler:
     def run_for(self, duration: float, max_events: int = 10_000_000) -> int:
         """Run events for ``duration`` seconds of virtual time."""
         return self.run_until(self._now + duration, max_events=max_events)
-
-
-_default: Optional[Scheduler] = None
-
-
-def default_scheduler() -> Scheduler:
-    """Process-wide scheduler for scripts that do not manage their own."""
-    global _default
-    if _default is None:
-        _default = Scheduler()
-    return _default
-
-
-def reset_default_scheduler() -> None:
-    """Replace the process-wide scheduler (used by tests)."""
-    global _default
-    _default = None

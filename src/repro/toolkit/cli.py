@@ -501,7 +501,7 @@ class ToolkitCli:
         """Transactional configuration changes (DESIGN.md §6h).
 
         ``op …`` accumulates a pending ChangeSet; ``plan`` dry-runs it
-        (predicted per-neighbor export diffs plus the invariant
+        in a forked child (per-neighbor export diffs plus the invariant
         catalog, live platform untouched); ``apply`` stages the last
         plan, re-verifies, and commits — or auto-reverts on breach.
         Exit code 1 on a not-clean plan, non-committed apply, or dirty

@@ -817,10 +817,9 @@ class VbgpNode:
         Pure (no node state is mutated): control communities are
         consumed, the platform ASN is prepended, the next hop becomes
         this PoP's upstream address, and client-local ADD-PATH ids /
-        iBGP local-pref never leave the platform.  The live export path
-        and the intent layer's dry-run predictor share this one
-        function, so a predicted export diff cannot drift from what the
-        wire would carry.
+        iBGP local-pref never leave the platform.  The export step and
+        :func:`repro.intent.dryrun.export_state`, which reads what each
+        upstream holds from the ``adj_rib_out``, both go through it.
         """
         return export_transform(
             route, asn=self.platform_asn, next_hop=self._upstream_address(),

@@ -8,7 +8,6 @@ from repro.bgp.attributes import (
     AsPathSegment,
     Community,
     LargeCommunity,
-    Route,
     SegmentType,
     local_route,
     originate,

@@ -1,5 +1,9 @@
 """DryRunEvaluator: determinism, no live mutation, predicted diffs."""
 
+import os
+
+import pytest
+
 from repro.intent import (
     ChangeSet,
     announce_op,
@@ -8,6 +12,8 @@ from repro.intent import (
     set_communities_op,
     withdraw_op,
 )
+from repro.intent import dryrun
+from repro.intent.dryrun import export_state
 
 
 def _changeset(*ops):
@@ -173,3 +179,95 @@ def test_empty_changeset_predicts_nothing(intent_world):
     assert report.ok
     assert report.changed_neighbors() == []
     assert all(r.ok for r in report.invariants.values())
+
+
+@pytest.mark.parametrize("whitelist", (False, True))
+def test_withdraw_and_reannounce_predicts_what_apply_does(intent_world,
+                                                          whitelist):
+    """Withdrawing a prefix and announcing it again at the same PoP gives
+    its mesh path a new id.  Whitelisted to east (and withdrawn there),
+    it exits at east over that new id.  Either way the plan is what
+    ``apply`` then does: the observed change of the node's export view
+    is the predicted diff, and no prediction breach is raised."""
+    world = intent_world
+    controller = world.controller
+    prefix = str(world.clients["alpha"].profile.prefixes[0])
+    plan = controller.plan(_changeset(
+        withdraw_op("alpha", prefix, pops=() if whitelist else ("west",)),
+        announce_op("alpha", prefix, pops=("west",),
+                    communities=("47065:10001",) if whitelist else ()),
+    ))
+    assert plan.report.ok, plan.report.format()
+    if whitelist:
+        assert plan.report.changed_neighbors() == ["west/transit-west"]
+        assert prefix in export_state(world.platform)["east/transit-east"]
+    before = export_state(world.platform)
+    assert controller.apply(plan).phase == "committed"
+    assert controller._prediction_breaches(plan) == []
+    observed = controller.evaluator._diff(before, export_state(world.platform))
+    assert observed == plan.report.diffs
+
+
+def _record_forks(monkeypatch) -> list:
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(dryrun.os, "fork", recording_fork)
+    return pids
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_exception_in_the_child_is_a_staging_failure(intent_world,
+                                                     monkeypatch):
+    controller = intent_world.controller
+    before = controller._fingerprint()
+    pids = _record_forks(monkeypatch)
+    fds = _open_fds()
+
+    def broken_announce(*_args, **_kwargs):
+        raise RuntimeError("announce blew up")
+
+    monkeypatch.setattr(intent_world.clients["alpha"], "announce",
+                        broken_announce)
+    report = controller.evaluator.evaluate(_changeset(
+        announce_op("alpha", spare_prefix(intent_world), pops=("west",)),
+    ))
+    assert report.rejections == ["staging failed: announce blew up"]
+    assert not report.ok
+    assert report.changed_neighbors() == []
+    monkeypatch.undo()
+    assert controller._fingerprint() == before
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):  # reaped: no such child left
+        os.waitpid(pids[0], os.WNOHANG)
+    assert _open_fds() == fds  # both pipe ends closed
+
+
+def test_child_that_dies_never_returns_into_the_caller(intent_world,
+                                                       monkeypatch):
+    """A ``BaseException`` in the child skips its reply; the child still
+    leaves by ``os._exit`` rather than unwinding into this test run, and
+    the parent reports the silent exit."""
+    def exiting_announce(*_args, **_kwargs):
+        raise SystemExit(3)
+
+    monkeypatch.setattr(intent_world.clients["alpha"], "announce",
+                        exiting_announce)
+    pids = _record_forks(monkeypatch)
+    report = intent_world.controller.evaluator.evaluate(_changeset(
+        announce_op("alpha", spare_prefix(intent_world), pops=("west",)),
+    ))
+    assert len(report.rejections) == 1
+    assert report.rejections[0].startswith("staging failed: the dry-run "
+                                           "child exited")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)

@@ -1,6 +1,6 @@
 """Tests for the seeded full-table workload generator (§6g)."""
 
-from repro.bgp.messages import MAX_MESSAGE_SIZE, UpdateMessage
+from repro.bgp.messages import MAX_MESSAGE_SIZE
 from repro.internet.fulltable import (
     DFZ_PROFILE,
     FullTableGenerator,

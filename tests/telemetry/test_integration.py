@@ -8,7 +8,6 @@ the registry accumulated datapath counters, and the CLI can render it all.
 
 from __future__ import annotations
 
-from repro.netsim.addr import IPv4Prefix
 from repro.platform import PeeringPlatform, PopConfig
 from repro.sim import Scheduler
 from repro.telemetry import TelemetryHub

@@ -9,6 +9,9 @@ from repro.bgp.messages import MSG_UPDATE, UpdateMessage
 from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.supervisor import SupervisorConfig
 from repro.bgp.transport import connect_pair
+from repro.conformance.state import attr_fingerprint
+from repro.intent import dryrun
+from repro.intent.dryrun import export_state
 from repro.netsim.addr import IPv4Address
 from repro.platform.pop import PointOfPresence, PopConfig
 from repro.security.capabilities import ExperimentProfile
@@ -19,10 +22,7 @@ from repro.vbgp.communities import announce_to_neighbor, block_neighbor
 from repro.vbgp.node import VbgpNode
 from tests.bgp.encode_reference import joined_encode
 from tests.intent.conftest import build_intent_world
-from tests.vbgp.export_reference import (
-    export_to_neighbor_frame,
-    reference_export_state,
-)
+from tests.vbgp.export_reference import export_to_neighbor_frame
 from tests.vbgp.test_node import EXP_PREFIX, ExperimentEndpoint
 
 PLATFORM_ASN = 47065
@@ -304,21 +304,31 @@ def test_backbone_peers_get_the_replace_as_one_announce():
 
 
 def test_dryrun_export_state_matches_per_neighbor_entries(monkeypatch):
+    """``export_state`` is what each transit holds from the platform: its
+    column of the node's Adj-RIB-Out through the export transform, one
+    entry per chosen route."""
     world = build_intent_world()
     alpha = world.clients["alpha"]
     east_gid = world.platform.pops["east"].node.upstreams[
         "transit-east"
     ].virtual.global_id
     # A west-only announcement steered to east's transit: the carried
-    # (backbone) branch of export_state has something to export.
+    # (backbone) path has something to export.
     alpha.announce(alpha.profile.prefixes[1], pops=("west",),
                    communities=(announce_to_neighbor(east_gid),))
     world.scheduler.run_for(30)
-    evaluator = world.controller.evaluator
-    expected = reference_export_state(evaluator)
-    entries = count_calls(monkeypatch, type(evaluator), "_entry")
-    exports = evaluator.export_state()
-    assert exports == expected
+    entries = count_calls(monkeypatch, dryrun, "_entry")
+    exports = export_state(world.platform)
+    assert sorted(exports) == ["east/transit-east", "west/transit-west"]
+    for key, held in exports.items():
+        handle = world.neighbors[key.partition("/")[2]]
+        received = {
+            str(entry.route.prefix): attr_fingerprint(entry.route.attributes)
+            for entry in handle.speaker.loc_rib.best_routes()
+            if entry.route.prefix != handle.dest
+        }
+        assert {prefix: entry.fingerprint
+                for prefix, entry in held.items()} == received, key
     assert str(alpha.profile.prefixes[1]) in exports["east/transit-east"]
-    routes = {id(args[2]) for args in entries}
+    routes = {id(args[1]) for args in entries}
     assert len(entries) == len(routes)  # one entry per route, not per target

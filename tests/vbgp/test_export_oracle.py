@@ -14,8 +14,9 @@ re-dial.  After every step:
   PoP's own paths by path id, then the paths other PoPs carry with a
   whitelist community by (origin PoP, the origin's mesh id), and the
   first of them whose communities select the upstream;
-* ``DryRunEvaluator.export_state()`` predicts the same path for every
-  ``pop/neighbor``.
+* the node's own table agrees: ``dryrun.export_state()``, its
+  ``adj_rib_out`` read through its export transform, holds the same path
+  for every ``pop/neighbor``.
 """
 
 import random
@@ -26,7 +27,7 @@ import pytest
 from repro.bgp.attributes import local_route
 from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.supervisor import SupervisorConfig
-from repro.intent.dryrun import DryRunEvaluator
+from repro.intent.dryrun import export_state
 from repro.netsim.addr import IPv4Address
 from repro.platform import PeeringPlatform, PopConfig
 from repro.platform.experiment import ExperimentProposal
@@ -238,7 +239,7 @@ def reference_choice(world, name, gid):
 def assert_upstreams_hold_the_choice(world):
     """Count the established upstreams compared and the prefixes held."""
     checked = Counter()
-    exports = DryRunEvaluator(world.platform, {}).export_state()
+    exports = export_state(world.platform)
     for name in world.names:
         node = world.pops[name].node
         for peer in node.backbone_peers.values():

@@ -8,7 +8,7 @@ observable in isolation.
 
 import pytest
 
-from repro.bgp.attributes import local_route, originate
+from repro.bgp.attributes import local_route
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
