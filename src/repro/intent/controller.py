@@ -380,11 +380,15 @@ class IntentController:
         return breaches
 
     def _violation_level(self) -> int:
+        """Rejects the enforcers recorded, plus blocked announcements and
+        enforcer failures.  A capability strip is not a breach: the plan
+        already saw the stripped route that goes out."""
         level = 0
         for pop in self.platform.pops.values():
             enforcer = getattr(pop, "control_enforcer", None)
             if enforcer is not None:
-                level += len(enforcer.violations)
+                level += sum(violation.rejected
+                             for violation in enforcer.violations)
             level += pop.node.counters.get("announcements_blocked", 0)
             level += pop.node.counters.get("enforcer_failures", 0)
         return level

@@ -7,14 +7,13 @@ forward, §3.2.2) and, since every upstream's full table lands in its own
 table, on the per-route control-plane path too:
 
 * **stride trie**: nodes consume 8 address bits per level, so an IPv4
-  lookup touches at most 5 nodes instead of 33.  Prefix lengths that are
-  not byte-aligned are expanded *inside* their node into a 256-slot
-  ``expanded`` array (controlled prefix expansion), keeping the walk
-  branch-free per level.  A parallel ``depth`` byte array holds each
-  slot's in-node prefix length, so a write touches only the slots it
-  changes: an insert takes the slots of its span held by an entry no
-  longer than itself, and a remove hands exactly the slots the removed
-  entry held to the next-shorter partial covering its span;
+  lookup touches at most 5 nodes instead of 33.  A prefix whose length is
+  not byte-aligned is a *partial* of the node its whole bytes lead to,
+  keyed by its slot in the byte's implicit binary tree,
+  ``(1 << remainder) | top``.  Nodes stay sparse: besides ``partials`` a
+  node keeps only the remainder lengths it holds, longest first, so a
+  lookup probes one slot per held length down to its first hit (at most
+  7), and an insert or remove is one dict write or pop;
 * **lookup cache** (default): a bounded per-table LRU keyed by the
   destination address caches both hits and misses.  Inserting or removing
   a prefix invalidates exactly the cached addresses it covers, so a more
@@ -39,12 +38,16 @@ V = TypeVar("V")
 
 _STRIDE = 8
 _MISS = object()  # cache sentinel distinguishing "no entry" from "not cached"
-# ``depth`` bytes for one whole span of a remainder-r partial (256 >> r slots).
-_DEPTH_FILL = [bytes((remainder,)) * (256 >> remainder)
-               for remainder in range(_STRIDE)]
 # The ``children`` of every childless node: most nodes are leaves, and a
 # node gets a dict of its own with its first child.  Never mutated.
 _NO_CHILDREN: dict = {}
+# The 128 possible ``shifts`` tuples, each shared by every node holding it,
+# so a node's lengths cost one pointer.  Never mutated.
+_SHIFTS: dict[tuple[int, ...], tuple[int, ...]] = {
+    shifts: shifts for shifts in (
+        tuple(shift for shift in range(1, _STRIDE) if mask >> shift & 1)
+        for mask in range(0, 256, 2))
+}
 
 
 @dataclass(slots=True)
@@ -56,29 +59,30 @@ class RouteEntry(Generic[V]):
 
 
 class _StrideNode:
-    __slots__ = ("children", "entry", "partials", "expanded", "depth")
+    __slots__ = ("children", "entry", "partials", "shifts")
 
     def __init__(self) -> None:
         # Next-byte → child node (sparse: most nodes have few children).
         self.children: dict[int, "_StrideNode"] = _NO_CHILDREN
         # Entry for the prefix ending exactly at this node's byte boundary.
         self.entry: Optional[RouteEntry] = None
-        # Entries whose length falls strictly inside this node's stride:
-        # (top-bits value, remainder length 1..7) → entry.  ``partials``,
-        # ``expanded`` and ``depth`` exist exactly while a partial does.
-        self.partials: Optional[dict[tuple[int, int], RouteEntry]] = None
-        # Controlled prefix expansion of ``partials``: for each possible
-        # next byte, the longest partial entry covering it (or None) ...
-        self.expanded: Optional[list[Optional[RouteEntry]]] = None
-        # ... and that entry's remainder length (0 where it is None).
-        self.depth: Optional[bytearray] = None
+        # Entries whose length falls strictly inside this node's stride,
+        # keyed by slot ``(1 << remainder) | top`` (2..255), where ``top``
+        # is the remainder's 1..7 leading bits of the next byte.  A next
+        # byte's slot at that length is ``(256 | byte) >> (8 - remainder)``.
+        self.partials: Optional[dict[int, RouteEntry]] = None
+        # ``8 - remainder`` for each remainder length ``partials`` holds,
+        # longest prefix first: the only lengths a lookup probes.
+        # ``partials`` is None and ``shifts`` empty exactly while the node
+        # holds no partial.
+        self.shifts: tuple[int, ...] = ()
 
     def is_empty(self) -> bool:
         return self.entry is None and not self.partials and not self.children
 
 
 class _StrideTrie:
-    """8-bit-stride trie with incremental in-node prefix expansion."""
+    """8-bit-stride trie with sparse in-node partials."""
 
     def __init__(self) -> None:
         self._root = _StrideNode()
@@ -87,16 +91,17 @@ class _StrideTrie:
 
     @staticmethod
     def _split(prefix: Prefix) -> tuple[bytes, int, int]:
-        """``prefix`` as its whole bytes (the path of nodes to it), then the
-        top bits and the length (0..7) of what is left inside that node."""
+        """``prefix`` as its whole bytes (the path of nodes to it), then
+        the in-node slot and length (0..7) of what is left inside that
+        node."""
         length = prefix.length
         whole = length // _STRIDE
         remainder = length % _STRIDE
         network = prefix.network.value
         bits = prefix.BITS
         route = (network >> (bits - _STRIDE * whole)).to_bytes(whole, "big")
-        top = (network >> (bits - length)) & ((1 << remainder) - 1)
-        return route, top, remainder
+        slot = (network >> (bits - length)) & ((1 << remainder) - 1)
+        return route, slot | (1 << remainder), remainder
 
     def _descend(self, route: bytes,
                  path: Optional[list[tuple[_StrideNode, int]]] = None,
@@ -114,7 +119,7 @@ class _StrideTrie:
     # -- mutation --------------------------------------------------------
 
     def insert(self, prefix: Prefix, value: Any) -> bool:
-        route, top, remainder = self._split(prefix)
+        route, slot, remainder = self._split(prefix)
         node = self._root
         for byte in route:
             children = node.children
@@ -132,28 +137,15 @@ class _StrideTrie:
         partials = node.partials
         if partials is None:
             partials = node.partials = {}
-            node.expanded = [None] * 256
-            node.depth = bytearray(256)
         size = len(partials)  # created iff the dict grows: no key probe
-        partials[top, remainder] = entry
-        span = 256 >> remainder
-        lo = top * span
-        hi = lo + span
-        expanded = node.expanded
-        depth = node.depth
-        if max(depth[lo:hi]) <= remainder:
-            expanded[lo:hi] = [entry] * span
-            depth[lo:hi] = _DEPTH_FILL[remainder]
-        else:
-            # Longer partials hold part of the span: leave their slots.
-            for byte in range(lo, hi):
-                if depth[byte] <= remainder:
-                    expanded[byte] = entry
-                    depth[byte] = remainder
+        partials[slot] = entry
+        shift = _STRIDE - remainder
+        if shift not in node.shifts:
+            node.shifts = _SHIFTS[tuple(sorted(node.shifts + (shift,)))]
         return len(partials) != size
 
     def remove(self, prefix: Prefix) -> bool:
-        route, top, remainder = self._split(prefix)
+        route, slot, remainder = self._split(prefix)
         path: list[tuple[_StrideNode, int]] = []
         node = self._descend(route, path)
         if node is None:
@@ -164,13 +156,16 @@ class _StrideTrie:
             node.entry = None
         else:
             partials = node.partials
-            key = (top, remainder)
-            if partials is None or partials.pop(key, None) is None:
+            if partials is None or partials.pop(slot, None) is None:
                 return False
-            if partials:
-                self._uncover(node, top, remainder)
-            else:
-                node.partials = node.expanded = node.depth = None
+            if not partials:
+                node.partials = None
+                node.shifts = ()
+            elif not any(key >> remainder == 1 for key in partials):
+                # No partial of this length is left: stop probing it.
+                shift = _STRIDE - remainder
+                node.shifts = _SHIFTS[
+                    tuple(s for s in node.shifts if s != shift)]
         # Prune empty nodes bottom-up so long-running simulations do not
         # leak nodes as routes churn.
         child = node
@@ -182,37 +177,10 @@ class _StrideTrie:
             child = parent
         return True
 
-    @staticmethod
-    def _uncover(node: _StrideNode, top: int, remainder: int) -> None:
-        """Hand the slots the removed partial ``(top, remainder)`` held to
-        the next-shorter partial covering its span, or empty them."""
-        partials = node.partials
-        span = 256 >> remainder
-        lo = top * span
-        hi = lo + span
-        # Every byte of the span has the same shorter ancestors.
-        cover: Optional[RouteEntry] = None
-        cover_depth = 0
-        for shorter in range(remainder - 1, 0, -1):
-            cover = partials.get((lo >> (_STRIDE - shorter), shorter))
-            if cover is not None:
-                cover_depth = shorter
-                break
-        expanded = node.expanded
-        depth = node.depth
-        if depth[lo:hi] == _DEPTH_FILL[remainder]:
-            expanded[lo:hi] = [cover] * span
-            depth[lo:hi] = bytes((cover_depth,)) * span
-        else:
-            for byte in range(lo, hi):
-                if depth[byte] == remainder:
-                    expanded[byte] = cover
-                    depth[byte] = cover_depth
-
     # -- queries ---------------------------------------------------------
 
     def get(self, prefix: Prefix) -> Optional[RouteEntry]:
-        route, top, remainder = self._split(prefix)
+        route, slot, remainder = self._split(prefix)
         node = self._descend(route)
         if node is None:
             return None
@@ -220,7 +188,7 @@ class _StrideTrie:
             return node.entry
         if not node.partials:
             return None
-        return node.partials.get((top, remainder))
+        return node.partials.get(slot)
 
     def lookup(self, address: IPAddress) -> Optional[RouteEntry]:
         node = self._root
@@ -233,11 +201,15 @@ class _StrideTrie:
             if shift < 0:
                 break
             byte = (value >> shift) & 0xFF
-            expanded = node.expanded
-            if expanded is not None:
-                entry = expanded[byte]
-                if entry is not None:
-                    best = entry
+            shifts = node.shifts
+            if shifts:
+                partials = node.partials
+                slot = 256 | byte
+                for in_node in shifts:
+                    entry = partials.get(slot >> in_node)
+                    if entry is not None:
+                        best = entry
+                        break
             child = node.children.get(byte)
             if child is None:
                 break
@@ -250,12 +222,12 @@ class _StrideTrie:
 
     def _iter_subtree(self, node: _StrideNode) -> Iterator[RouteEntry]:
         # Deterministic order: node entry, then partials by (length, bits),
-        # then children by byte value.
+        # which is their slots' order, then children by byte value.
         if node.entry is not None:
             yield node.entry
         if node.partials:
-            for key in sorted(node.partials, key=lambda k: (k[1], k[0])):
-                yield node.partials[key]
+            for slot in sorted(node.partials):
+                yield node.partials[slot]
         for byte in sorted(node.children):
             yield from self._iter_subtree(node.children[byte])
 

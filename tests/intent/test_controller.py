@@ -236,6 +236,34 @@ def test_anycast_withdraw_elsewhere_commits(intent_world):
     assert west.best_route(spare) is not None
 
 
+def test_stripped_communities_commit(intent_world):
+    """alpha's capability allows four free-form communities.  Announcing
+    its spare prefix with six makes the enforcer strip them, which is no
+    breach: the plan is clean and the ChangeSet commits.  A hijack is
+    still refused."""
+    world = intent_world
+    communities = tuple(f"65000:{value}" for value in range(1, 7))
+    plan = world.controller.plan(ChangeSet(name="six", ops=(
+        announce_op("alpha", _spare(world), pops=("west",),
+                    communities=communities),
+    )))
+    assert plan.report.ok
+    record = world.controller.apply(plan)
+    assert record.phase == "committed", record.detail
+    enforcer = world.platform.pops["west"].control_enforcer
+    assert [v.rejected for v in enforcer.violations] == [False]
+    west = world.neighbors["transit-west"].speaker
+    route = west.best_route(world.clients["alpha"].profile.prefixes[1])
+    assert route is not None
+    assert not route.communities
+
+    hijack = world.controller.plan(_hijack())
+    assert not hijack.report.ok
+    assert world.controller.apply(hijack).phase == "rejected"
+    assert world.controller.apply(
+        world.controller.plan(_hijack()), force=True).phase == "reverted"
+
+
 def test_snapshot_correctness_under_perf_flags():
     """Snapshot/revert must hold with the columnar Loc-RIB every speaker
     uses (the state lives in packed per-prefix tuples)."""

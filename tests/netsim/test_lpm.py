@@ -1,8 +1,8 @@
 """LPM trie tests, including a hypothesis model check against a naive
 reference implementation, differential tests of the stride trie (with
 and without the lookup cache) against the binary-trie and linear-scan
-oracles in ``lpm_reference.py``, and exact-cost tests of its incremental
-writes."""
+oracles in ``lpm_reference.py``, and exact-cost tests of its writes and
+lookups."""
 
 import random
 
@@ -146,15 +146,16 @@ def test_insert_remove_restores_empty(pairs):
         table.insert(p, index)
         inserted.append(p)
     for node in _nodes(table):
-        assert bool(node.partials) is (node.expanded is not None) is (
-            node.depth is not None)
+        assert bool(node.partials) is bool(node.shifts)
+        assert node.shifts == _held_shifts(node.partials or ())
     for p in set(inserted):
         assert table.remove(p)
     assert len(table) == 0
     assert table.node_count() == 0
-    # The arrays go with a node's last partial.
+    # The dict and the lengths go with a node's last partial.
     for node in _nodes(table):
-        assert node.partials is node.expanded is node.depth is None
+        assert node.partials is None
+        assert node.shifts == ()
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +344,9 @@ def test_stride_and_binary_backends_agree(pairs, probe):
 
 
 class _CountingDict(dict):
-    """A ``partials`` dict that counts its key probes."""
+    """A ``partials`` dict that counts its key probes, pops and writes."""
 
-    probes = 0
+    probes = pops = writes = 0
 
     def get(self, *args):
         self.probes += 1
@@ -353,6 +354,7 @@ class _CountingDict(dict):
 
     def pop(self, *args):
         self.probes += 1
+        self.pops += 1
         return super().pop(*args)
 
     def __getitem__(self, key):
@@ -363,65 +365,84 @@ class _CountingDict(dict):
         self.probes += 1
         return super().__contains__(key)
 
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
 
-def _expansion(partials):
-    """The node arrays re-derived from scratch: per next byte, the longest
-    partial covering it and its remainder length."""
-    expanded, depth = [None] * 256, [0] * 256
-    for (top, remainder), entry in partials.items():
-        span = 256 >> remainder
-        for byte in range(top * span, (top + 1) * span):
-            if remainder > depth[byte]:
-                expanded[byte], depth[byte] = entry, remainder
-    return expanded, depth
+
+def _held_shifts(slots):
+    """The lengths a node must probe, re-derived from its partial slots:
+    ``8 - remainder`` per held remainder, longest prefix first."""
+    return tuple(sorted({9 - slot.bit_length() for slot in slots}))
+
+
+def _slot(p):
+    """The key of ``p``, a /17–/23 inside 10.1.0.0/16, in that /16's node:
+    ``(1 << remainder) | top``."""
+    remainder = p.length - 16
+    return (1 << remainder) | ((p.network.value >> 8) & 0xFF) >> (
+        8 - remainder)
+
+
+def _lookup_probes(partials, byte):
+    """``partials.get`` calls a lookup of ``byte`` makes: one per held
+    remainder, longest first, down to and including its first hit."""
+    probes = 0
+    for shift in _held_shifts(partials):
+        probes += 1
+        if (256 | byte) >> shift in partials:
+            break
+    return probes
 
 
 def test_write_cost_and_slots_are_exact():
-    """An insert probes ``partials`` 0 times and writes only the slots of
-    its span held by an entry no longer than itself; a remove probes it
-    at most 7 times (once per remainder length, its own included)."""
+    """An insert probes ``partials`` 0 times and writes exactly its own
+    slot, a remove is exactly one ``pop``, and a lookup makes one ``get``
+    per held remainder length down to its first hit."""
     rng = random.Random(7)
     table = LpmTable(cache=False)
-    table.insert(prefix("10.1.0.0/17"), "anchor")  # keeps the node's arrays
+    table.insert(prefix("10.1.0.0/17"), "anchor")  # keeps the node's dict
     node = table._backend._root.children[10].children[1]
     node.partials = counting = _CountingDict(node.partials)
     live = [prefix("10.1.0.0/17")]
     for step in range(600):
         if live[1:] and rng.random() < 0.4:
             victim = live.pop(rng.randrange(1, len(live)))
-            before = counting.probes
+            before = (counting.probes, counting.pops, counting.writes)
             assert table.remove(victim)
-            assert counting.probes - before <= victim.length - 16 <= 7
+            assert (counting.probes, counting.pops, counting.writes) == (
+                before[0] + 1, before[1] + 1, before[2])
         else:
             length = rng.randint(17, 23)
             p = IPv4Prefix.from_address(
                 IPv4Address((10 << 24) | (1 << 16) | rng.getrandbits(16)),
                 length)
-            old_expanded, old_depth = list(node.expanded), bytes(node.depth)
-            before = counting.probes
+            slot = _slot(p)
+            old = dict(counting)
+            before = (counting.probes, counting.writes)
             table.insert(p, step)
-            assert counting.probes == before
-            remainder = length - 16
-            span = 256 >> remainder
-            lo = ((p.network.value >> 8) & 0xFF) // span * span
-            for byte in range(256):
-                if lo <= byte < lo + span and old_depth[byte] <= remainder:
-                    assert node.expanded[byte].value == step
-                    assert node.depth[byte] == remainder
-                else:
-                    assert node.expanded[byte] is old_expanded[byte]
-                    assert node.depth[byte] == old_depth[byte]
+            assert (counting.probes, counting.writes) == (
+                before[0], before[1] + 1)
+            assert dict(counting) == {**old, slot: counting[slot]}
+            assert counting[slot].value == step
             if p not in live:
                 live.append(p)
         assert node.partials is counting
-        assert (node.expanded, list(node.depth)) == _expansion(counting)
-    # A /23 no shorter partial covers: every shorter remainder is probed.
+        assert node.shifts == _held_shifts(counting)
+        byte = rng.randrange(256)
+        held = dict(counting)
+        before = counting.probes
+        table.lookup(IPv4Address((10 << 24) | (1 << 16) | (byte << 8)))
+        assert counting.probes - before == _lookup_probes(held, byte)
+    # A /17 under partials of every other length: a byte only the /17
+    # covers is probed at all 7 lengths.
     table = LpmTable(cache=False)
     table.insert(prefix("10.1.0.0/17"), "anchor")
-    table.insert(prefix("10.1.128.0/23"), "deep")
+    for length in range(18, 24):
+        table.insert(prefix(f"10.1.128.0/{length}"), length)
     node = table._backend._root.children[10].children[1]
     node.partials = counting = _CountingDict(node.partials)
-    assert table.remove(prefix("10.1.128.0/23"))
+    assert table.lookup(addr("10.1.64.1")).value == "anchor"
     assert counting.probes == 7
 
 
@@ -443,7 +464,9 @@ _NESTED_OPS = st.lists(
 def test_nested_partials_match_linear_scan(ops):
     """Insert / replace / remove / re-insert programs of /17–/23 prefixes
     inside one /16, with the /16 itself and /24 neighbours: after every
-    step all 256 third-byte probes agree with the linear scan."""
+    step the /16's node holds exactly the live partials' slots and
+    lengths, ``entries()`` keeps its order, and all 256 third-byte probes
+    agree with the linear scan."""
     table = LpmTable(cache=False)
     oracle = LinearScanLpm()
     live = []
@@ -462,13 +485,23 @@ def test_nested_partials_match_linear_scan(ops):
                 live.remove(p)
             assert table.remove(p) == oracle.remove(p)
         assert len(table) == len(oracle)
+        # The /16's node holds exactly the slots of the live partials,
+        # and probes exactly their lengths, longest first.
+        node = table._backend._root.children.get(10)
+        node = node and node.children.get(1)
+        held = [p for p in live if 16 < p.length < 24]
+        assert set(node.partials or () if node else ()) == {
+            _slot(p) for p in held}
+        assert (node.shifts if node else ()) == tuple(
+            8 - remainder
+            for remainder in sorted({p.length - 16 for p in held},
+                                    reverse=True))
+        # entries(): the /16, its partials by (length, bits), the /24s.
+        assert [entry.prefix for entry in table.entries()] == sorted(
+            live, key=lambda p: (p.length, p.network.value))
         for byte in range(256):
             probe = IPv4Address((10 << 24) | (1 << 16) | (byte << 8) | 1)
             got, want = table.lookup(probe), oracle.lookup(probe)
             assert (got is None) == (want is None)
             if got is not None:
                 assert (got.prefix, got.value) == (want.prefix, want.value)
-    for node in _nodes(table):
-        if node.partials:
-            assert (node.expanded, list(node.depth)) == _expansion(
-                node.partials)
