@@ -4,7 +4,7 @@ The paper's three series, each read with ``tracemalloc`` at 10k / 20k /
 40k paths of one DFZ-shaped table ingest (one upstream, multi-NLRI
 UPDATEs in a seeded random order):
 
-* *control plane*: the decoded routes held in a ``bgp.rib.AdjRibIn``
+* *control plane*: the decoded paths held in a ``bgp.rib.AdjRibIn``
   alone;
 * *per-interconnection data plane*: the UPDATE bytes fed to a real PoP's
   upstream session, so the node holds its Adj-RIB-In and the neighbor's
@@ -63,7 +63,7 @@ def table_chunks(checkpoints):
 
 
 def control_plane(chunks) -> tuple[list[int], list[int]]:
-    """(control plane, default table). The decoded routes held in a
+    """(control plane, default table). The decoded paths held in a
     ``bgp.rib.AdjRibIn`` alone; then, read as its own step after each
     chunk, one main-table ``KernelRoute`` per new prefix. The main table
     is a structure of its own that shares the Adj-RIB-In's prefixes, so
@@ -77,8 +77,9 @@ def control_plane(chunks) -> tuple[list[int], list[int]]:
         decoder = MessageDecoder()
         for wire in wires:
             decoder.feed(wire)
-            for route in decoder.next_message().routes():
-                rib.update(route)
+            message = decoder.next_message()
+            for prefix, path_id in message.nlri:
+                rib.update(prefix, message.attributes, path_id)
 
     def install_defaults():
         prefixes = list(rib.prefixes())[len(installed):]

@@ -550,11 +550,13 @@ BgpMessage = Union[OpenMessage, UpdateMessage, NotificationMessage,
 # ---------------------------------------------------------------------------
 
 
-def group_by_attributes(routes: Iterable[Route]) -> dict:
-    """Group routes by their (hashable) attribute set, preserving order."""
-    groups: dict[PathAttributes, list[Route]] = {}
-    for route in routes:
-        groups.setdefault(route.attributes, []).append(route)
+def group_by_attributes(paths: Iterable[tuple]) -> dict:
+    """Group ``(prefix, path id, attributes)`` paths by their (hashable)
+    attribute set, preserving order: attributes -> ``(prefix, path id)``
+    pairs."""
+    groups: dict[PathAttributes, list[tuple]] = {}
+    for prefix, path_id, attributes in paths:
+        groups.setdefault(attributes, []).append((prefix, path_id))
     return groups
 
 

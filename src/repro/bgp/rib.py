@@ -3,15 +3,16 @@
 One class per table of RFC 4271 §3.2.  ``BgpSpeaker`` keeps all three;
 the vBGP node keeps one :class:`AdjRibIn` per neighbor (upstream and
 backbone-learned) and, beside it, one *kernel* table per neighbor in the
-PoP's network stack (:mod:`repro.netsim.stack`).
+PoP's network stack (:mod:`repro.netsim.stack`).  An Adj-RIB-In holds no
+``Route``: a path is its prefix object and its attributes, and the node
+keys its ADD-PATH ids by the same key objects.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, KeysView, ValuesView
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Union
 
 from repro.bgp.attributes import PathAttributes, Route
 from repro.netsim.addr import Prefix
@@ -20,6 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.scheduler import Scheduler
 
 PathKey = tuple[Prefix, Optional[int]]
+# An Adj-RIB-In key: the prefix itself, or ``(prefix, path id)``.
+RibKey = Union[Prefix, tuple[Prefix, int]]
 
 
 @dataclass(frozen=True)
@@ -39,15 +42,21 @@ class RibEntry:
 
 
 class AdjRibIn:
-    """Routes received from one peer, plus that peer's RFC 4724 receiver
+    """Paths received from one peer, plus that peer's RFC 4724 receiver
     state.
 
-    Flat layout: ``(prefix, path id) → Route`` and a per-prefix path
-    count, so "does any path for this prefix remain?" is O(1) (a
-    withdrawal against a full table must not scan it).  With ADD-PATH
+    One dict, ``key → PathAttributes``, in arrival order (the order of a
+    full-table replay, and so of its wire bytes).  The key of a path
+    without an ADD-PATH id is the decoded prefix object itself; a path
+    with one is keyed ``(prefix, path id)``.  A prefix never equals a
+    tuple, so "no path id" stays distinct from id 0.  A held path costs
+    its prefix (shared with the kernel table) and one dict slot; no
+    ``Route`` is kept, :meth:`routes` builds them when read.  Prefixes
+    with id'd paths keep a count, so "does any path for this prefix
+    remain?" is O(1) without scanning a full table.  With ADD-PATH
     inactive every announcement for a prefix implicitly replaces the
-    previous one (path id ``None``); with ADD-PATH active the peer may
-    hold several concurrent paths per prefix.
+    previous one; with it active the peer may hold several concurrent
+    paths per prefix.
 
     Graceful Restart receiver: :meth:`retain_stale` marks every held path
     stale and arms the restart timer; a path the restarted peer announces
@@ -56,62 +65,79 @@ class AdjRibIn:
     kept in table order, so a flush is deterministic.
     """
 
-    __slots__ = ("_routes", "_prefix_counts", "_stale", "_stale_timer")
+    __slots__ = ("_paths", "_id_counts", "_stale", "_stale_timer")
 
     def __init__(self) -> None:
-        self._routes: dict[PathKey, Route] = {}
-        self._prefix_counts: dict[Prefix, int] = {}
-        self._stale: dict[PathKey, None] = {}
+        self._paths: dict[RibKey, PathAttributes] = {}
+        # Prefix -> number of held paths with an ADD-PATH id.
+        self._id_counts: dict[Prefix, int] = {}
+        self._stale: dict[RibKey, None] = {}
         self._stale_timer = None
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return len(self._paths)
 
-    def update(self, route: Route) -> Optional[Route]:
-        """Insert/replace; returns the replaced route if any."""
-        key = (route.prefix, route.path_id)
-        previous = self._routes.get(key)
-        self._routes[key] = route
+    def update(self, prefix: Prefix, attributes: PathAttributes,
+               path_id: Optional[int] = None) -> Optional[PathAttributes]:
+        """Insert/replace; returns the replaced attributes if any."""
+        key = prefix if path_id is None else (prefix, path_id)
+        paths = self._paths
+        previous = paths.get(key)
+        paths[key] = attributes
         if previous is None:
-            prefix = route.prefix
-            self._prefix_counts[prefix] = (
-                self._prefix_counts.get(prefix, 0) + 1
-            )
+            if path_id is not None:
+                counts = self._id_counts
+                counts[prefix] = counts.get(prefix, 0) + 1
         elif self._stale:
             self._stale.pop(key, None)
         return previous
 
     def withdraw(self, prefix: Prefix,
-                 path_id: Optional[int] = None) -> Optional[Route]:
-        """Remove; returns the withdrawn route if it existed."""
-        key = (prefix, path_id)
-        removed = self._routes.pop(key, None)
+                 path_id: Optional[int] = None) -> Optional[PathAttributes]:
+        """Remove; returns the withdrawn attributes if the path was held."""
+        key = prefix if path_id is None else (prefix, path_id)
+        removed = self._paths.pop(key, None)
         if removed is None:
             return None
         if self._stale:
             self._stale.pop(key, None)
-        remaining = self._prefix_counts[prefix] - 1
-        if remaining:
-            self._prefix_counts[prefix] = remaining
-        else:
-            del self._prefix_counts[prefix]
+        if path_id is not None:
+            counts = self._id_counts
+            remaining = counts[prefix] - 1
+            if remaining:
+                counts[prefix] = remaining
+            else:
+                del counts[prefix]
         return removed
 
     def has_prefix(self, prefix: Prefix) -> bool:
         """O(1): does at least one path for ``prefix`` remain?"""
-        return prefix in self._prefix_counts
+        return prefix in self._paths or prefix in self._id_counts
 
-    def routes(self) -> ValuesView[Route]:
-        return self._routes.values()
+    def paths(self) -> Iterator[tuple[Prefix, Optional[int], PathAttributes]]:
+        """``(prefix, path id, attributes)`` of every held path, in table
+        order; the prefix is the object the table holds."""
+        for key, attributes in self._paths.items():
+            if key.__class__ is tuple:
+                yield key[0], key[1], attributes
+            else:
+                yield key, None, attributes
 
-    def prefixes(self) -> KeysView[Prefix]:
-        return self._prefix_counts.keys()
+    def routes(self) -> Iterator[Route]:
+        for prefix, path_id, attributes in self.paths():
+            yield Route(prefix=prefix, attributes=attributes, path_id=path_id)
 
-    def keys(self) -> KeysView[PathKey]:
-        return self._routes.keys()
+    def prefixes(self) -> Iterator[Prefix]:
+        """Each prefix with at least one held path, once."""
+        counts = self._id_counts
+        for key in self._paths:
+            if key.__class__ is not tuple and key not in counts:
+                yield key
+        yield from counts
 
-    def items(self) -> ItemsView[PathKey, Route]:
-        return self._routes.items()
+    def keys(self) -> Iterator[PathKey]:
+        for prefix, path_id, _attributes in self.paths():
+            yield prefix, path_id
 
     @property
     def stale_count(self) -> int:
@@ -120,10 +146,10 @@ class AdjRibIn:
 
     def clear(self) -> list[PathKey]:
         """Drop everything (session reset), stale marks and restart timer
-        included; returns the dropped keys."""
-        dropped = list(self._routes)
-        self._routes.clear()
-        self._prefix_counts.clear()
+        included; returns the dropped ``(prefix, path id)`` pairs."""
+        dropped = list(self.keys())
+        self._paths.clear()
+        self._id_counts.clear()
         self._stale.clear()
         self._cancel_stale_timer()
         return dropped
@@ -136,9 +162,9 @@ class AdjRibIn:
         Returns the number of paths retained; 0 (nothing held, or the
         peer asked for no retention) arms nothing, and the owner flushes
         as on any other close."""
-        if not self._routes or restart_time <= 0:
+        if not self._paths or restart_time <= 0:
             return 0
-        self._stale = dict.fromkeys(self._routes)
+        self._stale = dict.fromkeys(self._paths)
         self._cancel_stale_timer()
         self._stale_timer = scheduler.call_later(
             float(restart_time), on_expired)
@@ -146,12 +172,15 @@ class AdjRibIn:
 
     def flush_stale(self) -> list[PathKey]:
         """End the restart window: cancel the timer, remove the paths
-        still stale and return their keys."""
+        still stale and return their ``(prefix, path id)`` pairs."""
         self._cancel_stale_timer()
         stale, self._stale = self._stale, {}
-        for prefix, path_id in stale:
+        flushed = [
+            key if key.__class__ is tuple else (key, None) for key in stale
+        ]
+        for prefix, path_id in flushed:
             self.withdraw(prefix, path_id)
-        return list(stale)
+        return flushed
 
     def _cancel_stale_timer(self) -> None:
         if self._stale_timer is not None:

@@ -387,7 +387,8 @@ class BgpSpeaker:
                         changed.add(route.prefix)
                     continue
                 imported = maybe
-            neighbor.adj_rib_in.update(imported)
+            neighbor.adj_rib_in.update(
+                imported.prefix, imported.attributes, imported.path_id)
             if neighbor.config.max_prefixes is not None and (
                 len(neighbor.adj_rib_in) > neighbor.config.max_prefixes
             ):

@@ -221,10 +221,9 @@ def check_addpath_completeness(ctx: ConformanceContext) -> InvariantReport:
     live: Dict[str, Dict[int, tuple]] = {}
     for pop_name, pop in ctx.pops.items():
         node = pop.node
-        node_ids = node._path_ids
         # Fan-out ids are node-wide: one id names one live path.
         owners: Dict[int, object] = {}
-        for key, path_id in node_ids.items():
+        for key, path_id in node.path_id_items():
             report.checked += 1
             other = owners.setdefault(path_id, key)
             if other is not key:
@@ -238,10 +237,11 @@ def check_addpath_completeness(ctx: ConformanceContext) -> InvariantReport:
         )
         paths = live[pop_name] = {}
         for label, neighbor in ctx._neighbors(node):
-            gid = neighbor.virtual.global_id
-            for (prefix, source_id) in neighbor.rib.keys():
+            ids = neighbor.path_ids
+            for prefix, source_id, _attrs in neighbor.rib.paths():
                 report.checked += 1
-                path_id = node_ids.get((gid, prefix, source_id))
+                path_id = ids.get(
+                    prefix if source_id is None else (prefix, source_id))
                 if path_id is not None:
                     paths[path_id] = (prefix, neighbor.virtual.local_ip, label)
                 elif listening:
@@ -395,7 +395,7 @@ def check_kernel_consistency(ctx: ConformanceContext) -> InvariantReport:
     for pop_name, pop in ctx.pops.items():
         node = pop.node
         for label, neighbor in ctx._neighbors(node):
-            prefixes = {key[0] for key in neighbor.rib.keys()}
+            prefixes = list(neighbor.rib.prefixes())
             table = pop.stack.tables.get(neighbor.virtual.table_id)
             report.checked += max(1, len(prefixes))
             if table is None:

@@ -141,8 +141,8 @@ class PopView(NamedTuple):
 
 def _rib_rows(rib) -> list:
     return sorted(
-        (str(prefix), source_id, attr_fingerprint(route.attributes))
-        for (prefix, source_id), route in rib.items()
+        (str(prefix), source_id, attr_fingerprint(attributes))
+        for prefix, source_id, attributes in rib.paths()
     )
 
 

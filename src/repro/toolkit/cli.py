@@ -23,7 +23,7 @@ code  meaning
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.bgp.attributes import Community
 from repro.netsim.addr import IPv4Prefix
@@ -33,8 +33,18 @@ from repro.toolkit.client import ExperimentClient
 class ToolkitCli:
     """String-command front end (``peering …``)."""
 
-    def __init__(self, client: ExperimentClient) -> None:
+    def __init__(
+        self,
+        client: ExperimentClient,
+        neighbor_speakers: Optional[Mapping[str, object]] = None,
+        neighbor_pops: Optional[Mapping[str, str]] = None,
+    ) -> None:
+        """``neighbor_speakers`` maps an upstream neighbor's name to the
+        speaker of that external AS, and ``neighbor_pops`` the name to its
+        PoP: ``peering intent`` checks exports at those neighbors."""
         self.client = client
+        self.neighbor_speakers = dict(neighbor_speakers or {})
+        self.neighbor_pops = dict(neighbor_pops or {})
         self.exit_code = 0
         # ``peering intent``: the pending ChangeSet under construction
         # and the transactional controller (created on first use).
@@ -485,6 +495,8 @@ class ToolkitCli:
                 self.client.scheduler,
                 self.client.platform,
                 {self.client.name: self.client},
+                neighbor_speakers=self.neighbor_speakers,
+                neighbor_pops=self.neighbor_pops,
                 telemetry=getattr(self.client.platform, "telemetry", None),
             )
         return self._intent_controller

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.bgp import messages
 from repro.bgp.attributes import PathAttributes, Route
@@ -79,8 +79,11 @@ class UpstreamNeighbor:
     kind: str  # "transit" | "peer" | "route-server"
     virtual: VirtualNeighbor
     session: Optional[BgpSession] = None
-    # Routes received, keyed (prefix, peer path id), and the GR stale set.
+    # Paths received (the prefix, or (prefix, peer path id) -> attributes)
+    # and the GR stale set.
     rib: AdjRibIn = field(default_factory=AdjRibIn)
+    # The node's ADD-PATH id of each named path, keyed like ``rib``.
+    path_ids: dict = field(default_factory=dict)
     # Session-rebuild parameters (supervisor re-dials reuse them).
     addpath: bool = False
     graceful_restart: bool = False
@@ -97,6 +100,7 @@ class RemoteNeighbor:
     # The backbone peer (PoP node name) whose session carries its routes.
     peer: str
     rib: AdjRibIn = field(default_factory=AdjRibIn)
+    path_ids: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -160,10 +164,10 @@ class VbgpNode:
         self.remote_neighbors: dict[int, RemoteNeighbor] = {}
         self.experiments: dict[str, ExperimentAttachment] = {}
         # ADD-PATH ids, one per path for the whole node (paper §4.2), on
-        # the experiment sessions and the mesh alike: (gid, prefix, source
-        # path id) -> id.  Allocated on the first send to any listener,
-        # released when the path leaves its neighbor's rib.
-        self._path_ids: dict[tuple[int, Prefix, Optional[int]], int] = {}
+        # the experiment sessions and the mesh alike, from this counter.
+        # Each neighbor keeps its paths' ids in ``path_ids``, keyed by the
+        # key object its rib holds; an id is allocated on the first send
+        # to any listener and released when the path leaves the rib.
         self._path_id_counter = count(1)
         self.backbone_peers: dict[str, BgpSession] = {}
         # Backbone peer -> mesh id -> gid of the remote neighbor paths it
@@ -395,45 +399,51 @@ class VbgpNode:
         self.counters["updates_from_upstream"] += 1
         tele = self.telemetry
         if tele is None:
-            self._apply_paths(neighbor, update.withdrawn, update.routes())
+            self._apply_paths(neighbor, update.withdrawn, update.attributes,
+                              update.nlri)
             return
         token = tele.tracer.begin(
             "vbgp.upstream_update", node=self.name, neighbor=name
         )
         try:
-            self._apply_paths(neighbor, update.withdrawn, update.routes())
+            self._apply_paths(neighbor, update.withdrawn, update.attributes,
+                              update.nlri)
         finally:
             tele.tracer.end(token)
 
-    def _apply_paths(self, neighbor, withdrawn, announced: list[Route]
-                     ) -> None:
+    def _apply_paths(self, neighbor, withdrawn,
+                     attributes: Optional[PathAttributes], nlri) -> None:
         """The one neighbor-path step, for an upstream's UPDATE and for a
         remote neighbor's share of a mesh UPDATE: Adj-RIB-In, kernel
-        table, then the id step's sends (:meth:`_send_paths`)."""
+        table, then the id step's sends (:meth:`_send_paths`).  ``nlri``
+        are the ``(prefix, path id)`` pairs announced with ``attributes``
+        (none without attributes); no ``Route`` is built."""
         rib = neighbor.rib
         removed = [
             (prefix, path_id) for prefix, path_id in withdrawn
             if rib.withdraw(prefix, path_id) is not None
         ]
         self._remove_kernel_routes(neighbor, removed)
-        if isinstance(neighbor, UpstreamNeighbor):
-            out_iface, next_hop = self.upstream_iface, neighbor.peer_address
+        if attributes is None:
+            nlri = ()
+        elif isinstance(neighbor, UpstreamNeighbor):
+            out_iface, hop = self.upstream_iface, neighbor.peer_address
             # Route servers are transparent (RFC 7947): the next hop is the
             # member router on the IXP LAN, not the server itself.
-            transparent = neighbor.kind == "route-server"
+            if (neighbor.kind == "route-server"
+                    and attributes.next_hop is not None):
+                hop = attributes.next_hop
         else:  # a remote neighbor's path already carries its global IP
-            out_iface, next_hop, transparent = self.backbone_iface, None, True
+            out_iface, hop = self.backbone_iface, attributes.next_hop
         table_id = neighbor.virtual.table_id
-        for route in announced:
-            rib.update(route)
-            hop = next_hop
-            if transparent and route.next_hop is not None:
-                hop = route.next_hop
-            self.stack.add_route(KernelRoute(
-                prefix=route.prefix, out_iface=out_iface, next_hop=hop,
+        add_route = self.stack.add_route
+        for prefix, path_id in nlri:
+            rib.update(prefix, attributes, path_id)
+            add_route(KernelRoute(
+                prefix=prefix, out_iface=out_iface, next_hop=hop,
             ), table_id=table_id)
-            self.counters["routes_installed"] += 1
-        self._send_paths(neighbor, announced, removed)
+        self.counters["routes_installed"] += len(nlri)
+        self._send_paths(neighbor, attributes, nlri, removed)
 
     def _upstream_established(self, name: str) -> None:
         """A (re-)established upstream holds nothing: send it its column
@@ -506,7 +516,7 @@ class VbgpNode:
         if not keys:
             return
         self._remove_kernel_routes(neighbor, keys)
-        self._send_paths(neighbor, [], keys)
+        self._send_paths(neighbor, None, (), keys)
 
     def _remove_kernel_routes(self, neighbor, keys: list) -> None:
         """Take each prefix of ``keys`` out of ``neighbor``'s kernel table
@@ -616,10 +626,9 @@ class VbgpNode:
             return
         for neighbor in (*self.upstreams.values(),
                          *self.remote_neighbors.values()):
-            virtual = neighbor.virtual
             self._send(listeners, (), self._name_paths(
-                virtual.global_id, neighbor.rib.routes(),
-            ), virtual.local_ip, "updates_to_experiments")
+                neighbor, neighbor.rib.paths(),
+            ), neighbor.virtual.local_ip, "updates_to_experiments")
 
     def _experiment_closed(self, name: str, _reason: str) -> None:
         exp = self.experiments.pop(name, None)
@@ -637,12 +646,14 @@ class VbgpNode:
         for key in list(exp.announced):
             self._retract_experiment_route(exp, exp.announced.pop(key))
 
-    def _send_paths(self, neighbor, announced: list[Route],
-                    removed: list[tuple[Prefix, Optional[int]]]) -> None:
+    def _send_paths(self, neighbor, attributes: Optional[PathAttributes],
+                    nlri, removed: list[tuple[Prefix, Optional[int]]]
+                    ) -> None:
         """The one id step (Figure 2a, §4.4): name one neighbor's path
-        change once and send it to the experiments with the neighbor's
-        local VIP as next hop and, for an upstream, to the backbone peers
-        with its global IP.
+        change (``nlri`` announced with ``attributes``, ``removed`` gone)
+        once and send it to the experiments with the neighbor's local VIP
+        as next hop and, for an upstream, to the backbone peers with its
+        global IP.
 
         The "fan-out compile": a path's ADD-PATH id belongs to the node,
         not to the listener, so each kind of listener gets the same
@@ -652,13 +663,13 @@ class VbgpNode:
         and ``_experiment_up`` / ``_backbone_up`` give them the full table
         on establishment, so every live session has heard every id.
         """
-        gid = neighbor.virtual.global_id
-        node_ids = self._path_ids
+        ids = neighbor.path_ids
         # ``removed`` paths have left the neighbor's rib: their ids go
         # back whether or not anyone is listening.
         withdrawn = []
         for prefix, source_id in removed:
-            path_id = node_ids.pop((gid, prefix, source_id), None)
+            path_id = ids.pop(
+                prefix if source_id is None else (prefix, source_id), None)
             if path_id is not None:
                 withdrawn.append((prefix, path_id))
         listeners = _established(
@@ -669,7 +680,8 @@ class VbgpNode:
             mesh = _established(self.backbone_peers.values())
         if not listeners and not mesh:
             return
-        named = self._name_paths(gid, announced)
+        named = self._name_paths(neighbor, (
+            (prefix, path_id, attributes) for prefix, path_id in nlri))
         virtual = neighbor.virtual
         if listeners:
             self._send(listeners, withdrawn, named, virtual.local_ip,
@@ -678,22 +690,39 @@ class VbgpNode:
             self._send(mesh, withdrawn, named, virtual.global_ip,
                        "updates_to_backbone")
 
-    def _name_paths(self, gid: int, routes: Iterable[Route]
+    def _name_paths(self, neighbor, paths: Iterable[tuple]
                     ) -> list[tuple[PathAttributes, list]]:
-        """``routes`` of neighbor ``gid`` grouped by attribute set, each
-        as ``(prefix, node id)``; a path gets its id on first use."""
-        node_ids = self._path_ids
+        """``neighbor``'s ``(prefix, path id, attributes)`` ``paths``
+        grouped by attribute set, each as ``(prefix, node id)``; a path
+        gets its id on first use.  A path without an id is keyed in
+        ``neighbor.path_ids`` by its prefix object, the one ``rib``
+        holds."""
+        ids = neighbor.path_ids
+        counter = self._path_id_counter
         named = []
-        for attrs, group in messages.group_by_attributes(routes).items():
+        for attrs, group in messages.group_by_attributes(paths).items():
             nlri = []
-            for route in group:
-                key = (gid, route.prefix, route.path_id)
-                path_id = node_ids.get(key)
+            for pair in group:
+                prefix, source_id = pair
+                key = prefix if source_id is None else pair
+                path_id = ids.get(key)
                 if path_id is None:
-                    path_id = node_ids[key] = next(self._path_id_counter)
-                nlri.append((route.prefix, path_id))
+                    path_id = ids[key] = next(counter)
+                nlri.append((prefix, path_id))
             named.append((attrs, nlri))
         return named
+
+    def path_id_items(self) -> Iterator[tuple[tuple, int]]:
+        """``((gid, prefix, source path id), node id)`` for every path the
+        node has named, across its neighbors' ``path_ids``."""
+        for neighbor in (*self.upstreams.values(),
+                         *self.remote_neighbors.values()):
+            gid = neighbor.virtual.global_id
+            for key, path_id in neighbor.path_ids.items():
+                if key.__class__ is tuple:
+                    yield (gid, *key), path_id
+                else:
+                    yield (gid, key, None), path_id
 
     def _send(self, sessions: list[BgpSession], withdrawn, named: list,
               next_hop: IPv4Address, counter: str) -> None:
@@ -914,10 +943,9 @@ class VbgpNode:
         if session is None or not session.established:
             return
         for neighbor in self.upstreams.values():
-            virtual = neighbor.virtual
             self._send([session], (), self._name_paths(
-                virtual.global_id, neighbor.rib.routes(),
-            ), virtual.global_ip, "updates_to_backbone")
+                neighbor, neighbor.rib.paths(),
+            ), neighbor.virtual.global_ip, "updates_to_backbone")
         for exp in self.experiments.values():
             for route in exp.announced.values():
                 session.send_update(UpdateMessage.announce([
@@ -956,27 +984,32 @@ class VbgpNode:
         upstream path step as one change.  Every other path is an
         experiment's."""
         gids = self._mesh_gids.setdefault(node_name, {})
-        changes: dict[int, tuple[list, list]] = {}
+        changes: dict[int, list] = {}
         for prefix, mesh_id in update.withdrawn:
             gid = gids.pop(mesh_id, None)
             if gid is not None:
-                changes.setdefault(gid, ([], []))[0].append((prefix, mesh_id))
+                changes.setdefault(gid, []).append((prefix, mesh_id))
             elif self.remote_exp_paths.get(prefix, {}).pop(
                     (node_name, mesh_id), None) is not None:
                 self._remote_experiment_changed(prefix)
-        for route in update.routes():
-            next_hop = route.next_hop
-            if next_hop is None or self.backbone_iface is None:
-                continue
-            gid = global_neighbor_id(next_hop)
-            if gid is not None:
-                gids[route.path_id] = gid
-                changes.setdefault(gid, ([], []))[1].append(route)
+        # One UPDATE has one next hop: its paths are all one remote
+        # neighbor's, or all experiment paths.
+        attributes = update.attributes
+        announced_gid = None
+        if (attributes is not None and update.nlri
+                and attributes.next_hop is not None
+                and self.backbone_iface is not None):
+            announced_gid = global_neighbor_id(attributes.next_hop)
+            if announced_gid is not None:
+                for _prefix, mesh_id in update.nlri:
+                    gids[mesh_id] = announced_gid
+                changes.setdefault(announced_gid, [])
             else:
-                self.remote_exp_paths.setdefault(route.prefix, {})[
-                    (node_name, route.path_id)] = route
-                self._remote_experiment_changed(route.prefix)
-        for gid, (withdrawn, announced) in changes.items():
+                for route in update.routes():
+                    self.remote_exp_paths.setdefault(route.prefix, {})[
+                        (node_name, route.path_id)] = route
+                    self._remote_experiment_changed(route.prefix)
+        for gid, withdrawn in changes.items():
             remote = self.remote_neighbors.get(gid)
             if remote is None:
                 remote = self.remote_neighbors[gid] = RemoteNeighbor(
@@ -984,7 +1017,10 @@ class VbgpNode:
                     peer=node_name,
                 )
                 self._provision_virtual(remote.virtual)
-            self._apply_paths(remote, withdrawn, announced)
+            if gid == announced_gid:
+                self._apply_paths(remote, withdrawn, attributes, update.nlri)
+            else:
+                self._apply_paths(remote, withdrawn, None, ())
 
     def _backbone_closed(self, node_name: str, session: BgpSession) -> None:
         """A backbone session went down: fail closed on what it carried.

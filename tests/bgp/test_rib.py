@@ -11,28 +11,33 @@ P3 = IPv4Prefix.parse("30.0.0.0/8")
 NH = IPv4Address.parse("1.1.1.1")
 
 
+def put(rib, route):
+    """Hold ``route`` in an Adj-RIB-In, which keeps only its attributes."""
+    return rib.update(route.prefix, route.attributes, route.path_id)
+
+
 class TestAdjRibIn:
     def test_update_and_withdraw(self):
         rib = AdjRibIn()
         route = originate(P1, 100, NH)
-        assert rib.update(route) is None
+        assert put(rib, route) is None
         assert len(rib) == 1
-        assert rib.withdraw(P1) == route
+        assert rib.withdraw(P1) == route.attributes
         assert len(rib) == 0
         assert rib.withdraw(P1) is None
 
     def test_implicit_replacement(self):
         rib = AdjRibIn()
-        rib.update(originate(P1, 100, NH))
-        replaced = rib.update(originate(P1, 200, NH))
-        assert replaced is not None
-        assert replaced.origin_as == 100
+        put(rib, originate(P1, 100, NH))
+        replaced = put(rib, originate(P1, 200, NH))
+        assert replaced == originate(P1, 100, NH).attributes
+        assert replaced.as_path.origin_as == 100
         assert len(rib) == 1
 
     def test_addpath_multiple_paths(self):
         rib = AdjRibIn()
-        rib.update(originate(P1, 100, NH).with_path_id(1))
-        rib.update(originate(P1, 200, NH).with_path_id(2))
+        put(rib, originate(P1, 100, NH).with_path_id(1))
+        put(rib, originate(P1, 200, NH).with_path_id(2))
         assert len(rib) == 2
         assert sorted(rib.keys()) == [(P1, 1), (P1, 2)]
         rib.withdraw(P1, 1)
@@ -40,19 +45,19 @@ class TestAdjRibIn:
 
     def test_clear_returns_dropped(self):
         rib = AdjRibIn()
-        rib.update(originate(P1, 100, NH))
-        rib.update(originate(P2, 100, NH))
+        put(rib, originate(P1, 100, NH))
+        put(rib, originate(P2, 100, NH))
         dropped = rib.clear()
         assert len(dropped) == 2
         assert len(rib) == 0
-        rib.update(originate(P1, 100, NH))
+        put(rib, originate(P1, 100, NH))
         assert len(rib) == 1
 
     def test_len_is_kept_through_replace_and_missed_withdraw(self):
         rib = AdjRibIn()
-        rib.update(originate(P1, 100, NH).with_path_id(1))
-        rib.update(originate(P1, 200, NH).with_path_id(1))   # replace
-        rib.update(originate(P1, 300, NH).with_path_id(2))
+        put(rib, originate(P1, 100, NH).with_path_id(1))
+        put(rib, originate(P1, 200, NH).with_path_id(1))   # replace
+        put(rib, originate(P1, 300, NH).with_path_id(2))
         assert rib.withdraw(P1, 7) is None
         assert rib.withdraw(P2) is None
         assert len(rib) == 2 == len(list(rib.routes()))
@@ -62,9 +67,9 @@ class TestAdjRibIn:
 
     def test_has_prefix_through_replace_missed_withdraw_and_clear(self):
         rib = AdjRibIn()
-        rib.update(originate(P1, 100, NH).with_path_id(1))
-        rib.update(originate(P1, 200, NH).with_path_id(1))   # replace
-        rib.update(originate(P1, 300, NH).with_path_id(2))
+        put(rib, originate(P1, 100, NH).with_path_id(1))
+        put(rib, originate(P1, 200, NH).with_path_id(1))   # replace
+        put(rib, originate(P1, 300, NH).with_path_id(2))
         rib.withdraw(P1, 1)
         assert rib.has_prefix(P1)
         assert rib.withdraw(P1, 7) is None   # missed withdraws
@@ -72,8 +77,8 @@ class TestAdjRibIn:
         assert rib.has_prefix(P1) and not rib.has_prefix(P2)
         rib.withdraw(P1, 2)
         assert not rib.has_prefix(P1)
-        rib.update(originate(P1, 100, NH))
-        rib.update(originate(P2, 100, NH))
+        put(rib, originate(P1, 100, NH))
+        put(rib, originate(P2, 100, NH))
         assert rib.clear() == [(P1, None), (P2, None)]
         assert not rib.has_prefix(P1) and not rib.has_prefix(P2)
         assert list(rib.prefixes()) == []
@@ -81,10 +86,10 @@ class TestAdjRibIn:
     def test_flush_stale_removes_only_paths_still_held(self, scheduler):
         rib = AdjRibIn()
         for prefix in (P1, P2, P3):
-            rib.update(originate(prefix, 100, NH))
+            put(rib, originate(prefix, 100, NH))
         expired = []
         assert rib.retain_stale(scheduler, 5, lambda: expired.append(1)) == 3
-        rib.update(originate(P1, 200, NH))   # refreshed: no longer stale
+        put(rib, originate(P1, 200, NH))   # refreshed: no longer stale
         rib.withdraw(P2)                     # withdrawn while stale
         assert rib.stale_count == 1
         assert rib.flush_stale() == [(P3, None)]
@@ -95,13 +100,13 @@ class TestAdjRibIn:
 
     def test_restart_timer_fires_unless_cleared(self, scheduler):
         rib = AdjRibIn()
-        rib.update(originate(P1, 100, NH))
+        put(rib, originate(P1, 100, NH))
         expired = []
         assert rib.retain_stale(scheduler, 5, lambda: expired.append(1)) == 1
         scheduler.run_for(10)
         assert expired == [1]
         rib.flush_stale()
-        rib.update(originate(P1, 100, NH))
+        put(rib, originate(P1, 100, NH))
         rib.retain_stale(scheduler, 5, lambda: expired.append(2))
         assert rib.clear() == [(P1, None)]
         assert rib.stale_count == 0
@@ -111,10 +116,69 @@ class TestAdjRibIn:
     def test_retain_stale_needs_paths_and_a_restart_time(self, scheduler):
         rib = AdjRibIn()
         assert rib.retain_stale(scheduler, 5, lambda: None) == 0
-        rib.update(originate(P1, 100, NH))
+        put(rib, originate(P1, 100, NH))
         assert rib.retain_stale(scheduler, 0, lambda: None) == 0
         assert rib.stale_count == 0
         assert scheduler.pending() == 0
+
+
+    def test_no_id_and_id_0_are_two_paths(self):
+        rib = AdjRibIn()
+        bare, zero = originate(P1, 100, NH), originate(P1, 200, NH)
+        put(rib, bare)
+        put(rib, zero.with_path_id(0))
+        assert len(rib) == 2
+        assert list(rib.keys()) == [(P1, None), (P1, 0)]
+        assert list(rib.prefixes()) == [P1]
+        assert rib.has_prefix(P1)
+        assert rib.withdraw(P1) == bare.attributes
+        assert rib.has_prefix(P1)
+        assert list(rib.paths()) == [(P1, 0, zero.attributes)]
+        put(rib, bare)
+        assert rib.withdraw(P1, 0) == zero.attributes
+        assert rib.has_prefix(P1)
+        assert list(rib.paths()) == [(P1, None, bare.attributes)]
+        assert rib.withdraw(P1, 0) is None
+        assert rib.withdraw(P1) == bare.attributes
+        assert not rib.has_prefix(P1)
+        assert list(rib.prefixes()) == []
+
+    def test_id_0_path_alone_has_its_prefix(self):
+        rib = AdjRibIn()
+        put(rib, originate(P1, 100, NH).with_path_id(0))
+        assert rib.has_prefix(P1) and not rib.has_prefix(P2)
+        assert rib.withdraw(P1) is None       # no id is not id 0
+        assert rib.has_prefix(P1)
+
+    def test_stale_flush_covers_both_key_shapes(self, scheduler):
+        rib = AdjRibIn()
+        put(rib, originate(P1, 100, NH))
+        put(rib, originate(P1, 200, NH).with_path_id(0))
+        put(rib, originate(P2, 100, NH).with_path_id(0))
+        put(rib, originate(P2, 200, NH))
+        assert rib.retain_stale(scheduler, 5, lambda: None) == 4
+        put(rib, originate(P1, 300, NH).with_path_id(0))   # refreshed
+        put(rib, originate(P2, 300, NH))                   # refreshed
+        assert rib.stale_count == 2
+        assert rib.flush_stale() == [(P1, None), (P2, 0)]
+        assert list(rib.keys()) == [(P1, 0), (P2, None)]
+        assert rib.has_prefix(P1) and rib.has_prefix(P2)
+        assert rib.retain_stale(scheduler, 5, lambda: None) == 2
+        assert rib.flush_stale() == [(P1, 0), (P2, None)]
+        assert not rib.has_prefix(P1) and not rib.has_prefix(P2)
+        assert len(rib) == 0
+
+    def test_paths_yield_the_held_prefix_and_build_no_route(self):
+        rib = AdjRibIn()
+        route = originate(P1, 100, NH)
+        put(rib, route)
+        put(rib, originate(P2, 100, NH).with_path_id(3))
+        (prefix, path_id, attributes), second = rib.paths()
+        assert prefix is P1 and path_id is None
+        assert attributes is route.attributes
+        assert second == (P2, 3, route.attributes)
+        assert list(rib.routes()) == [route, route.__class__(
+            prefix=P2, attributes=route.attributes, path_id=3)]
 
 
 class TestLocRib:

@@ -211,7 +211,9 @@ def test_addpath_completeness_catches_id_the_node_did_not_give(world):
     # the experiment holds an id no live path at the node carries
     def stale(routes):
         route = next(iter(routes.values()))
-        stale_id = max(world.pop.node._path_ids.values()) + 100_000
+        stale_id = max(
+            path_id for _key, path_id in world.pop.node.path_id_items()
+        ) + 100_000
         routes[stale_id] = route.with_path_id(stale_id)
 
     report = _broken_receiver(world, stale)
@@ -236,9 +238,11 @@ def test_addpath_completeness_catches_wrong_prefix_for_an_id(world):
 
 def test_addpath_completeness_catches_shared_id(world):
     # two live paths at one node numbered alike
-    node = world.pop.node
-    first, second = list(node._path_ids)[:2]
-    node._path_ids[second] = node._path_ids[first]
+    ids = next(neighbor.path_ids
+               for neighbor in world.pop.node.upstreams.values()
+               if len(neighbor.path_ids) >= 2)
+    first, second = list(ids)[:2]
+    ids[second] = ids[first]
     report = CATALOG["addpath_completeness"](_context(world))
     assert not report.ok
     assert "names both" in report.violations[0]

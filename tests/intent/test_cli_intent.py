@@ -1,10 +1,21 @@
 """``peering intent`` CLI surface and the shared exit-code convention."""
 
+import re
+
+from repro.bgp.policy import export_transform
 from repro.toolkit import ToolkitCli
+from repro.vbgp.node import VbgpNode
 
 
 def _cli(intent_world):
-    return ToolkitCli(intent_world.clients["alpha"])
+    neighbors = intent_world.neighbors
+    return ToolkitCli(
+        intent_world.clients["alpha"],
+        neighbor_speakers={
+            name: handle.speaker for name, handle in neighbors.items()
+        },
+        neighbor_pops={name: handle.pop for name, handle in neighbors.items()},
+    )
 
 
 def _spare(intent_world) -> str:
@@ -97,3 +108,33 @@ def test_verify_shares_the_convention(intent_world):
     toolkit = _cli(intent_world)
     _out, status = toolkit.run_with_status("peering verify invariants")
     assert status == 0
+
+
+def test_plan_checks_the_real_neighbors(intent_world):
+    toolkit = _cli(intent_world)
+    toolkit.run(f"peering intent op announce {_spare(intent_world)} -m west")
+    out, status = toolkit.run_with_status("peering intent plan")
+    assert status == 0
+    checked = re.search(
+        r"invariant community_propagation: ok \(checked=(\d+)\)", out)
+    assert checked is not None and int(checked.group(1)) > 0
+
+
+def test_plan_flags_a_leak_at_a_neighbor(intent_world, monkeypatch):
+    # An export step that forgets to consume control communities: only
+    # the neighbor speakers see the leak.
+    def leaky(self, route):
+        return export_transform(
+            route, asn=self.platform_asn,
+            next_hop=self._upstream_address(), path_id=None,
+            drop_community=lambda _community: False,
+        )
+
+    monkeypatch.setattr(VbgpNode, "export_transform", leaky)
+    toolkit = _cli(intent_world)
+    toolkit.run(f"peering intent op announce {_spare(intent_world)} "
+                "-m west -c 47065:10000")
+    out, status = toolkit.run_with_status("peering intent plan")
+    assert status == 1
+    assert "invariant community_propagation: VIOLATED" in out
+    assert "leaks control communities 47065:10000" in out

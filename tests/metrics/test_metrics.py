@@ -1,7 +1,12 @@
 """Metrics tests: traced ingest memory, CPU accounting, throughput."""
 
+import gc
+
 import pytest
 
+from repro.bgp.attributes import PathAttributes, Route
+from repro.bgp.session import BgpSession, SessionConfig
+from repro.bgp.transport import connect_pair
 from repro.internet.fulltable import FullTableGenerator
 from repro.metrics import (
     estimate_tcp_throughput,
@@ -9,14 +14,14 @@ from repro.metrics import (
     traced_bytes,
     upstream_pop,
 )
+from repro.netsim.addr import IPv4Address, MacAddress
 
-# Traced bytes per path of the 5k-path ingest below (Adj-RIB-In, decoded
-# routes, the neighbor's kernel table), run directly on each interpreter
-# when this bound was set: 1,073 B on CPython 3.10, 961 on 3.11, 936 on
-# 3.12 and 937 on 3.13. The bound takes the largest, so it holds on every
-# interpreter CI runs. The Figure 6a bench reads the same ingest at
-# 10k-40k paths.
-MEASURED_BYTES_PER_PATH = 1073
+# Traced bytes per path of the 5k-path ingest below (Adj-RIB-In, the
+# neighbor's kernel table), run directly on each interpreter when this
+# bound was set: 837 B on CPython 3.10, 781 on 3.11, 764 on 3.12 and 757
+# on 3.13. The bound takes the largest, so it holds on every interpreter
+# CI runs. The Figure 6a bench reads the same ingest at 10k-40k paths.
+MEASURED_BYTES_PER_PATH = 837
 
 
 class TestTracedIngest:
@@ -29,6 +34,60 @@ class TestTracedIngest:
         (traced,) = traced_bytes([lambda: feed(wires)])
         assert len(pop.node.upstreams["upstream"].rib) == 5000
         assert traced / 5000 <= 1.15 * MEASURED_BYTES_PER_PATH
+
+
+def _live_routes() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is Route)
+
+
+def _attach_listener(pop) -> list:
+    """An ADD-PATH experiment session on ``pop`` that keeps only the
+    number of NLRI each UPDATE it hears carries."""
+    heard: list = []
+    ours, theirs = connect_pair(pop.scheduler, rtt=0.01)
+    tunnel_ip = IPv4Address.parse("100.125.0.2")
+    pop.node.attach_experiment(
+        name="x0", asn=47065, prefixes=(), tunnel_ip=tunnel_ip,
+        tunnel_mac=MacAddress.parse("02:aa:00:00:00:02"), channel=ours,
+    )
+    BgpSession(
+        pop.scheduler,
+        SessionConfig(local_asn=47065, local_id=tunnel_ip, peer_asn=47065,
+                      addpath=True),
+        theirs,
+        on_update=lambda _session, update: heard.append(len(update.nlri)),
+    ).start()
+    return heard
+
+
+class TestHeldPath:
+    def test_a_held_path_is_its_prefix_and_attributes(self):
+        """The upstream ingest keeps no ``Route``: the rib holds each
+        path as its prefix object and attributes, and the node names a
+        path by that same prefix object."""
+        table = FullTableGenerator(prefix_count=5000, seed=5)
+        wires = [update.encode() for update in table.table_updates()]
+        pop, feed = upstream_pop()
+        before = _live_routes()
+        feed(wires)
+        assert _live_routes() - before == 0
+        neighbor = pop.node.upstreams["upstream"]
+        rib = neighbor.rib
+        assert len(rib) == 5000
+        assert all(type(attributes) is PathAttributes
+                   for _prefix, _path_id, attributes in rib.paths())
+        # A late experiment is named the table from the rib, then hears
+        # a second table's new and replaced paths as they arrive.
+        heard = _attach_listener(pop)
+        pop.scheduler.run_for(5)
+        assert sum(heard) == 5000
+        feed([update.encode() for update in FullTableGenerator(
+            prefix_count=1000, seed=6).table_updates()])
+        held = {id(prefix) for prefix, path_id, _attributes in rib.paths()
+                if path_id is None}
+        assert len(held) == len(rib) > 5000
+        assert {id(key) for key in neighbor.path_ids} == held
 
 
 class TestCpuModel:

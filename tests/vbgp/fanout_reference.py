@@ -122,8 +122,12 @@ def install(node) -> ReferenceFanout:
     reference knows no mesh, so ``node`` must have no backbone peer."""
     reference = ReferenceFanout(node)
 
-    def send_paths(neighbor, announced, removed) -> None:
+    def send_paths(neighbor, attributes, nlri, removed) -> None:
         virtual = neighbor.virtual
+        announced = [
+            Route(prefix=prefix, attributes=attributes, path_id=path_id)
+            for prefix, path_id in nlri
+        ]
         reference(node.experiments.values(), virtual.global_id,
                   virtual.local_ip, announced, removed)
 

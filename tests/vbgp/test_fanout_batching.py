@@ -24,11 +24,12 @@ PREFIXES = tuple(IPv4Prefix.parse("70.0.0.0/8").subnets(24))[:64]
 
 
 class _OneRoutePerGroup:
-    """Stands in for ``messages.group_by_attributes``: every route is its
+    """Stands in for ``messages.group_by_attributes``: every path is its
     own group, so the node sends one UPDATE per announced route."""
 
-    def __init__(self, routes):
-        self._groups = [(route.attributes, [route]) for route in routes]
+    def __init__(self, paths):
+        self._groups = [(attributes, [(prefix, path_id)])
+                        for prefix, path_id, attributes in paths]
 
     def items(self):
         return self._groups

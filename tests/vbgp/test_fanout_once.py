@@ -137,7 +137,7 @@ def node_view(node):
     }
     return {
         path_id: (prefix, vips[gid])
-        for (gid, prefix, _source_id), path_id in node._path_ids.items()
+        for (gid, prefix, _source_id), path_id in node.path_id_items()
     }
 
 
@@ -399,4 +399,4 @@ def test_oversized_group_and_withdrawal_still_chunk(shared):
     assert len(sink.frames) == -(-count // _MAX_WITHDRAW_PER_UPDATE)
     assert max(map(len, sink.frames)) <= MAX_MESSAGE_SIZE
     assert all(s.frames == sink.frames for s in world.sinks)
-    assert not world.node._path_ids
+    assert not list(world.node.path_id_items())
