@@ -78,8 +78,8 @@ def control_plane(chunks) -> tuple[list[int], list[int]]:
         for wire in wires:
             decoder.feed(wire)
             message = decoder.next_message()
-            for prefix, path_id in message.nlri:
-                rib.update(prefix, message.attributes, path_id)
+            for path in message.nlri:
+                rib.update(path, message.attributes)
 
     def install_defaults():
         prefixes = list(rib.prefixes())[len(installed):]

@@ -4,7 +4,9 @@
 policy engines, the vBGP rewriter, and the security enforcers all consume
 and produce routes. Attributes are immutable; manipulation helpers return
 new objects (``with_next_hop``, ``prepended`` …) so routes can be shared
-safely between tables.
+safely between tables.  A ``Community`` is an ``int`` holding its packed
+wire value, so a COMMUNITIES set hashes, sorts and encodes in C; the
+other attribute values are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -130,16 +132,31 @@ class AsPath:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Community:
-    """RFC 1997 community ``asn:value`` (16 bits each)."""
+class Community(int):
+    """RFC 1997 community ``asn:value`` (16 bits each), held as its packed
+    32-bit wire value.
 
-    asn: int
-    value: int
+    An ``int`` with no instance dict: hashing, equality and ordering are
+    the int's own, run in C, and int order is ``(asn, value)`` order, so
+    a sorted set is the canonical wire order.  The decoder builds a
+    COMMUNITIES set straight from the unpacked words without a Python
+    frame per community (``bgp.messages``).
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.asn < (1 << 16) or not 0 <= self.value < (1 << 16):
-            raise ValueError(f"community out of range: {self.asn}:{self.value}")
+    __slots__ = ()
+
+    def __new__(cls, asn: int, value: int) -> "Community":
+        if not 0 <= asn < (1 << 16) or not 0 <= value < (1 << 16):
+            raise ValueError(f"community out of range: {asn}:{value}")
+        return int.__new__(cls, (asn << 16) | value)
+
+    @property
+    def asn(self) -> int:
+        return self >> 16
+
+    @property
+    def value(self) -> int:
+        return self & 0xFFFF
 
     @classmethod
     def parse(cls, text: str) -> "Community":
@@ -147,14 +164,23 @@ class Community:
         return cls(int(asn_text), int(value_text))
 
     def packed(self) -> int:
-        return (self.asn << 16) | self.value
+        return int(self)
 
     @classmethod
     def from_packed(cls, packed: int) -> "Community":
-        return cls(asn=packed >> 16, value=packed & 0xFFFF)
+        if not 0 <= packed < (1 << 32):
+            raise ValueError(f"packed community out of range: {packed}")
+        return int.__new__(cls, packed)
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        # pickle and copy rebuild through ``__new__(asn, value)``.
+        return self >> 16, self & 0xFFFF
 
     def __str__(self) -> str:
-        return f"{self.asn}:{self.value}"
+        return f"{self >> 16}:{self & 0xFFFF}"
+
+    def __repr__(self) -> str:
+        return f"Community(asn={self >> 16}, value={self & 0xFFFF})"
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ class AdjRibIn:
     One dict, ``key → PathAttributes``, in arrival order (the order of a
     full-table replay, and so of its wire bytes).  The key of a path
     without an ADD-PATH id is the decoded prefix object itself; a path
-    with one is keyed ``(prefix, path id)``.  A prefix never equals a
+    with one is keyed by its ``(prefix, path id)`` pair, the very tuple
+    :meth:`update` was given (the decoded NLRI pair).  A prefix never equals a
     tuple, so "no path id" stays distinct from id 0.  A held path costs
     its prefix (shared with the kernel table) and one dict slot; no
     ``Route`` is kept, :meth:`routes` builds them when read.  Prefixes
@@ -77,10 +78,14 @@ class AdjRibIn:
     def __len__(self) -> int:
         return len(self._paths)
 
-    def update(self, prefix: Prefix, attributes: PathAttributes,
-               path_id: Optional[int] = None) -> Optional[PathAttributes]:
-        """Insert/replace; returns the replaced attributes if any."""
-        key = prefix if path_id is None else (prefix, path_id)
+    def update(self, path: PathKey, attributes: PathAttributes
+               ) -> Optional[PathAttributes]:
+        """Insert/replace the ``(prefix, path id)`` ``path``; returns the
+        replaced attributes if any.  A path with an id is keyed by the
+        ``path`` tuple itself, so whoever else keys it by that tuple
+        shares one object with the table."""
+        prefix, path_id = path
+        key = prefix if path_id is None else path
         paths = self._paths
         previous = paths.get(key)
         paths[key] = attributes
@@ -123,6 +128,15 @@ class AdjRibIn:
             else:
                 yield key, None, attributes
 
+    def items(self) -> Iterator[tuple[PathKey, PathAttributes]]:
+        """``((prefix, path id), attributes)`` of every held path, in
+        table order; a path with an id yields the tuple the table holds."""
+        for key, attributes in self._paths.items():
+            if key.__class__ is tuple:
+                yield key, attributes
+            else:
+                yield (key, None), attributes
+
     def routes(self) -> Iterator[Route]:
         for prefix, path_id, attributes in self.paths():
             yield Route(prefix=prefix, attributes=attributes, path_id=path_id)
@@ -136,8 +150,8 @@ class AdjRibIn:
         yield from counts
 
     def keys(self) -> Iterator[PathKey]:
-        for prefix, path_id, _attributes in self.paths():
-            yield prefix, path_id
+        for path, _attributes in self.items():
+            yield path
 
     @property
     def stale_count(self) -> int:

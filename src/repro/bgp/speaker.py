@@ -388,7 +388,7 @@ class BgpSpeaker:
                     continue
                 imported = maybe
             neighbor.adj_rib_in.update(
-                imported.prefix, imported.attributes, imported.path_id)
+                (imported.prefix, imported.path_id), imported.attributes)
             if neighbor.config.max_prefixes is not None and (
                 len(neighbor.adj_rib_in) > neighbor.config.max_prefixes
             ):

@@ -40,7 +40,8 @@ def block_neighbor(global_id: int) -> Community:
 
 
 def is_control(community: Community) -> bool:
-    return community.asn in (ANNOUNCE_ASN, BLOCK_ASN)
+    # A Community is its packed int: the high half is the ASN.
+    return community >> 16 in (ANNOUNCE_ASN, BLOCK_ASN)
 
 
 def strip_control(route: Route) -> Route:
@@ -64,13 +65,14 @@ def select_targets(
     whitelist_pops: set[int] = set()
     blacklist: set[int] = set()
     for community in route.communities:
-        if community.asn == ANNOUNCE_ASN:
-            if community.value >= POP_OFFSET:
-                whitelist_pops.add(community.value - POP_OFFSET)
+        asn, value = divmod(community, 1 << 16)
+        if asn == ANNOUNCE_ASN:
+            if value >= POP_OFFSET:
+                whitelist_pops.add(value - POP_OFFSET)
             else:
-                whitelist_gids.add(community.value)
-        elif community.asn == BLOCK_ASN:
-            blacklist.add(community.value)
+                whitelist_gids.add(value)
+        elif asn == BLOCK_ASN:
+            blacklist.add(value)
     selected: set[int] = set()
     restrict = bool(whitelist_gids or whitelist_pops)
     for global_id, pop_id in neighbors:
@@ -102,7 +104,7 @@ def choose_exports(
     """
     paths = [local[key] for key in sorted(local)] + [
         remote[key] for key in sorted(remote)
-        if any(c.asn == ANNOUNCE_ASN for c in remote[key].communities)
+        if any(c >> 16 == ANNOUNCE_ASN for c in remote[key].communities)
     ]
     chosen: dict[int, Route] = {}
     for route in paths:

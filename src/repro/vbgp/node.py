@@ -437,10 +437,10 @@ class VbgpNode:
             out_iface, hop = self.backbone_iface, attributes.next_hop
         table_id = neighbor.virtual.table_id
         add_route = self.stack.add_route
-        for prefix, path_id in nlri:
-            rib.update(prefix, attributes, path_id)
+        for path in nlri:
+            rib.update(path, attributes)
             add_route(KernelRoute(
-                prefix=prefix, out_iface=out_iface, next_hop=hop,
+                prefix=path[0], out_iface=out_iface, next_hop=hop,
             ), table_id=table_id)
         self.counters["routes_installed"] += len(nlri)
         self._send_paths(neighbor, attributes, nlri, removed)
@@ -627,7 +627,7 @@ class VbgpNode:
         for neighbor in (*self.upstreams.values(),
                          *self.remote_neighbors.values()):
             self._send(listeners, (), self._name_paths(
-                neighbor, neighbor.rib.paths(),
+                neighbor, neighbor.rib.items(),
             ), neighbor.virtual.local_ip, "updates_to_experiments")
 
     def _experiment_closed(self, name: str, _reason: str) -> None:
@@ -681,7 +681,7 @@ class VbgpNode:
         if not listeners and not mesh:
             return
         named = self._name_paths(neighbor, (
-            (prefix, path_id, attributes) for prefix, path_id in nlri))
+            (path, attributes) for path in nlri))
         virtual = neighbor.virtual
         if listeners:
             self._send(listeners, withdrawn, named, virtual.local_ip,
@@ -692,11 +692,12 @@ class VbgpNode:
 
     def _name_paths(self, neighbor, paths: Iterable[tuple]
                     ) -> list[tuple[PathAttributes, list]]:
-        """``neighbor``'s ``(prefix, path id, attributes)`` ``paths``
+        """``neighbor``'s ``((prefix, path id), attributes)`` ``paths``
         grouped by attribute set, each as ``(prefix, node id)``; a path
-        gets its id on first use.  A path without an id is keyed in
-        ``neighbor.path_ids`` by its prefix object, the one ``rib``
-        holds."""
+        gets its id on first use.  ``neighbor.path_ids`` keys a path by
+        the object ``rib`` holds: its prefix without an id, else the
+        ``(prefix, path id)`` pair itself (the decoded NLRI pair, or the
+        rib's own tuple on a replay from :meth:`AdjRibIn.items`)."""
         ids = neighbor.path_ids
         counter = self._path_id_counter
         named = []
@@ -944,7 +945,7 @@ class VbgpNode:
             return
         for neighbor in self.upstreams.values():
             self._send([session], (), self._name_paths(
-                neighbor, neighbor.rib.paths(),
+                neighbor, neighbor.rib.items(),
             ), neighbor.virtual.global_ip, "updates_to_backbone")
         for exp in self.experiments.values():
             for route in exp.announced.values():

@@ -1,5 +1,8 @@
 """Path attribute and route-model tests."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,6 +102,69 @@ class TestCommunities:
     @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
     def test_packed_property(self, packed):
         assert Community.from_packed(packed).packed() == packed
+
+
+halves = st.integers(min_value=0, max_value=65535)
+out_of_range_halves = st.integers(max_value=-1) | st.integers(
+    min_value=1 << 16)
+
+
+class TestCommunityAsPackedInt:
+    """A Community is its packed 32-bit value: an ``int`` that keeps the
+    ``asn:value`` API."""
+
+    @given(halves, halves)
+    def test_fields_round_trip(self, asn, value):
+        community = Community(asn, value)
+        assert (community.asn, community.value) == (asn, value)
+        assert Community(asn=asn, value=value) == community
+        assert community.packed() == (asn << 16) | value
+        assert repr(community) == f"Community(asn={asn}, value={value})"
+
+    @given(halves, halves)
+    def test_from_packed_inverts_packed(self, asn, value):
+        community = Community(asn, value)
+        again = Community.from_packed(community.packed())
+        assert again == community and type(again) is Community
+
+    @given(halves, halves)
+    def test_parse_inverts_str(self, asn, value):
+        community = Community(asn, value)
+        assert str(community) == f"{asn}:{value}"
+        assert Community.parse(str(community)) == community
+
+    @given(halves, halves)
+    def test_pickle_and_deepcopy_keep_the_type(self, asn, value):
+        community = Community(asn, value)
+        copies = [copy.copy(community), copy.deepcopy(community)] + [
+            pickle.loads(pickle.dumps(community, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for again in copies:
+            assert again == community and type(again) is Community
+            assert (again.asn, again.value) == (asn, value)
+
+    @given(st.lists(st.tuples(halves, halves), max_size=30))
+    def test_sorted_order_is_asn_value_order(self, pairs):
+        ordered = sorted(Community(asn, value) for asn, value in pairs)
+        assert [(c.asn, c.value) for c in ordered] == sorted(pairs)
+
+    @given(out_of_range_halves, halves, st.booleans())
+    def test_out_of_range_half_raises(self, bad, good, bad_asn):
+        asn, value = (bad, good) if bad_asn else (good, bad)
+        with pytest.raises(ValueError):
+            Community(asn, value)
+
+    @given(st.integers(max_value=-1) | st.integers(min_value=1 << 32))
+    def test_out_of_range_packed_raises(self, packed):
+        with pytest.raises(ValueError):
+            Community.from_packed(packed)
+
+    def test_no_instance_dict(self):
+        community = Community(47065, 1)
+        assert not hasattr(community, "__dict__")
+        assert isinstance(community, int)
+        assert hash(community) == hash((47065 << 16) | 1)
 
 
 class TestRoute:

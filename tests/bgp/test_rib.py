@@ -13,7 +13,7 @@ NH = IPv4Address.parse("1.1.1.1")
 
 def put(rib, route):
     """Hold ``route`` in an Adj-RIB-In, which keeps only its attributes."""
-    return rib.update(route.prefix, route.attributes, route.path_id)
+    return rib.update((route.prefix, route.path_id), route.attributes)
 
 
 class TestAdjRibIn:

@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from repro.bgp.attributes import PathAttributes, Route
+from repro.bgp.messages import UpdateMessage
 from repro.bgp.session import BgpSession, SessionConfig
 from repro.bgp.transport import connect_pair
 from repro.internet.fulltable import FullTableGenerator
@@ -39,6 +40,37 @@ class TestTracedIngest:
 def _live_routes() -> int:
     gc.collect()
     return sum(1 for obj in gc.get_objects() if type(obj) is Route)
+
+
+def _addpath_route_server(pop):
+    """An ADD-PATH route server ``rs`` on ``pop``; returns a function that
+    sends it UPDATE bytes and runs the PoP until they are in."""
+    address, mac, _lan_port = pop.provision_lan_host("rs")
+    ours, theirs = connect_pair(pop.scheduler, rtt=0.01)
+    pop.node.attach_upstream("rs", 65020, address, mac, ours,
+                             kind="route-server", addpath=True)
+    BgpSession(
+        pop.scheduler,
+        SessionConfig(local_asn=65020, local_id=address, peer_asn=47065,
+                      addpath=True),
+        theirs, on_update=lambda _session, _update: None,
+    ).start()
+    pop.scheduler.run_for(5)
+
+    def feed(wires) -> None:
+        for wire in wires:
+            theirs.send(wire)
+        pop.scheduler.run_for(1)
+
+    return feed
+
+
+def _with_path_id(table, path_id: int) -> list:
+    """``table``'s UPDATEs as ADD-PATH wire bytes, every path ``path_id``."""
+    return [UpdateMessage(
+        attributes=update.attributes,
+        nlri=tuple((prefix, path_id) for prefix, _none in update.nlri),
+    ).encode(addpath=True) for update in table.table_updates()]
 
 
 def _attach_listener(pop) -> list:
@@ -87,6 +119,27 @@ class TestHeldPath:
         held = {id(prefix) for prefix, path_id, _attributes in rib.paths()
                 if path_id is None}
         assert len(held) == len(rib) > 5000
+        assert {id(key) for key in neighbor.path_ids} == held
+
+    def test_an_id_path_is_keyed_by_the_ribs_own_tuple(self):
+        """An ADD-PATH route server's paths are keyed ``(prefix, path
+        id)``: the rib holds the decoded NLRI pair, and the node names
+        the path by that very tuple, on a full-table replay and on live
+        updates alike -- not by an equal copy."""
+        pop, _feed = upstream_pop()
+        feed = _addpath_route_server(pop)
+        feed(_with_path_id(FullTableGenerator(prefix_count=2000, seed=5),
+                           path_id=1))
+        _attach_listener(pop)
+        pop.scheduler.run_for(5)
+        # New paths under id 2, and id 1 paths replaced.
+        feed(_with_path_id(FullTableGenerator(prefix_count=500, seed=6),
+                           path_id=2))
+        feed(_with_path_id(FullTableGenerator(prefix_count=500, seed=7),
+                           path_id=1))
+        neighbor = pop.node.upstreams["rs"]
+        held = {id(path) for path, _attributes in neighbor.rib.items()}
+        assert len(held) == len(neighbor.rib) > 2000
         assert {id(key) for key in neighbor.path_ids} == held
 
 

@@ -28,8 +28,7 @@ class _OneRoutePerGroup:
     own group, so the node sends one UPDATE per announced route."""
 
     def __init__(self, paths):
-        self._groups = [(attributes, [(prefix, path_id)])
-                        for prefix, path_id, attributes in paths]
+        self._groups = [(attributes, [path]) for path, attributes in paths]
 
     def items(self):
         return self._groups
