@@ -27,7 +27,7 @@ import sys
 import time
 import weakref
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.bgp.transport import SocketChannel, SocketListener, SocketPoller
 from repro.fleet.compiler import CompiledFleet
@@ -179,7 +179,7 @@ class FleetController:
         # PoPs whose federation uplink said hello (the boot barrier).
         self.hellos: set[str] = set()
         self._federation_listener: Optional[SocketListener] = None
-        self._federation_channels: list[SocketChannel] = []
+        self.federation_channels: list[SocketChannel] = []
         self._finalizer = weakref.finalize(self, _reap, self.processes)
 
     # -- lifecycle ---------------------------------------------------------
@@ -309,9 +309,9 @@ class FleetController:
 
     def close(self) -> None:
         """Release sockets without touching the processes."""
-        for channel in self._federation_channels:
+        for channel in self.federation_channels:
             channel.close()
-        self._federation_channels.clear()
+        self.federation_channels.clear()
         if self._federation_listener is not None:
             self._federation_listener.close()
             self._federation_listener = None
@@ -322,42 +322,17 @@ class FleetController:
 
     # -- lockstep ----------------------------------------------------------
 
-    def step_all(self) -> int:
-        """One sweep: step every PoP, pump federation; total activity."""
-        total = 0
-        for name in self.fleet.pop_names():
-            client = self.clients.get(name)
-            if client is not None and client.connected:
-                total += client.call("step")["activity"]
-        total += self.poller.pump(0)
-        return total
-
-    def settle(self, quiet_sweeps: int = 2, max_sweeps: int = 10_000) -> int:
-        """Sweep until ``quiet_sweeps`` consecutive all-quiet rounds.
-
-        An all-quiet sweep is confirmed with a short blocking pump:
-        loopback TCP delivers asynchronously, so bytes a PoP sent during
-        its ``step`` may not be readable here (or at another PoP) until
-        a moment later.  Each PoP's own settle applies the same
-        confirmation, and ``step`` reports autonomous work done between
-        sweeps, so nothing in flight can slip past the barrier.
-        """
-        total = 0
-        quiet = 0
-        for _ in range(max_sweeps):
-            activity = self.step_all()
-            if activity == 0:
-                activity = self.poller.pump(0.01)
-            total += activity
-            quiet = quiet + 1 if activity == 0 else 0
-            if quiet >= quiet_sweeps:
-                return total
-        raise RuntimeError("fleet failed to settle (activity never quiesced)")
+    def step_all(self) -> Dict[str, List[int]]:
+        """One sweep: ``step`` every connected PoP; its traffic by name."""
+        return {
+            name: client.call("step")["traffic"]
+            for name, client in self.clients.items() if client.connected
+        }
 
     # -- federation --------------------------------------------------------
 
     def _accept_federation(self, channel: SocketChannel) -> None:
-        self._federation_channels.append(channel)
+        self.federation_channels.append(channel)
         buffer = bytearray()
 
         def on_data(data: bytes) -> None:

@@ -23,7 +23,10 @@ never advances in either leg (all sessions negotiate hold time 0, so no
 timer ever arms), every churn step fully settles before the next, and
 each endpoint's wire stream is compared per-channel so cross-channel
 arrival order — the one thing real sockets cannot pin — never enters
-the comparison.
+the comparison.  The fleet leg's settle is a counting barrier, not a
+timer: it sweeps the driver and every PoP until two sweeps read the
+same byte and channel counters and every byte sent has been read
+(:meth:`SocketFleetLeg.settle`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.conformance.invariants import (
 from repro.conformance.state import WireTap, changes_from_frames, speaker_view
 from repro.fleet.compiler import CompiledFleet, compile_world
 from repro.fleet.controller import FleetController
+from repro.fleet.runpop import channel_traffic
 from repro.fleet.runtime import LOCAL_INVARIANTS, build_fleet_pop
 from repro.fleet.spec import demo_world_spec
 from repro.internet.churn import AMSIX_PROFILE, ChurnGenerator
@@ -351,12 +355,9 @@ class SocketFleetLeg(_DriverLeg):
     the controller; external speakers live here on their own frozen
     scheduler and dial the PoPs' compiled ports."""
 
-    #: Consecutive all-quiet sweeps before declaring convergence; each
-    #: quiet sweep is confirmed with a short blocking pump because
-    #: loopback TCP delivers asynchronously (bytes can be in flight when
-    #: a zero-timeout pump reports nothing ready).
-    QUIET_SWEEPS = 2
     MAX_SWEEPS = 10_000
+    #: Longest wait on the driver's poller while sent bytes are unread.
+    IN_FLIGHT_WAIT = 0.001
 
     def __init__(self, fleet: CompiledFleet,
                  boot_timeout: float = 30.0) -> None:
@@ -408,31 +409,46 @@ class SocketFleetLeg(_DriverLeg):
         return SocketChannel.connect(self.controller.poller,
                                      "127.0.0.1", port)
 
-    def _drain_driver(self) -> int:
-        fired = 0
-        while True:
-            step = self.scheduler.run_until(self.scheduler.now)
-            if not step:
-                return fired
-            fired += step
+    def _sweep(self) -> Tuple[List[int], Dict[str, List[int]]]:
+        """Drain the driver, then read its own traffic (endpoint, client
+        and federation channels) and ``step`` every live PoP."""
+        poller = self.controller.poller
+        while poller.pump(0) + self.scheduler.run_until(self.scheduler.now):
+            pass
+        channels = [ep.channel for ep in self.endpoints]
+        channels += [client.channel for client in self.clients.values()]
+        channels += self.controller.federation_channels
+        return channel_traffic(channels), self.controller.step_all()
 
     def settle(self) -> None:
-        quiet = 0
-        for _sweep in range(self.MAX_SWEEPS):
-            activity = self._drain_driver()
-            activity += self.controller.step_all()
-            activity += self._drain_driver()
-            if activity == 0:
-                # Confirm quiet with a blocking pump: gives in-flight
-                # bytes (pop -> driver, pop -> pop) time to land.
-                activity = self.controller.poller.pump(0.01)
-                activity += self._drain_driver()
-            if activity == 0:
-                quiet += 1
-                if quiet >= self.QUIET_SWEEPS:
-                    return
-            else:
-                quiet = 0
+        """Sweep until the fleet has quiesced, by counting (Mattern's
+        four-counter termination detection).
+
+        Time is frozen, so a process acts only on bytes it reads (or a
+        wall-clock redial, which opens a channel), and every ``step``,
+        like the driver's drain, runs until nothing is ready.  Every
+        data channel is counted at both ends, so the fleet is idle once
+        every byte sent on an open channel has been read.  One sweep
+        cannot show that: counters are read one process at a time, and
+        a process read early may receive a message and send another to
+        one read later while the totals still balance.  Two consecutive
+        sweeps with identical counters rule that out, since such work
+        changes a counter between them; the channel count catches a
+        channel opened or closed in between.  While sent and read totals
+        differ, bytes are in flight (or a channel's far end is not
+        counted yet), so the driver waits at most
+        :attr:`IN_FLIGHT_WAIT` on its poller before the next sweep.
+        """
+        previous = None
+        for _ in range(self.MAX_SWEEPS):
+            sweep = self._sweep()
+            driver, pops = sweep
+            sent, read, _open = map(sum, zip(driver, *pops.values()))
+            if sent == read and sweep == previous:
+                return
+            if sent != read:
+                self.controller.poller.pump(self.IN_FLIGHT_WAIT)
+            previous = sweep
         raise RuntimeError("fleet settle did not quiesce")
 
     def pop_call(self, pop: str, what: str):

@@ -21,8 +21,12 @@ driving real loopback TCP for every session the artifact names:
 Scheduler time stays frozen at 0: every timer (hold, keepalive,
 GR-stale, supervisor backoff) is armed but never fires, exactly as in
 the in-process reference leg, so no timer can make the legs diverge.
-``step`` pumps the poller and drains same-time scheduler events until
-quiescent — the driver's lockstep barrier.
+``step`` pumps the poller without blocking and drains same-time
+scheduler events until nothing is ready, then replies with the PoP's
+:func:`channel_traffic` — bytes sent, bytes read and open channels over
+its BGP sessions and federation uplink — which the driver's counting
+barrier (:meth:`repro.fleet.differential.SocketFleetLeg.settle`) sums
+across the fleet.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import signal
 import sys
 import time
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.bgp.transport import (
     SocketChannel,
@@ -54,16 +58,28 @@ from repro.telemetry.station import (
     StatsReport,
 )
 
-__all__ = ["PopProcess", "main", "serialize_event"]
+__all__ = ["PopProcess", "channel_traffic", "main", "serialize_event"]
 
 # One ``step`` drains at most this many pump+drain rounds — a safety
 # bound so a pathological event loop cannot wedge the control RPC.
 MAX_STEP_ROUNDS = 10_000
 # Wall-clock throttle between backbone/federation dial attempts.
 REDIAL_INTERVAL = 0.2
-# Blocking-pump window that confirms an all-quiet settle round: loopback
-# TCP delivers asynchronously, so in-flight bytes need a moment to land.
-SETTLE_CONFIRM = 0.01
+
+
+def channel_traffic(channels: Iterable) -> List[int]:
+    """``[bytes sent, bytes read, open channels]`` over the open ones.
+
+    A closed channel drops out: its peer either drops out too or reads
+    EOF on its next pump, so no count is left waiting for a partner.
+    """
+    sent = read = count = 0
+    for channel in channels:
+        if channel is not None and not channel.closed:
+            sent += channel.tx_bytes
+            read += channel.rx_bytes
+            count += 1
+    return [sent, read, count]
 
 
 def serialize_event(pop: str, event: BmpMessage) -> dict:
@@ -131,15 +147,6 @@ class PopProcess:
             self.scheduler, artifact, telemetry=self.telemetry
         )
         self.running = True
-        # Activity accounting: everything processed, whether inside a
-        # ``step`` RPC or autonomously in the main loop; ``step`` reports
-        # the delta so the lockstep driver misses nothing.
-        self.activity_total = 0
-        self._last_step_total = 0
-        # Control RPC arrivals are poller events too, but they are the
-        # driver's own lockstep traffic — excluded from step deltas.
-        self._control_events = 0
-        self._last_control_events = 0
         self.listeners: list[SocketListener] = []
         # Control commands are only *enqueued* inside poller callbacks
         # and executed from the main loop — a snapshot RPC must never
@@ -272,10 +279,6 @@ class PopProcess:
         self._control_channels.append(channel)
 
         def on_data(data: bytes) -> None:
-            # Control traffic is the lockstep driver talking to us — it
-            # must not count as fleet activity, or every `step` would
-            # observe its own arrival and the sweep would never go quiet.
-            self._control_events += 1
             self._control_queue.extend(
                 (line, channel) for line in reader.feed(data)
             )
@@ -304,7 +307,7 @@ class PopProcess:
             return {"ok": True, "pop": self.name,
                     "digest": self.artifact["spec_digest"]}
         if command == "step":
-            return {"ok": True, "activity": self.step()}
+            return {"ok": True, "traffic": self.step()}
         if command == "snapshot":
             return {"ok": True,
                     "snapshot": self.fleet_pop.structural_snapshot()}
@@ -326,44 +329,18 @@ class PopProcess:
 
     # -- event loop --------------------------------------------------------
 
-    def settle(self) -> int:
-        """Pump sockets + drain same-time events until quiescent.
-
-        Loopback TCP delivery is *asynchronous*: ``send`` returns before
-        the bytes reach the peer's receive queue, so a zero-timeout pump
-        can report "nothing ready" while an UPDATE is still in flight
-        from the driver or another PoP.  A quiet round therefore only
-        counts after a short *blocking* pump confirms it — waiting
-        longer is always safe under frozen time (no timer can fire).
-        """
-        total = 0
+    def step(self) -> List[int]:
+        """Pump without blocking and drain same-time events until nothing
+        is ready, then report :func:`channel_traffic` over this PoP's
+        data channels (its BGP sessions and federation uplink; control
+        channels are the driver's own and never counted)."""
         for _ in range(MAX_STEP_ROUNDS):
-            activity = self.poller.pump(0)
-            activity += self.scheduler.run_until(self.scheduler.now)
-            total += activity
-            if activity == 0:
-                confirm = self.poller.pump(SETTLE_CONFIRM)
-                confirm += self.scheduler.run_until(self.scheduler.now)
-                total += confirm
-                if confirm == 0:
-                    break
-        self.activity_total += total
-        return total
-
-    def step(self) -> int:
-        """Settle, then report all activity since the previous ``step``.
-
-        The main loop also processes I/O between control commands; that
-        autonomous work must count toward the driver's quiescence sweep,
-        or the controller could declare the fleet converged while a PoP
-        was still digesting late-arriving bytes.
-        """
-        self.settle()
-        control = self._control_events - self._last_control_events
-        delta = self.activity_total - self._last_step_total - control
-        self._last_step_total = self.activity_total
-        self._last_control_events = self._control_events
-        return max(0, delta)
+            if not (self.poller.pump(0)
+                    + self.scheduler.run_until(self.scheduler.now)):
+                break
+        sessions = [getattr(session, "channel", None)
+                    for session in self.node_sessions()]
+        return channel_traffic([*sessions, self._federation])
 
     def run(self) -> None:
         self.start()
@@ -371,9 +348,8 @@ class PopProcess:
             self, "running", False
         ))
         while self.running:
-            activity = self.poller.pump(0.05)
-            activity += self.scheduler.run_until(self.scheduler.now)
-            self.activity_total += activity
+            self.poller.pump(0.05)
+            self.scheduler.run_until(self.scheduler.now)
             self._drain_control()
             self._maintain_backbone()
             self._maintain_federation()

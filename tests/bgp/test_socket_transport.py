@@ -6,10 +6,11 @@ mid-marker, mid-length-field, or with several frames coalesced into one
 read), and both :class:`FrameReassembler` and :class:`MessageDecoder`
 must reconstruct the identical frame/message stream.
 
-Loopback delivery on this platform is asynchronous — ``send`` returns
-before the peer can read the bytes — so every socket assertion polls
-with short *blocking* pumps instead of assuming a zero-timeout pump
-sees everything (the same discipline the fleet settle barrier uses).
+Loopback delivery is asynchronous — ``send`` returns before the peer
+can read the bytes — so every socket assertion polls with short
+*blocking* pumps instead of assuming a zero-timeout pump sees
+everything (the fleet settle barrier instead counts ``tx_bytes`` against
+``rx_bytes``).
 """
 
 import selectors

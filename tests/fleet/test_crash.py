@@ -1,7 +1,7 @@
 """fleet-pop-crash: SIGKILL mid-churn, restart from artifact, re-heal.
 
-Tier-1 runs seeds 0 and 1 (two different victims); the CI ``fleet`` job
-soaks seeds 0-2.
+Tier-1 runs seeds 0-4 (three different victims); the CI ``fleet`` job
+soaks seeds 0-4 again outside pytest.
 """
 
 import pytest
