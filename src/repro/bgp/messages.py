@@ -590,11 +590,14 @@ def pack_updates(withdrawn: Sequence, groups: Iterable[tuple],
 # same prefixes churn over and over (flaps), and the encoding is pure.
 _NLRI_WIRE_CACHE: dict[IPv4Prefix, bytes] = {}
 _NLRI_WIRE_CACHE_CAP = 65536
+_V4_TAG = IPv4Prefix.TAG
 
 
 def _prefix_wire(prefix: IPv4Prefix) -> bytes:
-    nbytes = (prefix.length + 7) // 8
-    return bytes([prefix.length]) + prefix.network.packed()[:nbytes]
+    # The packed prefix is ``TAG | network << 8 | length``.
+    length = prefix & 0xFF
+    network = (prefix ^ _V4_TAG) >> 8
+    return bytes([length]) + network.to_bytes(4, "big")[:(length + 7) // 8]
 
 
 # The reusable zero-copy encode buffer.  One module-level bytearray, reset
@@ -652,12 +655,15 @@ def _decode_nlri_block(
         raw = data[offset:offset + nbytes] + b"\x00" * (4 - nbytes)
         offset += nbytes
         value = int.from_bytes(raw, "big")
-        mask = ((1 << length) - 1) << (32 - length) if length else 0
-        if value & ~mask & 0xFFFFFFFF:
+        if value & ((1 << (32 - length)) - 1):
             raise NotificationError(
                 ErrorCode.UPDATE_MESSAGE, UpdateSubcode.INVALID_NETWORK_FIELD
             )
-        result.append((IPv4Prefix(IPv4Address(value), length), path_id))
+        # Checked above as ``IPv4Prefix.__new__`` would: build the packed
+        # int directly, with no address object and no Python frame.
+        result.append(
+            (int.__new__(IPv4Prefix, _V4_TAG | value << 8 | length), path_id)
+        )
     return result
 
 

@@ -642,4 +642,4 @@ class BgpSpeaker:
 
 def _pending_order(key: tuple[Prefix, Optional[int]]) -> tuple:
     """Wire order of pending announce/withdraw keys: prefix, then path id."""
-    return key[0].key(), key[1] or 0
+    return key[0], key[1] or 0

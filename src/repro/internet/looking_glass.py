@@ -66,7 +66,7 @@ class LookingGlass:
             telemetry=self.telemetry,
         )
         # (peer asn, prefix) -> collected route (announce history).
-        self.table: dict[tuple[int, tuple], CollectedRoute] = {}
+        self.table: dict[tuple[int, Prefix], CollectedRoute] = {}
         self.station.subscribe(self._on_bmp)
         self._peer_asns: dict[str, int] = {}
 
@@ -100,7 +100,7 @@ class LookingGlass:
             return
         now = self.scheduler.now
         for route in message.announced:
-            key = (asn, route.prefix.key())
+            key = (asn, route.prefix)
             existing = self.table.get(key)
             if existing is None:
                 self.table[key] = CollectedRoute(
@@ -115,8 +115,8 @@ class LookingGlass:
 
     def show_route_for(self, prefix: Prefix) -> str:
         lines = []
-        for (asn, prefix_key), collected in sorted(self.table.items()):
-            if prefix_key == prefix.key():
+        for (asn, held), collected in sorted(self.table.items()):
+            if held == prefix:
                 lines.append(
                     f"from AS{asn}: {collected.route}"
                 )
@@ -125,8 +125,8 @@ class LookingGlass:
     def routes_for(self, prefix: Prefix) -> list[CollectedRoute]:
         return [
             collected
-            for (asn, prefix_key), collected in self.table.items()
-            if prefix_key == prefix.key()
+            for (asn, held), collected in self.table.items()
+            if held == prefix
         ]
 
     def visible_paths(self, prefix: Prefix) -> set[tuple[int, ...]]:

@@ -154,8 +154,8 @@ class NetworkController:
                         applied,
                         f"del addr {address} on {iface} (reorder)",
                         lambda a=address: self.netlink.del_address(iface, a),
-                        lambda a=address, l=length: self.netlink.add_address(
-                            iface, a, l
+                        lambda a=address, n=length: self.netlink.add_address(
+                            iface, a, n
                         ),
                         fail_on,
                     )
@@ -167,8 +167,8 @@ class NetworkController:
                 self._do(
                     applied,
                     f"add addr {address}/{length} on {iface}",
-                    lambda a=address, l=length: self.netlink.add_address(
-                        iface, a, l
+                    lambda a=address, n=length: self.netlink.add_address(
+                        iface, a, n
                     ),
                     lambda a=address: self.netlink.del_address(iface, a),
                     fail_on,
@@ -187,13 +187,13 @@ class NetworkController:
         desired_by_table: dict[int, dict] = {}
         for record in intent.routes:
             desired_by_table.setdefault(record.table, {})[
-                record.prefix.key()
+                record.prefix
             ] = record
         tables = set(self.netlink.list_tables()) | set(desired_by_table)
         for table in sorted(tables):
             desired = desired_by_table.get(table, {})
             current = {
-                record.prefix.key(): record
+                record.prefix: record
                 for record in self.netlink.dump_routes(table)
             }
             for key, record in current.items():

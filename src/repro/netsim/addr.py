@@ -2,14 +2,15 @@
 
 These are implemented from scratch (integer-backed, hashable, totally
 ordered) rather than on :mod:`ipaddress` so the rest of the reproduction can
-rely on exact semantics — e.g. the LPM trie keys on ``(value, length)`` and
-vBGP allocates virtual MAC/IP pairs arithmetically.
+rely on exact semantics — e.g. a prefix *is* an ``int`` packing its family
+tag, network and length, so every table keyed on prefixes hashes and
+compares in C, and vBGP allocates virtual MAC/IP pairs arithmetically.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 
 class AddressError(ValueError):
@@ -259,25 +260,39 @@ class IPv6Address:
 IPAddress = Union[IPv4Address, IPv6Address]
 
 
-class _Prefix:
-    """Shared behaviour for IPv4/IPv6 prefixes."""
+class _Prefix(int):
+    """Shared behaviour for IPv4/IPv6 prefixes.
 
-    __slots__ = ("_network", "_length", "_hash")
+    A prefix is an ``int`` holding ``TAG | network << 8 | length``, with
+    no instance dict: hashing, equality and ordering are the int's own,
+    run in C, and every RIB, path-id map and kernel table keys on it.
+    ``TAG`` is one bit above the family's widest packed value, so the two
+    families never compare equal (IPv4 sorts first), no prefix is falsy
+    (``0.0.0.0/0`` included), and no prefix equals an int below
+    ``2**40``, such as a path id or an ASN.  Within a family, int order
+    is ``(network, length)`` order: :meth:`key` order.
+
+    ``json`` writes an int subclass as its bare number: serialize a
+    prefix with ``str()``, never as the object.
+    """
+
+    __slots__ = ()
 
     BITS: int = 0
+    TAG: int = 0
     ADDRESS_CLS: type = object
 
-    def __init__(self, network: IPAddress, length: int) -> None:
-        if not 0 <= length <= self.BITS:
+    def __new__(cls, network: IPAddress, length: int):
+        if not isinstance(network, cls.ADDRESS_CLS):
+            raise AddressError(f"{network!r} is not a {cls.__name__} network")
+        if not 0 <= length <= cls.BITS:
             raise AddressError(f"prefix length out of range: /{length}")
-        mask = self._mask(length)
-        if network.value & ~mask & ((1 << self.BITS) - 1):
+        value = network.value
+        if value & ((1 << (cls.BITS - length)) - 1):
             raise AddressError(
                 f"host bits set in prefix {network}/{length}"
             )
-        self._network = network
-        self._length = length
-        self._hash: Optional[int] = None
+        return int.__new__(cls, cls.TAG | value << 8 | length)
 
     @classmethod
     def _mask(cls, length: int) -> int:
@@ -305,44 +320,47 @@ class _Prefix:
 
     @property
     def network(self) -> IPAddress:
-        return self._network
+        return self.ADDRESS_CLS((self ^ self.TAG) >> 8)  # type: ignore[call-arg]
 
     @property
     def length(self) -> int:
-        return self._length
+        return self & 0xFF
 
     @property
     def netmask(self) -> int:
-        return self._mask(self._length)
+        return self._mask(self & 0xFF)
 
     @property
     def num_addresses(self) -> int:
-        return 1 << (self.BITS - self._length)
+        return 1 << (self.BITS - (self & 0xFF))
 
     def contains_address(self, address: IPAddress) -> bool:
         if not isinstance(address, self.ADDRESS_CLS):
             return False
-        return (address.value & self.netmask) == self._network.value
+        shift = self.BITS - (self & 0xFF)
+        return address.value >> shift == (self ^ self.TAG) >> (8 + shift)
 
     def contains_prefix(self, other: "_Prefix") -> bool:
         if type(other) is not type(self):
             return False
-        if other._length < self._length:
+        length = self & 0xFF
+        if other & 0xFF < length:
             return False
-        return (other._network.value & self.netmask) == self._network.value
+        # Same family, same tag: the networks agree on the first
+        # ``length`` bits iff the packed ints do above them.
+        shift = 8 + self.BITS - length
+        return other >> shift == self >> shift
 
     def subnets(self, new_length: int) -> Iterator["_Prefix"]:
         """Iterate over the subnets of this prefix at ``new_length``."""
-        if new_length < self._length or new_length > self.BITS:
+        length = self & 0xFF
+        if new_length < length or new_length > self.BITS:
             raise AddressError(
-                f"cannot subnet /{self._length} into /{new_length}"
+                f"cannot subnet /{length} into /{new_length}"
             )
+        network = (self ^ self.TAG) >> 8
         step = 1 << (self.BITS - new_length)
-        for value in range(
-            self._network.value,
-            self._network.value + self.num_addresses,
-            step,
-        ):
+        for value in range(network, network + self.num_addresses, step):
             yield type(self)(self.ADDRESS_CLS(value), new_length)  # type: ignore[call-arg]
 
     def address_at(self, offset: int) -> IPAddress:
@@ -351,52 +369,28 @@ class _Prefix:
             raise AddressError(
                 f"offset {offset} outside {self}"
             )
-        return self.ADDRESS_CLS(self._network.value + offset)  # type: ignore[call-arg]
+        return self.ADDRESS_CLS(((self ^ self.TAG) >> 8) + offset)  # type: ignore[call-arg]
 
     def key(self) -> tuple[int, int]:
-        """``(value, length)`` tuple used by the LPM trie."""
-        return (self._network.value, self._length)
+        """``(network value, length)``: the order prefixes sort in."""
+        return ((self ^ self.TAG) >> 8, self & 0xFF)
+
+    def __getnewargs__(self) -> tuple[IPAddress, int]:
+        # pickle and copy rebuild through ``__new__(network, length)``.
+        return self.network, self & 0xFF
 
     def __str__(self) -> str:
-        return f"{self._network}/{self._length}"
+        return f"{self.network}/{self & 0xFF}"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        # Raw values, not ``IPv4Address.__eq__``: a decoded NLRI is a fresh
-        # prefix, so every dict hit on a path key pays this compare.
-        return (
-            type(other) is type(self)
-            and self._network._value  # type: ignore[attr-defined]
-            == other._network._value  # type: ignore[attr-defined]
-            and self._length == other._length  # type: ignore[attr-defined]
-        )
-
-    def __lt__(self, other: "_Prefix") -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.key() < other.key()
-
-    def __le__(self, other: "_Prefix") -> bool:
-        return self == other or self < other
-
-    def __hash__(self) -> int:
-        # Prefixes key the RIBs, kernel tables, and path-id maps, so the
-        # hash is computed once and cached (the instance is immutable).
-        h = self._hash
-        if h is None:
-            h = hash(
-                (type(self).__name__, self._network.value, self._length)
-            )
-            self._hash = h
-        return h
 
 
 class IPv4Prefix(_Prefix):
     """An IPv4 CIDR prefix such as ``184.164.224.0/24``."""
 
     BITS = 32
+    TAG = 1 << 40
     ADDRESS_CLS = IPv4Address
 
 
@@ -404,6 +398,7 @@ class IPv6Prefix(_Prefix):
     """An IPv6 CIDR prefix such as ``2804:269c::/32``."""
 
     BITS = 128
+    TAG = 1 << 136
     ADDRESS_CLS = IPv6Address
 
 

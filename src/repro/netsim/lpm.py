@@ -94,10 +94,11 @@ class _StrideTrie:
         """``prefix`` as its whole bytes (the path of nodes to it), then
         the in-node slot and length (0..7) of what is left inside that
         node."""
-        length = prefix.length
+        # Read the packed int ``TAG | network << 8 | length`` directly.
+        length = prefix & 0xFF
         whole = length // _STRIDE
         remainder = length % _STRIDE
-        network = prefix.network.value
+        network = (prefix ^ prefix.TAG) >> 8
         bits = prefix.BITS
         route = (network >> (bits - _STRIDE * whole)).to_bytes(whole, "big")
         slot = (network >> (bits - length)) & ((1 << remainder) - 1)
@@ -324,12 +325,13 @@ class LpmTable(Generic[V]):
     def _invalidate(self, prefix: Prefix) -> None:
         """Drop cached lookups (hits *and* misses) covered by ``prefix``."""
         cache = self._cache
-        if prefix.length == 0:
+        length = prefix & 0xFF  # the packed prefix's length field
+        if length == 0:
             cache.clear()
             return
-        bits = prefix.ADDRESS_CLS.BITS
-        shift = bits - prefix.length
-        network = prefix.network.value >> shift
+        bits = prefix.BITS
+        shift = bits - length
+        network = (prefix ^ prefix.TAG) >> (8 + shift)
         stale = [
             key for key in cache
             if key[0] == bits and (key[1] >> shift) == network

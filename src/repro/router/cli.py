@@ -66,7 +66,7 @@ def _show_route(router: Router, args: list[str]) -> str:
     lines = []
     prefixes = (
         [target] if target is not None
-        else sorted(router.speaker.loc_rib.prefixes(), key=lambda p: p.key())
+        else sorted(router.speaker.loc_rib.prefixes())
     )
     for prefix in prefixes:
         entries = router.speaker.loc_rib.candidates(prefix)

@@ -25,12 +25,12 @@ class EnforcerState:
                  window: float = DAY_SECONDS) -> None:
         self.per_pop_limit = per_pop_limit
         self.window = window
-        self._events: dict[tuple[str, tuple, str], Deque[float]] = {}
+        self._events: dict[tuple[str, Prefix, str], Deque[float]] = {}
         self.total_updates = 0
 
     def _bucket(self, experiment: str, prefix: Prefix,
                 pop: str) -> Deque[float]:
-        key = (experiment, prefix.key(), pop)
+        key = (experiment, prefix, pop)
         bucket = self._events.get(key)
         if bucket is None:
             bucket = deque()
@@ -64,8 +64,8 @@ class EnforcerState:
                        now: float) -> int:
         """Updates in the last 24 h for the prefix across all PoPs."""
         total = 0
-        for (exp, prefix_key, _pop), bucket in self._events.items():
-            if exp == experiment and prefix_key == prefix.key():
+        for (exp, held, _pop), bucket in self._events.items():
+            if exp == experiment and held == prefix:
                 self._prune(bucket, now)
                 total += len(bucket)
         return total

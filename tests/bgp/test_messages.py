@@ -3,6 +3,8 @@
 import json
 import struct
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,9 @@ from repro.conformance.fuzzer import seed_frames
 from repro.conformance.strategies import (
     path_attributes as canonical_attributes,
 )
+from repro.internet.fulltable import FullTableGenerator
+from repro.metrics import upstream_pop
+from repro.netsim import addr
 from repro.netsim.addr import IPv4Address, IPv4Prefix
 
 CORPUS = sorted((Path(__file__).parents[1] / "corpus").glob("*.json"))
@@ -402,6 +407,74 @@ class TestCommunitiesCodec:
             decode_one(TestUpdate.announce_with(attribute))
         assert info.value.code == ErrorCode.UPDATE_MESSAGE
         assert info.value.subcode == UpdateSubcode.OPTIONAL_ATTRIBUTE_ERROR
+
+
+# ---------------------------------------------------------------------------
+# NLRI prefixes
+# ---------------------------------------------------------------------------
+
+
+def addr_calls(call, *args) -> Counter:
+    """The Python-level calls into ``netsim/addr.py`` that ``call(*args)``
+    makes, counted per code object."""
+    calls: Counter = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == addr.__file__:
+            calls[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def prefix_codes() -> set:
+    """The code objects of every method and property prefixes define."""
+    codes = set()
+    for cls in (addr._Prefix, IPv4Prefix, addr.IPv6Prefix):
+        for member in vars(cls).values():
+            for function in (member, getattr(member, "__func__", None),
+                             getattr(member, "fget", None)):
+                if hasattr(function, "__code__"):
+                    codes.add(function.__code__)
+    return codes
+
+
+class TestPrefixIngest:
+    def test_ingest_runs_no_prefix_code(self):
+        """A 1k-prefix table ingest, decode through Adj-RIB-In, kernel
+        table and path-id map, never enters a prefix method: the decoder
+        builds each packed int in C and every table hashes and compares
+        it in C."""
+        table = FullTableGenerator(prefix_count=1000, seed=5)
+        wires = [update.encode() for update in table.table_updates()]
+        pop, feed = upstream_pop()
+        calls = addr_calls(feed, wires)
+        assert len(pop.node.upstreams["upstream"].rib) == 1000
+        assert sum(calls[code] for code in prefix_codes()) == 0
+
+    def test_address_calls_do_not_grow_with_prefixes(self):
+        """Ten UPDATEs carrying 1k and then 2k prefixes make the same
+        number of Python calls into ``netsim/addr.py``.  Each size gets
+        its own MEDs, so both decode ten attribute blocks cold."""
+        table = FullTableGenerator(prefix_count=2000, seed=5)
+        counts = []
+        for count in (1000, 2000):
+            step = count // 10
+            wires = [UpdateMessage(
+                attributes=replace(table.attributes_for(index),
+                                   med=count + index),
+                nlri=tuple((prefix, None) for prefix
+                           in table.prefixes[index * step:][:step]),
+            ).encode() for index in range(10)]
+            pop, feed = upstream_pop()
+            counts.append(sum(addr_calls(feed, wires).values()))
+            assert len(pop.node.upstreams["upstream"].rib) == count
+        assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_loop_prevention_drops_own_asn(scheduler):
     from repro.bgp.messages import UpdateMessage
 
     poisoned = originate(P1, 2, IPv4Address.parse("9.9.9.9")).prepended(1)
-    a.neighbors[f"to-2"].session.send_update(
+    a.neighbors["to-2"].session.send_update(
         UpdateMessage.announce([poisoned])
     )
     scheduler.run_for(2)

@@ -19,10 +19,11 @@ from repro.netsim.addr import IPv4Address, MacAddress
 
 # Traced bytes per path of the 5k-path ingest below (Adj-RIB-In, the
 # neighbor's kernel table), run directly on each interpreter when this
-# bound was set: 837 B on CPython 3.10, 781 on 3.11, 764 on 3.12 and 757
-# on 3.13. The bound takes the largest, so it holds on every interpreter
-# CI runs. The Figure 6a bench reads the same ingest at 10k-40k paths.
-MEASURED_BYTES_PER_PATH = 837
+# bound was set (prefixes as packed ints): 716 B on CPython 3.10, 639 on
+# 3.11, 638 on 3.12 and 646 on 3.13. The bound takes the largest, so it
+# holds on every interpreter CI runs. The Figure 6a bench reads the same
+# ingest at 10k-40k paths.
+MEASURED_BYTES_PER_PATH = 716
 
 
 class TestTracedIngest:

@@ -1,8 +1,12 @@
 """Address-type tests, including hypothesis round-trip properties."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.bgp.messages import _decode_nlri_block
 from repro.netsim.addr import (
     AddressError,
     IPv4Address,
@@ -181,3 +185,73 @@ class TestPrefixes:
         contained = prefix.contains_address(address)
         host_prefix = IPv4Prefix.from_address(address, 32)
         assert contained == prefix.contains_prefix(host_prefix)
+
+
+def prefixes(cls):
+    """Any prefix of ``cls``'s family, ``/0`` and host routes included."""
+    bits = cls.BITS
+    return st.builds(
+        lambda value, length: cls.from_address(cls.ADDRESS_CLS(value), length),
+        st.integers(0, (1 << bits) - 1), st.integers(0, bits))
+
+
+any_prefix = prefixes(IPv4Prefix) | prefixes(IPv6Prefix)
+
+
+class TestPackedPrefixes:
+    """A prefix is an ``int``: these pin what the packing must keep."""
+
+    @given(any_prefix)
+    def test_text_round_trip(self, prefix):
+        again = parse_prefix(str(prefix))
+        assert again == prefix and type(again) is type(prefix)
+
+    @given(any_prefix)
+    def test_pickle_and_deepcopy_keep_the_type(self, prefix):
+        copies = [pickle.loads(pickle.dumps(prefix, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in [*copies, copy.deepcopy(prefix), copy.copy(prefix)]:
+            assert again == prefix and type(again) is type(prefix)
+            assert str(again) == str(prefix)
+
+    @given(st.lists(prefixes(IPv4Prefix)), st.lists(prefixes(IPv6Prefix)))
+    def test_sorted_is_key_order_and_ipv4_first(self, v4, v6):
+        for family in (v4, v6):
+            assert sorted(family) == sorted(family, key=lambda p: p.key())
+        assert sorted(v6 + v4) == sorted(v4) + sorted(v6)
+
+    @given(any_prefix, any_prefix)
+    def test_equal_only_within_a_family(self, a, b):
+        same = type(a) is type(b) and a.key() == b.key()
+        assert (a == b) is same
+        assert (hash(a) == hash(b)) or not same
+
+    def test_families_with_equal_keys_differ(self):
+        """``0.0.0.0/n`` and ``::/n`` are the pairs with equal keys."""
+        for length in range(33):
+            v4 = IPv4Prefix(IPv4Address(0), length)
+            v6 = IPv6Prefix(IPv6Address(0), length)
+            assert v4.key() == v6.key()
+            assert v4 != v6 and len({v4, v6}) == 2
+
+    @given(any_prefix, st.integers(0, (1 << 32) - 1))
+    def test_never_a_small_int_and_never_falsy(self, prefix, number):
+        assert prefix and prefix != number
+
+    @given(any_prefix)
+    def test_formats_as_cidr_text(self, prefix):
+        assert f"{prefix}" == str(prefix) == (
+            f"{prefix.network}/{prefix.length}")
+
+    @given(prefixes(IPv4Prefix))
+    def test_decoded_nlri_equals_the_constructed_prefix(self, prefix):
+        length = prefix.length
+        wire = bytes([length]) + prefix.network.packed()[:(length + 7) // 8]
+        ((decoded, path_id),) = _decode_nlri_block(wire, False)
+        assert decoded == prefix and hash(decoded) == hash(prefix)
+        assert type(decoded) is IPv4Prefix and path_id is None
+        assert decoded.key() == prefix.key() and str(decoded) == str(prefix)
+
+    def test_constructor_rejects_the_other_family(self):
+        with pytest.raises(AddressError):
+            IPv4Prefix(IPv6Address(1 << 100), 32)

@@ -33,7 +33,7 @@ def test_ties_broken_by_insertion_order():
     sched = Scheduler()
     order = []
     for label in "abc":
-        sched.call_later(1.0, lambda l=label: order.append(l))
+        sched.call_later(1.0, lambda name=label: order.append(name))
     sched.run()
     assert order == ["a", "b", "c"]
 
